@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -23,6 +24,10 @@ from . import density, jantzen, oscillator, singular, verma
 from .acceptance import CRITERIA, run_acceptance
 from .fock_checks import SUITES, run_suites
 from .scalars import BiPoly, UniPoly, as_fraction, render_scalar
+
+
+class UsageError(Exception):
+    """Arguments a subcommand cannot act on; `main` exits 2."""
 
 
 def _parse_scalar(text: str, symbol: str):
@@ -54,18 +59,23 @@ def _parse_rs(text: str):
         raise argparse.ArgumentTypeError(f"expected r,s integers, got {text!r}")
 
 
-def _emit(report: dict, args) -> None:
-    if getattr(args, "json", False):
+def _emit(report: dict, args, text=None) -> None:
+    """Print the report (JSON under --json, else `text` or a rendering of
+    the report) and write the same to the --out file."""
+    if args.json:
         text = json.dumps(report, indent=2, default=str)
-    else:
+    elif text is None:
         text = _render_text(report)
-    out = getattr(args, "out", None)
+    out = args.out
     if out:
         directory = os.environ.get("VIRASORO_OUT_DIR", "")
         if directory and not os.path.isabs(out):
             out = os.path.join(directory, out)
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write --out file {out!r}: {exc.strerror}") from None
     print(text)
 
 
@@ -114,8 +124,7 @@ def cmd_singvec(args) -> int:
     report = {"subcommand": "singvec", "method": args.method}
     if args.method == "kernel":
         if args.c is None or args.h is None or args.level is None:
-            print("singvec --method kernel needs --c, --h and --level", file=sys.stderr)
-            return 2
+            raise UsageError("singvec --method kernel needs --c, --h and --level")
         params = verma.VermaParams.rational(args.c, args.h)
         found = singular.singular_kernel(params, args.level)
         report["count"] = len(found)
@@ -123,20 +132,22 @@ def cmd_singvec(args) -> int:
     else:
         if args.method == "bdiz":
             if args.j is None:
-                print("singvec --method bdiz needs --j", file=sys.stderr)
-                return 2
+                raise UsageError("singvec --method bdiz needs --j")
             vec = singular.bdiz_singular(args.j)
         else:
             if args.rs is None:
-                print("singvec --method curve needs --rs", file=sys.stderr)
-                return 2
+                raise UsageError("singvec --method curve needs --rs")
             vec = singular.curve_singular(*args.rs)
         if args.at is not None:
-            vec = singular.specialize_curve_vector(vec, args.at)
-            if args.j is not None:
-                params = singular.curve_params_at(args.at, j=args.j)
-            else:
-                params = singular.curve_params_at(args.at, rs=args.rs)
+            try:
+                vec = singular.specialize_curve_vector(vec, args.at)
+                if args.j is not None:
+                    params = singular.curve_params_at(args.at, j=args.j)
+                else:
+                    params = singular.curve_params_at(args.at, rs=args.rs)
+            except ZeroDivisionError:
+                raise UsageError(f"t = {args.at} is a pole of c(t) = 13 - 6t - 6/t "
+                                 "or of the vector's coefficients") from None
             ok, _ = singular.check_singular(vec, params)
             report["singular"] = ok
             report["c"] = render_scalar(params.c)
@@ -160,13 +171,11 @@ def cmd_ffpoly(args) -> int:
             routes["product^2 (case d)"] = density.ff_product("d", args.j, args.lam, mu)
             routes["direct^2"] = direct * direct
         else:
-            print("product form needs lambda = p^2 or an explicit --mu", file=sys.stderr)
-            return 2
+            raise UsageError("product form needs lambda = p^2 or an explicit --mu")
     if "determinant" in compare:
         p = _sqrt_fraction(args.lam)
         if p is None:
-            print("the determinant route needs lambda = p^2", file=sys.stderr)
-            return 2
+            raise UsageError("the determinant route needs lambda = p^2")
         routes["determinant"] = density.appc_determinant(args.j, p, mu)
     values = {k: render_scalar(v) for k, v in routes.items()}
     keys = [k for k in ("direct", "product", "determinant") if k in routes]
@@ -189,8 +198,7 @@ def _sqrt_fraction(x: Fraction):
     x = as_fraction(x)
     if x < 0:
         return None
-    num = int(x.numerator ** 0.5 + 0.5)
-    den = int(x.denominator ** 0.5 + 0.5)
+    num, den = math.isqrt(x.numerator), math.isqrt(x.denominator)
     if num * num == x.numerator and den * den == x.denominator:
         return Fraction(num, den)
     return None
@@ -199,13 +207,11 @@ def _sqrt_fraction(x: Fraction):
 def cmd_jantzen(args) -> int:
     if args.case == "c1":
         if args.j is None:
-            print("jantzen --case c1 needs --j", file=sys.stderr)
-            return 2
+            raise UsageError("jantzen --case c1 needs --j")
         j = args.j
         if args.path == "c" or (args.path == "auto" and j != 0):
             if j == 0:
-                print("the c-path is degenerate at j = 0; use --path h", file=sys.stderr)
-                return 2
+                raise UsageError("the c-path is degenerate at j = 0; use --path h")
             x = UniPoly.gen("x")
             path, label = (1 + x, UniPoly.const(j * j, "x")), f"c=1+x, h={j * j}"
         else:
@@ -219,8 +225,7 @@ def cmd_jantzen(args) -> int:
             closed = closed.scale(2)
     else:
         if args.m is None or args.r is None or args.s is None:
-            print("jantzen --case discrete needs --m, --r, --s", file=sys.stderr)
-            return 2
+            raise UsageError("jantzen --case discrete needs --m, --r, --s")
         path, label = jantzen.discrete_path(args.m, args.r, args.s)
         lead = verma.h_pq(args.r, args.s, args.m)
         closed = jantzen.discrete_character_sum_closed(args.m, args.r, args.s, args.n)
@@ -228,10 +233,11 @@ def cmd_jantzen(args) -> int:
     depth_sums = [0]
     for level in range(1, args.n + 1):
         family = jantzen.gram_family(path, level, label)
-        order, sdim = jantzen.det_order_identity(family)
-        filt = jantzen.jantzen_filtration(family)
-        levels[level] = {"dims": list(filt.dims), "det_order": order, "identity": order == sdim}
+        order, filt = jantzen.det_order_filtration(family)
         depth_sums.append(filt.depth_sum())
+        levels[level] = {
+            "dims": list(filt.dims), "det_order": order, "identity": order == depth_sums[-1]
+        }
     from .combinat import QSeries
 
     computed = QSeries(depth_sums, lead, args.n)
@@ -250,6 +256,10 @@ def cmd_jantzen(args) -> int:
 
 
 def cmd_character(args) -> int:
+    if args.c1 and args.j is None:
+        raise UsageError("character --c1 needs --j")
+    if args.discrete and None in (args.m, args.r, args.s):
+        raise UsageError("character --discrete needs --m, --r, --s")
     if args.c1:
         series = jantzen.character_formula("c1", args.n, j=args.j)
         oracle_params = verma.VermaParams.rational(1, args.j * args.j)
@@ -272,8 +282,7 @@ def cmd_character(args) -> int:
 def cmd_goldstone(args) -> int:
     sector = args.sector
     if args.j is not None and (args.k - args.j).denominator > 1:
-        print("the charge k must lie in j + Z", file=sys.stderr)
-        return 2
+        raise UsageError("the charge k must lie in j + Z")
     f = oscillator.goldstone_signature(args.k, args.m, sector)
     state = oscillator.goldstone_vector(args.k, args.m, sector)
     report = {
@@ -309,13 +318,11 @@ def cmd_binomdet(args) -> int:
     if "product" in compare:
         width, depth = (f[0] if f else 0), len(f)
         if any(row != width for row in f) or width < depth:
-            print("the product form needs a rectangle with width >= depth", file=sys.stderr)
-            return 2
+            raise UsageError("the product form needs a rectangle with width >= depth")
         values["product"] = oscillator.rect_binom_product(width, depth, args.mu)
     if "pairing" in compare:
         if args.mu.denominator != 1 or args.mu < 0:
-            print("the pairing needs mu = 2p with p a non-negative half-integer", file=sys.stderr)
-            return 2
+            raise UsageError("the pairing needs mu = 2p with p a non-negative half-integer")
         values["pairing"] = oscillator.l1_power_pairing(f, Fraction(args.mu, 2))
     agree = len({render_scalar(v) for v in values.values()}) == 1
     report = {
@@ -332,17 +339,13 @@ def cmd_binomdet(args) -> int:
 def cmd_fock_check(args) -> int:
     names = args.suite.split(",") if args.suite and args.suite != "all" else None
     if args.emax < 2 or args.pair_emax < 2:
-        print(
+        raise UsageError(
             "truncation window too small: the character checks reach order q^2, "
-            "so --emax and --pair-emax must be at least 2",
-            file=sys.stderr,
+            "so --emax and --pair-emax must be at least 2"
         )
-        return 2
-    try:
-        reports = run_suites(args.emax, names=names, pair_emax=args.pair_emax)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    if names and not set(names) <= set(SUITES):
+        raise UsageError(f"unknown suites: {sorted(set(names) - set(SUITES))}")
+    reports = run_suites(args.emax, names=names, pair_emax=args.pair_emax)
     ok = all(r["ok"] for r in reports)
     report = {
         "subcommand": "fock-check",
@@ -366,19 +369,22 @@ def cmd_acceptance(args) -> int:
     names = None if args.suite == "all" else args.suite.split(",")
     known = {key for key, _, _ in CRITERIA}
     if names and not set(names) <= known:
-        print(f"unknown criteria: {sorted(set(names) - known)}", file=sys.stderr)
-        return 2
+        raise UsageError(f"unknown criteria: {sorted(set(names) - known)}")
     ok, rows = run_acceptance(
         names=names, level_cap=args.level_cap, seed=args.seed, emax=args.emax,
         pair_emax=args.pair_emax,
     )
+    lines = []
     for row in rows:
         status = "PASS" if row["ok"] else "FAIL"
-        print(f"{status} {row['criterion']:16s} {row['elapsed']:8.2f}s  {row['title']}")
+        lines.append(f"{status} {row['criterion']:16s} {row['elapsed']:8.2f}s  {row['title']}")
         if not row["ok"]:
-            print(f"     {row['details']}")
+            lines.append(f"     {row['details']}")
+    text = "\n".join(lines)
     if args.json:
-        print(json.dumps({"ok": ok, "criteria": rows}, indent=2, default=str))
+        # stdout carries only the JSON report
+        print(text, file=sys.stderr)
+    _emit({"ok": ok, "criteria": rows}, args, text=text)
     return 0 if ok else 1
 
 
@@ -500,6 +506,9 @@ def main(argv=None) -> int:
         parser.error("--threads must be at least 1")
     try:
         return args.fn(args)
+    except UsageError as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial, lcm
 
 from .combinat import QSeries, num_partitions, partitions_of
 from .scalars import as_fraction
@@ -202,7 +203,7 @@ def fermion_apply(kind: str, n: int, vec: FockVector) -> FockVector:
 @lru_cache(maxsize=None)
 def _boson_state(n: int, st: FermionState) -> tuple:
     if n == 0:
-        return ((st, Fraction(-st.sector)),)
+        return ((st, -st.sector),)
     out = {}
     tail = st.tail_start
     qs = st.occupied_prefix()
@@ -218,7 +219,7 @@ def _boson_state(n: int, st: FermionState) -> tuple:
             continue
         s2, new = second
         out[new] = out.get(new, 0) + s1 * s2
-    return tuple((s, Fraction(c)) for s, c in out.items() if c)
+    return tuple((s, c) for s, c in out.items() if c)
 
 
 def boson_apply(n: int, vec: FockVector) -> FockVector:
@@ -323,65 +324,78 @@ def shift_apply(power: int, vec: FockVector) -> FockVector:
     )
 
 
-@lru_cache(maxsize=None)
-def _exp_coeff_partitions(n: int):
-    """[(partition, 1/z_lambda)] for the z^n coefficient of the exponentials."""
-    out = []
-    for part in partitions_of(n):
-        mult = {}
-        for p in part:
-            mult[p] = mult.get(p, 0) + 1
-        z = 1
-        for i, m in mult.items():
-            fact = 1
-            for t in range(2, m + 1):
-                fact *= t
-            z *= i**m * fact
-        out.append((part, Fraction(1, z)))
-    return tuple(out)
+def _exp_series(table, step: int, c: int, terms: dict, order: int) -> list:
+    """[P_0, ..., P_order] with P_u = u! S_u v, where
+    sum_u S_u z^u = exp(c sum_{n>0} z^n X_n / n).
+
+    X_n is the operator `table(step * n, state)` (an iterable of
+    (state, coefficient) pairs) and v is the state dict `terms`.  The X_n
+    commute, so Newton's identity u S_u = c sum_{n=1..u} X_n S_{u-n}
+    (Macdonald, Symmetric Functions, I.2) gives each coefficient from the
+    lower ones exactly, with no sum over partitions.  In the scaled form
+    P_u = c sum_{n=1..u} (u-1)!/(u-n)! X_n P_{u-n} it stays in the
+    integers when c, v and the X_n are integral.
+    """
+    series = [terms]
+    for u in range(1, order + 1):
+        acc = {}
+        weight = c                       # c (u-1)!/(u-n)!
+        for n in range(1, u + 1):
+            for st, coeff in series[u - n].items():
+                k = weight * coeff
+                for new, x in table(step * n, st):
+                    acc[new] = acc.get(new, 0) + x * k
+            weight *= u - n
+        series.append({st: v for st, v in acc.items() if v})
+    return series
+
+
+def _exp_coeff(table, step: int, c: int, terms: dict, order: int) -> dict:
+    """S_order v for a vector v with rational coefficients (see _exp_series)."""
+    if order < 0:
+        raise ValueError(f"negative series order {order}")
+    den = lcm(*(v.denominator for v in terms.values()))
+    ints = {st: v.numerator * (den // v.denominator) for st, v in terms.items()}
+    scale = den * factorial(order)
+    top = _exp_series(table, step, c, ints, order)[order]
+    return {st: Fraction(p, scale) for st, p in top.items()}
 
 
 def raising_coeff_apply(u: int, m: int, vec: FockVector) -> FockVector:
     """z^u coefficient of E_-^m(z) = exp(m sum_{n>0} z^n a_{-n}/n)."""
-    out = FockVector.zero()
-    for part, inv_z in _exp_coeff_partitions(u):
-        w = vec.scale(inv_z * Fraction(m) ** len(part))
-        for p in part:
-            if w.is_zero():
-                break
-            w = boson_apply(-p, w)
-        out = out.add_into(w)
-    return out
+    return FockVector(_exp_coeff(_boson_state, -1, m, vec.terms, u))
 
 
 def lowering_coeff_apply(d: int, m: int, vec: FockVector) -> FockVector:
     """z^{-d} coefficient of E_+^m(z) = exp(-m sum_{n>0} z^{-n} a_n/n)."""
-    out = FockVector.zero()
-    for part, inv_z in _exp_coeff_partitions(d):
-        w = vec.scale(inv_z * Fraction(-m) ** len(part))
-        for p in part:
-            if w.is_zero():
-                break
-            w = boson_apply(p, w)
-        out = out.add_into(w)
-    return out
+    return FockVector(_exp_coeff(_boson_state, 1, -m, vec.terms, d))
+
+
+def _exp_product_mode(table, m: int, st, depth: int, u0: int) -> dict:
+    """sum_{d >= 0} [z^{u0+d}] exp(m sum z^n X_{-n}/n) [z^{-d}] exp(-m sum z^{-n} X_n/n)
+    applied to the basis state `st`, for commuting X_n with integer
+    coefficients that lower the excitation by n; `depth` bounds the
+    excitation of `st`, so the lowering series stops there.  Unshifted:
+    the caller applies its own U^{-m}."""
+    top = u0 + depth
+    if top < 0:
+        return {}
+    num = {}                             # numerators over top! depth!
+    for d, lowered in enumerate(_exp_series(table, 1, -m, {st: 1}, depth)):
+        u = u0 + d
+        if u < 0 or not lowered:
+            continue
+        weight = factorial(top) // factorial(u) * (factorial(depth) // factorial(d))
+        for new, p in _exp_series(table, -1, m, lowered, u)[u].items():
+            num[new] = num.get(new, 0) + weight * p
+    den = factorial(top) * factorial(depth)
+    return {new: Fraction(p, den) for new, p in num.items() if p}
 
 
 @lru_cache(maxsize=None)
 def _vertex_mode_state(m: int, n: int, st: FermionState) -> tuple:
-    q = st.charge
-    base = FockVector.basis(st, 1)
-    out = FockVector.zero()
-    for d in range(0, _relative_energy(st) + 1):
-        u = d - m * q - n
-        if u < 0:
-            continue
-        w = lowering_coeff_apply(d, m, base)
-        if w.is_zero():
-            continue
-        w = raising_coeff_apply(u, m, w)
-        out = out.add_into(shift_apply(-m, w))
-    return tuple(out.terms.items())
+    raw = _exp_product_mode(_boson_state, m, st, _relative_energy(st), -m * st.charge - n)
+    return tuple((FermionState(s.sector - m, s.lam), c) for s, c in raw.items())
 
 
 def vertex_mode(m: int, n: int, vec: FockVector) -> FockVector:
@@ -512,24 +526,26 @@ class PairVector:
 
 def factor_apply(fn, which: int, vec: PairVector, odd: bool) -> PairVector:
     """Apply a single-factor FockVector map with the Koszul sign rule."""
-    out = PairVector.zero()
+    out = {}
     for st, coeff in vec.terms.items():
         if which == 1:
             got = fn(FockVector.basis(st.left, 1))
             for new, c in got.terms.items():
-                out = out.add_into(PairVector.basis(new, st.right, c * coeff))
+                key = PairState(new, st.right)
+                out[key] = out.get(key, 0) + c * coeff
         else:
             sign = -1 if (odd and st.left.parity) else 1
             got = fn(FockVector.basis(st.right, 1))
             for new, c in got.terms.items():
-                out = out.add_into(PairVector.basis(st.left, new, sign * c * coeff))
-    return out
+                key = PairState(st.left, new)
+                out[key] = out.get(key, 0) + sign * c * coeff
+    return PairVector(out)
 
 
 def pair_bilinear_apply(n: int, vec: PairVector, which: tuple) -> PairVector:
     """E_{ij}(n) = sum_{p-q=n} e_p^{(i)} (e_q^{(j)})* for i != j."""
     i, j = which
-    out = PairVector.zero()
+    out = {}
     for st, coeff in vec.terms.items():
         src = st.right if j == 2 else st.left
         dst_state = st.left if i == 1 else st.right
@@ -548,12 +564,12 @@ def pair_bilinear_apply(n: int, vec: PairVector, which: tuple) -> PairVector:
             # operator order: e* on factor j first, then e on factor i
             if j == 2:
                 sign = s1 * (-1 if st.left.parity else 1) * s2
-                pv = PairVector.basis(new_dst, mid, sign * coeff)
+                key = PairState(new_dst, mid)
             else:
                 sign = s1 * s2 * (-1 if mid.parity else 1)
-                pv = PairVector.basis(mid, new_dst, sign * coeff)
-            out = out.add_into(pv)
-    return out
+                key = PairState(mid, new_dst)
+            out[key] = out.get(key, 0) + sign * coeff
+    return PairVector(out)
 
 
 def E_apply(n: int, vec: PairVector) -> PairVector:
@@ -565,9 +581,7 @@ def F_apply(n: int, vec: PairVector) -> PairVector:
 
 
 def H_apply(n: int, vec: PairVector) -> PairVector:
-    a1 = factor_apply(lambda v: boson_apply(n, v), 1, vec, odd=False)
-    a2 = factor_apply(lambda v: boson_apply(n, v), 2, vec, odd=False)
-    return (a1 - a2).scale(Fraction(1, 2))
+    return b_apply(n, vec).scale(Fraction(1, 2))
 
 
 def K_apply(n: int, vec: PairVector) -> PairVector:
@@ -579,71 +593,50 @@ def K_apply(n: int, vec: PairVector) -> PairVector:
 def psi_mode(m: int, n: int, vec: PairVector) -> PairVector:
     """Psi_m(n) = sum_{i+j=n} Phi_m(i) tensor Phi_{-m}(j), graded."""
     odd = bool(m & 1)
-    out = PairVector.zero()
+    out = {}
     for st, coeff in vec.terms.items():
         i_hi = vertex_mode_range(m, st.left)
         j_hi = vertex_mode_range(-m, st.right)
+        sign = -1 if (odd and st.left.parity) else 1
         for i in range(n - j_hi, i_hi + 1):
-            jmode = n - i
-            right = vertex_mode(-m, jmode, FockVector.basis(st.right, 1))
+            right = vertex_mode(-m, n - i, FockVector.basis(st.right, 1))
             if right.is_zero():
                 continue
-            sign = -1 if (odd and st.left.parity) else 1
             left = vertex_mode(m, i, FockVector.basis(st.left, 1))
-            if left.is_zero():
-                continue
             for ls, lc in left.terms.items():
                 for rs, rc in right.terms.items():
-                    out = out.add_into(
-                        PairVector.basis(ls, rs, sign * lc * rc * coeff)
-                    )
-    return out
+                    key = PairState(ls, rs)
+                    out[key] = out.get(key, 0) + sign * lc * rc * coeff
+    return PairVector(out)
+
+
+def _b_state(n: int, st: PairState):
+    """b_n on one pair state as (state, coefficient) pairs; the bosons are
+    even, so the second factor takes no Koszul sign."""
+    for new, c in _boson_state(n, st.left):
+        yield PairState(new, st.right), c
+    for new, c in _boson_state(n, st.right):
+        yield PairState(st.left, new), -c
 
 
 def b_apply(n: int, vec: PairVector) -> PairVector:
     """Difference boson b_n = a_n^(1) - a_n^(2); [b_m, b_n] = 2m delta."""
-    a1 = factor_apply(lambda v: boson_apply(n, v), 1, vec, odd=False)
-    a2 = factor_apply(lambda v: boson_apply(n, v), 2, vec, odd=False)
-    return a1 - a2
+    out = {}
+    for st, coeff in vec.terms.items():
+        for new, c in _b_state(n, st):
+            out[new] = out.get(new, 0) + c * coeff
+    return PairVector(out)
 
 
 def plain_shift_apply(vec: PairVector, power: int = 1) -> PairVector:
     """The unsigned shift (U x) ox (U^{-1} y); the difference-boson
     vertex operators anchor on this one (the graded V of V_apply picks
     up the cocycle sign instead)."""
-    out = PairVector.zero()
-    for st, coeff in vec.terms.items():
-        left = FermionState(st.left.sector + power, st.left.lam)
-        right = FermionState(st.right.sector - power, st.right.lam)
-        out = out.add_into(PairVector.basis(left, right, coeff))
-    return out
-
-
-@lru_cache(maxsize=None)
-def _b_exp_state(direction: int, order: int, m: int, st: PairState) -> tuple:
-    base = PairVector({st: Fraction(1)})
-    out = PairVector.zero()
-    for part, inv_z in _exp_coeff_partitions(order):
-        w = base.scale(inv_z * Fraction(m) ** len(part))
-        for p in part:
-            if w.is_zero():
-                break
-            w = b_apply(-p if direction > 0 else p, w)
-        out = out.add_into(w)
-    return tuple(out.terms.items())
-
-
-def _b_exp_coeff(direction: int, order: int, m: int, vec: PairVector) -> PairVector:
-    """z^{direction * order} coefficient of exp(m sum_{n>0} z^{+-n} b_{-+n} / n)."""
-    out = {}
-    for st, coeff in vec.terms.items():
-        for new, c in _b_exp_state(direction, order, m, st):
-            val = out.get(new, Fraction(0)) + c * coeff
-            if val:
-                out[new] = val
-            else:
-                out.pop(new, None)
-    return PairVector(out)
+    return PairVector({
+        PairState(FermionState(st.left.sector + power, st.left.lam),
+                  FermionState(st.right.sector - power, st.right.lam)): coeff
+        for st, coeff in vec.terms.items()
+    })
 
 
 def psi_mode_b(m: int, n: int, vec: PairVector) -> PairVector:
@@ -655,27 +648,17 @@ def psi_mode_b(m: int, n: int, vec: PairVector) -> PairVector:
     see the fermionic crossing of the two factors, which for odd m flips
     the sign on odd left sectors.  With it, this agrees entry for entry
     with the graded product of the single-factor vertex operators."""
-    out = PairVector.zero()
+    out = {}
     for st, coeff in vec.terms.items():
         q_b = st.left.charge - st.right.charge
         if m % 2 and st.left.parity:
             coeff = -coeff
-        base = PairVector({st: coeff})
         # the b modes preserve both factor charges, so total lowering is
         # bounded by the excitation above the fixed sector pair
         rel = sum(st.left.lam) + sum(st.right.lam)
-        for d in range(0, rel + 1):
-            u = d - m * q_b - n
-            if u < 0:
-                continue
-            w = _b_exp_coeff(-1, d, -m, base)
-            if w.is_zero():
-                continue
-            w = _b_exp_coeff(+1, u, m, w)
-            if w.is_zero():
-                continue
-            out = out.add_into(plain_shift_apply(w, -m))
-    return out
+        for new, c in _exp_product_mode(_b_state, m, st, rel, -m * q_b - n).items():
+            out[new] = out.get(new, 0) + coeff * c
+    return plain_shift_apply(PairVector(out), -m)
 
 
 def b_sugawara_apply(k: int, vec: PairVector) -> PairVector:
@@ -719,13 +702,12 @@ def V_apply(vec: PairVector, power: int = 1) -> PairVector:
     """
     k = power
     sigma = -1 if (k * (k - 1) // 2) % 2 else 1
-    out = PairVector.zero()
-    for st, coeff in vec.terms.items():
-        sign = sigma * (-1 if (k % 2 and st.left.parity) else 1)
-        left = FermionState(st.left.sector + k, st.left.lam)
-        right = FermionState(st.right.sector - k, st.right.lam)
-        out = out.add_into(PairVector.basis(left, right, sign * coeff))
-    return out
+    return PairVector({
+        PairState(FermionState(st.left.sector + k, st.left.lam),
+                  FermionState(st.right.sector - k, st.right.lam)):
+            sigma * (-1 if (k % 2 and st.left.parity) else 1) * coeff
+        for st, coeff in vec.terms.items()
+    })
 
 
 class PairBasis:

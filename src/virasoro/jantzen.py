@@ -147,9 +147,11 @@ def _first_block_span(kernel, n: int):
     return tuple(tuple(reduced[i]) for i in range(len(pivots)))
 
 
-def jantzen_filtration(family: MatrixFamily) -> Filtration:
-    """Section-based filtration; terminates because det A(x) is not 0."""
-    det = bareiss_det(family.rows())
+def jantzen_filtration(family: MatrixFamily, det=None) -> Filtration:
+    """Section-based filtration; terminates because det A(x) is not 0.
+    `det` is det A(x) when the caller has already computed it."""
+    if det is None:
+        det = bareiss_det(family.rows())
     if det.is_zero():
         raise DegenerateFamilyError(
             f"det A(x) vanishes identically for {family.provenance} at level {family.level}"
@@ -177,16 +179,17 @@ def jantzen_filtration(family: MatrixFamily) -> Filtration:
     return Filtration(tuple(dims), tuple(bases))
 
 
-def det_order_identity(family: MatrixFamily):
-    """(order of x=0 in det A(x), sum of filtration dims); both computed
-    independently so the caller can assert their equality."""
+def det_order_filtration(family: MatrixFamily):
+    """(order of x=0 in det A(x), the filtration) from one determinant;
+    the order and the filtration dims are computed independently, so the
+    caller can assert order == filtration.depth_sum()."""
     det = bareiss_det(family.rows())
-    order = order_at_zero(det)
-    if order is None:
-        raise DegenerateFamilyError(
-            f"det A(x) vanishes identically for {family.provenance} at level {family.level}"
-        )
-    filt = jantzen_filtration(family)
+    return order_at_zero(det), jantzen_filtration(family, det)
+
+
+def det_order_identity(family: MatrixFamily):
+    """(order of x=0 in det A(x), sum of filtration dims)."""
+    order, filt = det_order_filtration(family)
     return order, filt.depth_sum()
 
 

@@ -1,6 +1,8 @@
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -215,3 +217,63 @@ def test_jantzen_c_path_rejected_at_j_zero(capsys):
 def test_fock_check_window_too_small(capsys):
     code, _ = run_cli(["fock-check", "--emax", "1"], capsys)
     assert code == 2
+
+
+def test_singvec_pole_is_usage_error(capsys):
+    code, _ = run_cli(
+        ["singvec", "--method", "curve", "--rs", "2,1", "--at", "0", "--json"], capsys
+    )
+    assert code == 2
+
+
+def test_character_c1_without_j_is_usage_error(capsys):
+    code, _ = run_cli(["character", "--c1", "--N", "4", "--json"], capsys)
+    assert code == 2
+
+
+def test_out_into_missing_directory_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    code, _ = run_cli(["kacdet", "--level", "1", "--json", "--out", str(out)], capsys)
+    assert code == 2
+    assert not out.exists()
+
+
+def test_ffpoly_big_square_lambda(capsys):
+    # (10^20 + 3)^2 is a perfect square that a float square root misses
+    lam = str((10**20 + 3) ** 2)
+    code, out = run_cli(
+        ["ffpoly", "--j", "1", "--lambda", lam, "--compare", "direct,product", "--json"], capsys
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["agree"] is True
+    assert "product" in report["values"]
+
+
+def test_acceptance_json_stdout_is_pure_json(tmp_path, capsys):
+    out = tmp_path / "acc.json"
+    code = main(["acceptance", "--suite", "gomes", "--json", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 0
+    report = json.loads(captured.out)
+    assert report["ok"] is True
+    assert [row["criterion"] for row in report["criteria"]] == ["gomes"]
+    assert "PASS gomes" in captured.err
+    assert json.loads(out.read_text()) == report
+
+
+README_HEAVY = ("kacdet --level 6", "fock-check", "acceptance --suite all")
+
+
+def _readme_examples():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return [
+        line[len("virasoro "):]
+        for line in text.splitlines()
+        if line.startswith("virasoro ") and not any(h in line for h in README_HEAVY)
+    ]
+
+
+@pytest.mark.parametrize("example", _readme_examples())
+def test_readme_example_succeeds(example, capsys):
+    assert main(shlex.split(example)) == 0

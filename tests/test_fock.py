@@ -1,9 +1,12 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 
+from virasoro.combinat import partitions_of
 from virasoro.fock import (
     E_apply,
     F_apply,
@@ -20,10 +23,12 @@ from virasoro.fock import (
     boson_apply,
     fermion_apply,
     level1_character_closed,
+    lowering_coeff_apply,
     lprime_apply,
     lprime_zero_bilinear,
     multiplicity_character_closed,
     psi_mode,
+    raising_coeff_apply,
     shift_apply,
     sugawara_apply,
     two_factor_trace,
@@ -298,3 +303,43 @@ def test_b_sugawara_bracket():
             if m + n == 0:
                 rhs = rhs + v.scale(Fraction(m**3 - m, 12))
             assert lhs == rhs, (st, m, n)
+
+
+def _partition_exp_coeff(apply_mode, c, vec, order):
+    """z^order coefficient of exp(c sum_{n>0} z^n X_n / n) applied to vec,
+    as the sum over partitions lam of order of c^len(lam) / z_lam times
+    the product of the X_{lam_i}: the reference for Newton's recurrence."""
+    total = vec.scale(0)
+    for part in partitions_of(order):
+        z_lam = prod(i**k * factorial(k) for i, k in Counter(part).items())
+        w = vec.scale(Fraction(c ** len(part), z_lam))
+        for p in part:
+            w = apply_mode(p, w)
+        total = total + w
+    return total
+
+
+def test_exponential_coefficients_match_partition_sum():
+    for st in FockBasis(3):
+        v = FockVector.basis(st)
+        for m in (1, -1, 2, -2, 3):
+            for u in range(6):
+                want = _partition_exp_coeff(lambda p, w: boson_apply(-p, w), m, v, u)
+                assert raising_coeff_apply(u, m, v) == want, (st, m, u)
+                want = _partition_exp_coeff(lambda p, w: boson_apply(p, w), -m, v, u)
+                assert lowering_coeff_apply(u, m, v) == want, (st, m, u)
+
+
+def test_b_exponential_matches_partition_sum():
+    from virasoro.fock import _b_state, _exp_coeff, b_apply
+
+    for st in PairBasis(2):
+        v = PairVector({st: Fraction(1)})
+        for m in (1, -1, 2):
+            for order in range(5):
+                want = _partition_exp_coeff(lambda p, w: b_apply(-p, w), m, v, order)
+                got = _exp_coeff(_b_state, -1, m, v.terms, order)
+                assert PairVector(got) == want, (st, m, order)
+                want = _partition_exp_coeff(lambda p, w: b_apply(p, w), -m, v, order)
+                got = _exp_coeff(_b_state, 1, -m, v.terms, order)
+                assert PairVector(got) == want, (st, m, order)
