@@ -2,13 +2,11 @@
 
 Exit codes: 0 for success or a verified identity, 1 when a computation
 ran but an identity failed (a diff report is printed), 2 for usage
-errors.  All reports are deterministic given the arguments and seed.
+errors, including arguments the library rejects (`UsageError`).  All
+reports are deterministic given the arguments and seed.
 
 The optional VIRASORO_OUT_DIR environment variable sets the directory
-for --out files given as bare names.  --threads caps worker parallelism;
-the current implementation runs the work sequentially (a cap of one is
-always honoured) and the flag is accepted for forward compatibility,
-with output ordering canonical either way.
+for --out files given as bare names.
 """
 
 from __future__ import annotations
@@ -23,11 +21,7 @@ from fractions import Fraction
 from . import density, jantzen, oscillator, singular, verma
 from .acceptance import CRITERIA, run_acceptance
 from .fock_checks import SUITES, run_suites
-from .scalars import BiPoly, UniPoly, as_fraction, render_scalar
-
-
-class UsageError(Exception):
-    """Arguments a subcommand cannot act on; `main` exits 2."""
+from .scalars import BiPoly, UniPoly, UsageError, as_fraction, render_scalar
 
 
 def _parse_scalar(text: str, symbol: str):
@@ -393,8 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="virasoro",
         description="Exact Virasoro representation computations",
     )
-    parser.add_argument("--threads", type=int, default=1,
-                        help="cap on worker parallelism (work is deterministic)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gram", help="Shapovalov Gram matrix at a level")
@@ -439,7 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int)
     p.add_argument("--N", dest="n", type=int, default=6)
     p.add_argument("--path", choices=("auto", "c", "h"), default="auto")
-    p.add_argument("--report", choices=("json", "text"), default="text")
     _common(p)
     p.set_defaults(fn=cmd_jantzen)
 
@@ -502,8 +493,6 @@ def _common(p: argparse.ArgumentParser) -> None:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be at least 1")
     try:
         return args.fn(args)
     except UsageError as exc:

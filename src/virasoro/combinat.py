@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .scalars import as_fraction, render_fraction
+from .scalars import UsageError, as_fraction, render_fraction
 
 Partition = tuple  # weakly decreasing tuple of positive ints
 Signature = tuple  # weakly decreasing tuple of non-negative ints, trimmed
@@ -21,7 +21,7 @@ Signature = tuple  # weakly decreasing tuple of non-negative ints, trimmed
 def partitions_of(n: int, max_part: int | None = None) -> tuple:
     """All partitions of n in descending lexicographic order."""
     if n < 0:
-        raise ValueError("partitions of a negative integer")
+        raise UsageError("partitions of a negative integer")
     if max_part is None or max_part > n:
         max_part = n
     if n == 0:
@@ -56,10 +56,6 @@ def num_partitions(n: int) -> int:
     return total
 
 
-def weight(p: Partition) -> int:
-    return sum(p)
-
-
 def partition_key(p: Partition) -> str:
     """Canonical JSON key, e.g. "[3,1]" or "[]"."""
     return "[" + ",".join(str(x) for x in p) + "]"
@@ -71,14 +67,14 @@ def parse_partition(text: str) -> Partition:
         return ()
     parts = tuple(int(x) for x in body.split(","))
     if any(x <= 0 for x in parts) or list(parts) != sorted(parts, reverse=True):
-        raise ValueError(f"not a partition: {text!r}")
+        raise UsageError(f"not a partition: {text!r}")
     return parts
 
 
 def as_signature(rows) -> Signature:
     rows = tuple(int(r) for r in rows)
     if any(rows[i] < rows[i + 1] for i in range(len(rows) - 1)) or any(r < 0 for r in rows):
-        raise ValueError(f"not a signature: {rows}")
+        raise UsageError(f"not a signature: {rows}")
     while rows and rows[-1] == 0:
         rows = rows[:-1]
     return rows
@@ -201,9 +197,8 @@ class QSeries:
             return True
         return a.lead == b.lead and a.coeffs[: n + 1] == b.coeffs[: n + 1]
 
-    def __hash__(self):
-        a = self.normalized()
-        return hash((a.lead, a.coeffs))
+    # equal series of different orders would need equal hashes
+    __hash__ = None
 
     def normalized(self) -> "QSeries":
         """Strip leading zero coefficients into the exponent."""

@@ -34,7 +34,7 @@ from functools import lru_cache
 from math import factorial, lcm
 
 from .combinat import QSeries, num_partitions, partitions_of
-from .scalars import as_fraction
+from .scalars import SparseVector, accumulate, as_fraction
 
 
 @dataclass(frozen=True)
@@ -112,58 +112,14 @@ def apply_e_star(n: int, st: FermionState):
     return (-1) ** pos, _state_from_occupied(occ, tail)
 
 
-class FockVector:
+class FockVector(SparseVector):
     """Finite rational linear combination of fermion states."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        data = {}
-        for st, coeff in dict(terms or {}).items():
-            coeff = as_fraction(coeff)
-            if coeff:
-                data[st] = coeff
-        self.terms = data
+    __slots__ = ()
 
     @classmethod
     def basis(cls, st: FermionState, coeff=1) -> "FockVector":
         return cls({st: coeff})
-
-    @classmethod
-    def zero(cls) -> "FockVector":
-        return cls({})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def add_into(self, other: "FockVector", scale=None) -> "FockVector":
-        out = dict(self.terms)
-        for st, c in other.terms.items():
-            if scale is not None:
-                c = scale * c
-            new = out.get(st, Fraction(0)) + c
-            if new:
-                out[st] = new
-            else:
-                out.pop(st, None)
-        return FockVector(out)
-
-    def __add__(self, other):
-        return self.add_into(other)
-
-    def __sub__(self, other):
-        return self.add_into(other, scale=Fraction(-1))
-
-    def scale(self, s) -> "FockVector":
-        s = as_fraction(s)
-        if not s:
-            return FockVector.zero()
-        return FockVector({st: s * c for st, c in self.terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, FockVector):
-            return NotImplemented
-        return self.terms == other.terms
 
     def __repr__(self):
         if not self.terms:
@@ -175,21 +131,13 @@ class FockVector:
 def _lift(fn):
     """Extend a basis-state map returning (sign, state) | None to vectors."""
 
-    def apply(vec: FockVector) -> FockVector:
-        out = {}
-        for st, coeff in vec.terms.items():
-            got = fn(st)
-            if got is None:
-                continue
+    def image(st):
+        got = fn(st)
+        if got is not None:
             sign, new = got
-            val = out.get(new, Fraction(0)) + sign * coeff
-            if val:
-                out[new] = val
-            else:
-                out.pop(new, None)
-        return FockVector(out)
+            yield new, sign
 
-    return apply
+    return lambda vec: vec.apply_linear(image)
 
 
 def fermion_apply(kind: str, n: int, vec: FockVector) -> FockVector:
@@ -200,11 +148,8 @@ def fermion_apply(kind: str, n: int, vec: FockVector) -> FockVector:
     raise ValueError(f"unknown fermion operator {kind!r}")
 
 
-@lru_cache(maxsize=None)
-def _boson_state(n: int, st: FermionState) -> tuple:
-    if n == 0:
-        return ((st, -st.sector),)
-    out = {}
+def _hops(n: int, st: FermionState):
+    """(q, sign, state) for every nonzero e_{q+n} e_q* st = sign * state."""
     tail = st.tail_start
     qs = st.occupied_prefix()
     if n < 0:
@@ -218,59 +163,35 @@ def _boson_state(n: int, st: FermionState) -> tuple:
         if second is None:
             continue
         s2, new = second
-        out[new] = out.get(new, 0) + s1 * s2
-    return tuple((s, c) for s, c in out.items() if c)
+        yield q, s1 * s2, new
+
+
+@lru_cache(maxsize=None)
+def _boson_state(n: int, st: FermionState) -> tuple:
+    if n == 0:
+        return ((st, -st.sector),)
+    return tuple(accumulate({}, ((new, sign) for _, sign, new in _hops(n, st))).items())
 
 
 def boson_apply(n: int, vec: FockVector) -> FockVector:
     """a_n = sum_{p-q=n} e_p e_q* (normal-ordered charge for n = 0)."""
-    out = {}
-    for st, coeff in vec.terms.items():
-        for new, c in _boson_state(n, st):
-            val = out.get(new, Fraction(0)) + c * coeff
-            if val:
-                out[new] = val
-            else:
-                out.pop(new, None)
-    return FockVector(out)
+    return vec.apply_linear(lambda st: _boson_state(n, st))
 
 
 @lru_cache(maxsize=None)
 def _lprime_state(k: int, st: FermionState) -> tuple:
     if k == 0:
         return ((st, st.energy),)
-    half = Fraction(1, 2)
-    out = {}
-    tail = st.tail_start
-    qs = st.occupied_prefix()
-    if k < 0:
-        qs = qs + list(range(tail, tail - k))
-    for q in qs:
-        first = apply_e_star(q, st)
-        if first is None:
-            continue
-        s1, mid = first
-        second = apply_e(q + k, mid)
-        if second is None:
-            continue
-        s2, new = second
-        weight = -(q + half + Fraction(k, 2)) * s1 * s2
-        out[new] = out.get(new, Fraction(0)) + weight
-    return tuple((s, c) for s, c in out.items() if c)
+    shift = Fraction(1, 2) + Fraction(k, 2)
+    return tuple(accumulate(
+        {}, ((new, -(q + shift) * sign) for q, sign, new in _hops(k, st))
+    ).items())
 
 
 def lprime_apply(k: int, vec: FockVector) -> FockVector:
     """Fermion-bilinear Virasoro: L'_k = sum_{p-q=k} -(q + 1/2 + k/2) e_p e_q*;
     L'_0 is the energy operator."""
-    out = {}
-    for st, coeff in vec.terms.items():
-        for new, c in _lprime_state(k, st):
-            val = out.get(new, Fraction(0)) + c * coeff
-            if val:
-                out[new] = val
-            else:
-                out.pop(new, None)
-    return FockVector(out)
+    return vec.apply_linear(lambda st: _lprime_state(k, st))
 
 
 def lprime_zero_bilinear(st: FermionState) -> Fraction:
@@ -298,13 +219,9 @@ def sugawara_apply(k: int, vec: FockVector) -> FockVector:
     if vec.is_zero():
         return vec
     if k == 0:
-        out = {}
-        for st, c in vec.terms.items():
-            q = -st.sector
-            out[st] = (Fraction(q * q, 2) + _relative_energy(st)) * c
-        return FockVector(out)
+        return FockVector({st: st.energy * c for st, c in vec.terms.items()})
     max_rel = max(_relative_energy(st) for st in vec.terms)
-    total = FockVector.zero()
+    total = {}
     half = Fraction(1, 2)
     for r in range(k - max_rel, k // 2 + 1):
         s = k - r
@@ -312,9 +229,8 @@ def sugawara_apply(k: int, vec: FockVector) -> FockVector:
         inner = boson_apply(s, vec)
         if inner.is_zero():
             continue
-        applied = boson_apply(r, inner)
-        total = total.add_into(applied, scale=weight)
-    return total
+        accumulate(total, boson_apply(r, inner).terms, weight)
+    return FockVector(total)
 
 
 def shift_apply(power: int, vec: FockVector) -> FockVector:
@@ -342,11 +258,9 @@ def _exp_series(table, step: int, c: int, terms: dict, order: int) -> list:
         weight = c                       # c (u-1)!/(u-n)!
         for n in range(1, u + 1):
             for st, coeff in series[u - n].items():
-                k = weight * coeff
-                for new, x in table(step * n, st):
-                    acc[new] = acc.get(new, 0) + x * k
+                accumulate(acc, table(step * n, st), weight * coeff)
             weight *= u - n
-        series.append({st: v for st, v in acc.items() if v})
+        series.append(acc)
     return series
 
 
@@ -386,10 +300,9 @@ def _exp_product_mode(table, m: int, st, depth: int, u0: int) -> dict:
         if u < 0 or not lowered:
             continue
         weight = factorial(top) // factorial(u) * (factorial(depth) // factorial(d))
-        for new, p in _exp_series(table, -1, m, lowered, u)[u].items():
-            num[new] = num.get(new, 0) + weight * p
+        accumulate(num, _exp_series(table, -1, m, lowered, u)[u], weight)
     den = factorial(top) * factorial(depth)
-    return {new: Fraction(p, den) for new, p in num.items() if p}
+    return {new: Fraction(p, den) for new, p in num.items()}
 
 
 @lru_cache(maxsize=None)
@@ -400,19 +313,7 @@ def _vertex_mode_state(m: int, n: int, st: FermionState) -> tuple:
 
 def vertex_mode(m: int, n: int, vec: FockVector) -> FockVector:
     """Phi_m(n), the z^{-n} mode of U^{-m} z^{m a_0} E_-^m(z) E_+^m(z)."""
-    out = {}
-    for st, coeff in vec.terms.items():
-        for new, c in _vertex_mode_state(m, n, st):
-            val = out.get(new, Fraction(0)) + c * coeff
-            if val:
-                out[new] = val
-            else:
-                out.pop(new, None)
-    return FockVector(out)
-
-
-def vertex_mode_energy_shift(m: int, n: int) -> Fraction:
-    return Fraction(m * m, 2) - n
+    return vec.apply_linear(lambda st: _vertex_mode_state(m, n, st))
 
 
 def vertex_mode_range(m: int, st: FermionState):
@@ -465,56 +366,14 @@ class PairState:
         return (self.left.parity + self.right.parity) & 1
 
 
-class PairVector:
-    __slots__ = ("terms",)
+class PairVector(SparseVector):
+    """Finite rational linear combination of two-factor states."""
 
-    def __init__(self, terms=None):
-        data = {}
-        for st, coeff in dict(terms or {}).items():
-            coeff = as_fraction(coeff)
-            if coeff:
-                data[st] = coeff
-        self.terms = data
+    __slots__ = ()
 
     @classmethod
     def basis(cls, left, right, coeff=1) -> "PairVector":
         return cls({PairState(left, right): coeff})
-
-    @classmethod
-    def zero(cls) -> "PairVector":
-        return cls({})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def add_into(self, other, scale=None) -> "PairVector":
-        out = dict(self.terms)
-        for st, c in other.terms.items():
-            if scale is not None:
-                c = scale * c
-            new = out.get(st, Fraction(0)) + c
-            if new:
-                out[st] = new
-            else:
-                out.pop(st, None)
-        return PairVector(out)
-
-    def __add__(self, other):
-        return self.add_into(other)
-
-    def __sub__(self, other):
-        return self.add_into(other, scale=Fraction(-1))
-
-    def scale(self, s) -> "PairVector":
-        s = as_fraction(s)
-        if not s:
-            return PairVector.zero()
-        return PairVector({st: s * c for st, c in self.terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, PairVector):
-            return NotImplemented
-        return self.terms == other.terms
 
     def __repr__(self):
         bits = [
@@ -526,27 +385,24 @@ class PairVector:
 
 def factor_apply(fn, which: int, vec: PairVector, odd: bool) -> PairVector:
     """Apply a single-factor FockVector map with the Koszul sign rule."""
-    out = {}
-    for st, coeff in vec.terms.items():
+
+    def image(st):
         if which == 1:
-            got = fn(FockVector.basis(st.left, 1))
-            for new, c in got.terms.items():
-                key = PairState(new, st.right)
-                out[key] = out.get(key, 0) + c * coeff
+            for new, c in fn(FockVector.basis(st.left, 1)).terms.items():
+                yield PairState(new, st.right), c
         else:
             sign = -1 if (odd and st.left.parity) else 1
-            got = fn(FockVector.basis(st.right, 1))
-            for new, c in got.terms.items():
-                key = PairState(st.left, new)
-                out[key] = out.get(key, 0) + sign * c * coeff
-    return PairVector(out)
+            for new, c in fn(FockVector.basis(st.right, 1)).terms.items():
+                yield PairState(st.left, new), sign * c
+
+    return vec.apply_linear(image)
 
 
 def pair_bilinear_apply(n: int, vec: PairVector, which: tuple) -> PairVector:
     """E_{ij}(n) = sum_{p-q=n} e_p^{(i)} (e_q^{(j)})* for i != j."""
     i, j = which
-    out = {}
-    for st, coeff in vec.terms.items():
+
+    def image(st):
         src = st.right if j == 2 else st.left
         dst_state = st.left if i == 1 else st.right
         qs = src.occupied_prefix()
@@ -563,13 +419,11 @@ def pair_bilinear_apply(n: int, vec: PairVector, which: tuple) -> PairVector:
             s2, new_dst = second
             # operator order: e* on factor j first, then e on factor i
             if j == 2:
-                sign = s1 * (-1 if st.left.parity else 1) * s2
-                key = PairState(new_dst, mid)
+                yield PairState(new_dst, mid), s1 * (-1 if st.left.parity else 1) * s2
             else:
-                sign = s1 * s2 * (-1 if mid.parity else 1)
-                key = PairState(mid, new_dst)
-            out[key] = out.get(key, 0) + sign * coeff
-    return PairVector(out)
+                yield PairState(mid, new_dst), s1 * s2 * (-1 if mid.parity else 1)
+
+    return vec.apply_linear(image)
 
 
 def E_apply(n: int, vec: PairVector) -> PairVector:
@@ -593,8 +447,8 @@ def K_apply(n: int, vec: PairVector) -> PairVector:
 def psi_mode(m: int, n: int, vec: PairVector) -> PairVector:
     """Psi_m(n) = sum_{i+j=n} Phi_m(i) tensor Phi_{-m}(j), graded."""
     odd = bool(m & 1)
-    out = {}
-    for st, coeff in vec.terms.items():
+
+    def image(st):
         i_hi = vertex_mode_range(m, st.left)
         j_hi = vertex_mode_range(-m, st.right)
         sign = -1 if (odd and st.left.parity) else 1
@@ -605,9 +459,9 @@ def psi_mode(m: int, n: int, vec: PairVector) -> PairVector:
             left = vertex_mode(m, i, FockVector.basis(st.left, 1))
             for ls, lc in left.terms.items():
                 for rs, rc in right.terms.items():
-                    key = PairState(ls, rs)
-                    out[key] = out.get(key, 0) + sign * lc * rc * coeff
-    return PairVector(out)
+                    yield PairState(ls, rs), sign * lc * rc
+
+    return vec.apply_linear(image)
 
 
 def _b_state(n: int, st: PairState):
@@ -621,11 +475,7 @@ def _b_state(n: int, st: PairState):
 
 def b_apply(n: int, vec: PairVector) -> PairVector:
     """Difference boson b_n = a_n^(1) - a_n^(2); [b_m, b_n] = 2m delta."""
-    out = {}
-    for st, coeff in vec.terms.items():
-        for new, c in _b_state(n, st):
-            out[new] = out.get(new, 0) + c * coeff
-    return PairVector(out)
+    return vec.apply_linear(lambda st: _b_state(n, st))
 
 
 def plain_shift_apply(vec: PairVector, power: int = 1) -> PairVector:
@@ -648,17 +498,18 @@ def psi_mode_b(m: int, n: int, vec: PairVector) -> PairVector:
     see the fermionic crossing of the two factors, which for odd m flips
     the sign on odd left sectors.  With it, this agrees entry for entry
     with the graded product of the single-factor vertex operators."""
-    out = {}
-    for st, coeff in vec.terms.items():
+
+    def image(st):
         q_b = st.left.charge - st.right.charge
-        if m % 2 and st.left.parity:
-            coeff = -coeff
         # the b modes preserve both factor charges, so total lowering is
         # bounded by the excitation above the fixed sector pair
         rel = sum(st.left.lam) + sum(st.right.lam)
-        for new, c in _exp_product_mode(_b_state, m, st, rel, -m * q_b - n).items():
-            out[new] = out.get(new, 0) + coeff * c
-    return plain_shift_apply(PairVector(out), -m)
+        raw = _exp_product_mode(_b_state, m, st, rel, -m * q_b - n)
+        if m % 2 and st.left.parity:
+            return {new: -c for new, c in raw.items()}
+        return raw
+
+    return plain_shift_apply(vec.apply_linear(image), -m)
 
 
 def b_sugawara_apply(k: int, vec: PairVector) -> PairVector:
@@ -670,26 +521,23 @@ def b_sugawara_apply(k: int, vec: PairVector) -> PairVector:
         return vec
     quarter = Fraction(1, 4)
     max_rel = max(sum(st.left.lam) + sum(st.right.lam) for st in vec.terms)
+    total = {}
     if k == 0:
-        total = PairVector(
-            {st: c * Fraction((st.left.charge - st.right.charge) ** 2, 4)
-             for st, c in vec.terms.items()}
-        )
+        accumulate(total, {st: c * Fraction((st.left.charge - st.right.charge) ** 2, 4)
+                           for st, c in vec.terms.items()})
         for n in range(1, max_rel + 1):
             lowered = b_apply(n, vec)
-            if lowered.is_zero():
-                continue
-            total = total.add_into(b_apply(-n, lowered), scale=Fraction(1, 2))
-        return total
-    total = PairVector.zero()
+            if not lowered.is_zero():
+                accumulate(total, b_apply(-n, lowered).terms, Fraction(1, 2))
+        return PairVector(total)
     for r in range(k - max_rel, k // 2 + 1):
         s = k - r
         weight = quarter if r == s else 2 * quarter
         inner = b_apply(s, vec)
         if inner.is_zero():
             continue
-        total = total.add_into(b_apply(r, inner), scale=weight)
-    return total
+        accumulate(total, b_apply(r, inner).terms, weight)
+    return PairVector(total)
 
 
 def V_apply(vec: PairVector, power: int = 1) -> PairVector:

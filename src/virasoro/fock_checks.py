@@ -36,6 +36,7 @@ from .fock import (
     two_factor_trace_closed,
     vacuum,
     vertex_mode,
+    vertex_mode_matrix,
     vertex_mode_range,
     FermionState,
 )
@@ -242,25 +243,14 @@ def check_exchange(emax, orders=3, pairs=((1, 1), (2, 1), (2, 2), (-1, 1))) -> d
 def check_adjoint(emax, ms=(1, -1, 2), mode_span=3) -> dict:
     """Phi_m(n)^T = Phi_{-m}(m^2 - n) as matrices on the truncated basis."""
     basis = FockBasis(emax)
-    idx = basis.index
     mism = []
     checked = 0
-
-    def matrix(m, n):
-        entries = {}
-        for jcol, st in enumerate(basis):
-            for ts, c in vertex_mode(m, n, FockVector.basis(st)).terms.items():
-                i = idx.get(ts)
-                if i is not None:
-                    entries[(i, jcol)] = c
-        return entries
-
     for m in ms:
         for n in range(-mode_span, mode_span + 1):
-            a = matrix(m, n)
-            b = matrix(-m, m * m - n)
+            a = dict(vertex_mode_matrix(m, n, basis).entries)
+            b = vertex_mode_matrix(-m, m * m - n, basis).entries
             checked += 1
-            if a != {(j, i): c for (i, j), c in b.items()}:
+            if a != {(j, i): c for (i, j), c in b}:
                 mism.append((m, n))
     return _report("adjoint", checked, mism)
 
@@ -422,53 +412,6 @@ def check_grading(emax, mode_span=2) -> dict:
                     mism.append((name, st, ts))
                     break
     return _report("grading", checked, mism)
-
-
-def two_factor_checks(emax, mode_span=2) -> list:
-    """All identity suites that live on the graded tensor square."""
-    return [
-        check_example2(emax, mode_span=mode_span),
-        check_level_one_brackets(emax, mode_span=mode_span),
-        check_psi_boson(emax, mode_span=mode_span),
-        check_theta(emax),
-    ]
-
-
-def level1_characters(emax) -> dict:
-    """Level-one characters: the diagonal two-factor trace split into the
-    integer and half-integer spin parts, each compared band by band with
-    the factorised closed form X_j(zeta, q) Psi_j(q)."""
-    from .fock import level1_character_closed, multiplicity_character_closed
-
-    trace = two_factor_trace(emax)
-    parts = {0: {}, 1: {}}
-    for (zx, en), count in trace.items():
-        parts[zx & 1][(zx, en)] = count
-    mism = []
-    for parity, data in parts.items():
-        for (zx, en), count in sorted(data.items()):
-            want = two_factor_trace_closed(zx, en)
-            if count != want:
-                mism.append((zx, en, count, want))
-    j_half = Fraction(1, 2)
-    return {
-        "name": "level1-characters",
-        "ok": not mism,
-        "mismatches": mism,
-        "checked": len(trace),
-        "integer_spin_bands": {
-            band: series.to_json()
-            for band, series in level1_character_closed(0, 2, int(emax)).items()
-        },
-        "half_spin_bands": {
-            band: series.to_json()
-            for band, series in level1_character_closed(j_half, 2, int(emax)).items()
-        },
-        "multiplicity": {
-            "0": multiplicity_character_closed(0, int(emax)).to_json(),
-            "1/2": multiplicity_character_closed(j_half, int(emax)).to_json(),
-        },
-    }
 
 
 SUITES = {

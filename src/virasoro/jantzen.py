@@ -28,6 +28,7 @@ from functools import lru_cache
 from .combinat import QSeries, num_partitions, partitions_of
 from .linalg import bareiss_det, nullspace, rref, sum_entries
 from .scalars import UniPoly, as_fraction, order_at_zero
+from .singular import discrete_chain_levels
 from .verma import (
     PBWVector,
     VermaParams,
@@ -240,20 +241,9 @@ def c1_character_sum_closed(j, n_max: int) -> QSeries:
     return QSeries(coeffs, j * j, n_max)
 
 
-def discrete_degeneracy_levels(m: int, r: int, s: int, n_max: int):
-    """Relative levels (r+am)(s+a(m+1)) for a in Z, within 1..n_max."""
-    levels = []
-    bound = n_max + 1
-    for a in range(-bound, bound + 1):
-        lvl = (r + a * m) * (s + a * (m + 1))
-        if 1 <= lvl <= n_max:
-            levels.append(lvl)
-    return sorted(levels)
-
-
 def discrete_character_sum_closed(m: int, r: int, s: int, n_max: int) -> QSeries:
     coeffs = [0] * (n_max + 1)
-    for lvl in discrete_degeneracy_levels(m, r, s, n_max):
+    for lvl in discrete_chain_levels(m, r, s, n_max):
         for n in range(lvl, n_max + 1):
             coeffs[n] += num_partitions(n - lvl)
     return QSeries(coeffs, h_pq(r, s, m), n_max)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import BiPoly, RatFunc, UniPoly, is_zero_scalar
+from .scalars import BiPoly, UniPoly, is_zero_scalar
 
 
 def _exact_div(a, b):
@@ -170,14 +170,3 @@ def mat_mul(a, b):
         out.append(row)
     return out
 
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a, s):
-    return [[s * x for x in row] for row in a]

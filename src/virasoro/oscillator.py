@@ -21,11 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from math import factorial
 
 from .combinat import as_signature, partitions_of, transpose
 from .linalg import nullspace
-from .scalars import UniPoly, as_fraction, is_zero_scalar, render_scalar
+from .scalars import SparseVector, UniPoly, UsageError, accumulate, as_fraction, render_scalar
 
 
 @dataclass(frozen=True)
@@ -48,31 +49,24 @@ class OscParams:
         return self.mu0 * self.mu0 / (2 * self.kappa)
 
 
-class PolyState:
+def _trim(exps) -> tuple:
+    exps = tuple(exps)
+    while exps and exps[-1] == 0:
+        exps = exps[:-1]
+    return exps
+
+
+class PolyState(SparseVector):
     """Polynomial in x_1, x_2, ...; keys are trimmed exponent tuples."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms=None):
-        data = {}
-        for exps, coeff in dict(terms or {}).items():
-            if is_zero_scalar(coeff):
-                continue
-            exps = tuple(exps)
-            while exps and exps[-1] == 0:
-                exps = exps[:-1]
-            if exps in data:
-                coeff = data[exps] + coeff
-            data[exps] = coeff
-        self.terms = {k: v for k, v in data.items() if not is_zero_scalar(v)}
+        self.terms = accumulate({}, ((_trim(k), v) for k, v in dict(terms or {}).items()))
 
     @classmethod
     def one(cls) -> "PolyState":
         return cls({(): Fraction(1)})
-
-    @classmethod
-    def zero(cls) -> "PolyState":
-        return cls({})
 
     @classmethod
     def variable(cls, n: int, coeff=Fraction(1)) -> "PolyState":
@@ -80,12 +74,9 @@ class PolyState:
         exps[n - 1] = 1
         return cls({tuple(exps): coeff})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def degree(self) -> int:
         """Weighted degree (energy above the sector minimum); homogeneous only."""
-        degs = {sum((i + 1) * e for i, e in enumerate(k)) for k in self.terms}
+        degs = {_weighted_degree(k) for k in self.terms}
         if not degs:
             return 0
         if len(degs) > 1:
@@ -93,55 +84,16 @@ class PolyState:
         return degs.pop()
 
     def coeff(self, exps):
-        exps = tuple(exps)
-        while exps and exps[-1] == 0:
-            exps = exps[:-1]
-        return self.terms.get(exps, Fraction(0))
-
-    def add_into(self, other: "PolyState", scale=None) -> "PolyState":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            if scale is not None:
-                v = scale * v
-            cur = out.get(k)
-            new = v if cur is None else cur + v
-            if is_zero_scalar(new):
-                out.pop(k, None)
-            else:
-                out[k] = new
-        return PolyState(out)
-
-    def __add__(self, other):
-        return self.add_into(other)
-
-    def __sub__(self, other):
-        return self.add_into(other, scale=Fraction(-1))
-
-    def scale(self, scalar) -> "PolyState":
-        if is_zero_scalar(scalar):
-            return PolyState.zero()
-        return PolyState({k: scalar * v for k, v in self.terms.items()})
+        return self.terms.get(_trim(exps), Fraction(0))
 
     def __mul__(self, other):
         if not isinstance(other, PolyState):
             return NotImplemented
-        out = {}
-        for k1, v1 in self.terms.items():
-            for k2, v2 in other.terms.items():
-                n = max(len(k1), len(k2))
-                k = tuple(
-                    (k1[i] if i < len(k1) else 0) + (k2[i] if i < len(k2) else 0)
-                    for i in range(n)
-                )
-                val = v1 * v2
-                cur = out.get(k)
-                out[k] = val if cur is None else cur + val
-        return PolyState(out)
-
-    def __eq__(self, other):
-        if not isinstance(other, PolyState):
-            return NotImplemented
-        return self.terms == other.terms
+        return PolyState(accumulate({}, (
+            (tuple(a + b for a, b in zip_longest(k1, k2, fillvalue=0)), v1 * v2)
+            for k1, v1 in self.terms.items()
+            for k2, v2 in other.terms.items()
+        )))
 
     def __repr__(self):
         if not self.terms:
@@ -155,6 +107,10 @@ class PolyState:
             ) or "1"
             bits.append(f"{render_scalar(self.terms[k])}*{mono}")
         return "PolyState(" + " + ".join(bits) + ")"
+
+
+def _weighted_degree(exps) -> int:
+    return sum((i + 1) * e for i, e in enumerate(exps))
 
 
 def osc_apply(op: str, index: int, state: PolyState, params: OscParams) -> PolyState:
@@ -172,20 +128,13 @@ def mode_apply(n: int, state: PolyState, params: OscParams) -> PolyState:
         return state.scale(params.mu0)
     if n < 0:
         return PolyState.variable(-n) * state
-    out = {}
-    for exps, coeff in state.terms.items():
-        if len(exps) < n or exps[n - 1] == 0:
-            continue
-        e = exps[n - 1]
-        new = list(exps)
-        new[n - 1] = e - 1
-        key = tuple(new)
-        while key and key[-1] == 0:
-            key = key[:-1]
-        val = coeff * params.kappa * n * e
-        cur = out.get(key)
-        out[key] = val if cur is None else cur + val
-    return PolyState(out)
+
+    def lower(exps):
+        e = exps[n - 1] if len(exps) >= n else 0
+        if e:
+            yield _trim(exps[: n - 1] + (e - 1,) + exps[n:]), params.kappa * n * e
+
+    return state.apply_linear(lower)
 
 
 def virasoro_apply(k: int, state: PolyState, params: OscParams) -> PolyState:
@@ -194,24 +143,17 @@ def virasoro_apply(k: int, state: PolyState, params: OscParams) -> PolyState:
         return state
     half_inv_kappa = Fraction(1, 2) / params.kappa
     if k == 0:
-        out = state.scale(params.lowest_energy())
-        for exps, coeff in state.terms.items():
-            deg = sum((i + 1) * e for i, e in enumerate(exps))
-            out = out.add_into(PolyState({exps: coeff * deg}))
-        return out
-    max_deg = max(
-        (sum((i + 1) * e for i, e in enumerate(exps)) for exps in state.terms),
-        default=0,
-    )
-    total = PolyState.zero()
+        e0 = params.lowest_energy()
+        return state.apply_linear(lambda exps: {exps: e0 + _weighted_degree(exps)})
+    max_deg = max(_weighted_degree(exps) for exps in state.terms)
+    total = {}
     # unordered pairs {r, s}, r + s = k, r <= s; the annihilating factor
     # (the larger index) is applied first, which keeps every step finite
     for r in range(k - max_deg, k // 2 + 1):
         s = k - r
         weight = half_inv_kappa if r == s else 2 * half_inv_kappa
-        applied = mode_apply(r, mode_apply(s, state, params), params)
-        total = total.add_into(applied.scale(weight))
-    return total
+        accumulate(total, mode_apply(r, mode_apply(s, state, params), params).terms, weight)
+    return PolyState(total)
 
 
 def level_basis(level: int):
@@ -302,15 +244,14 @@ def _jt_det(matrix) -> PolyState:
     n = len(matrix)
     if n == 1:
         return matrix[0][0]
-    total = PolyState.zero()
+    total = {}
     for j in range(n):
         entry = matrix[0][j]
         if entry.is_zero():
             continue
         minor = [row[:j] + row[j + 1 :] for row in matrix[1:]]
-        term = entry * _jt_det(minor)
-        total = total.add_into(term, scale=Fraction(-1) if j % 2 else None)
-    return total
+        accumulate(total, (entry * _jt_det(minor)).terms, -1 if j % 2 else None)
+    return PolyState(total)
 
 
 def goldstone_signature(k, m: int, sector: str = "minus"):
@@ -321,15 +262,17 @@ def goldstone_signature(k, m: int, sector: str = "minus"):
     charge +k vacuum.
     """
     k = as_fraction(k)
+    if m < 0:
+        raise UsageError("the Goldstone vector needs m >= 0")
     width = 2 * k + m
     if width.denominator != 1:
-        raise ValueError("2k + m must be an integer")
+        raise UsageError("2k + m must be an integer")
     f = as_signature([int(width)] * m)
     if sector == "minus":
         return f
     if sector == "plus":
         return transpose(f)
-    raise ValueError(f"unknown sector {sector!r}")
+    raise UsageError(f"unknown sector {sector!r}")
 
 
 def goldstone_vector(k, m: int, sector: str = "minus") -> PolyState:

@@ -7,11 +7,20 @@ anywhere; rationals are ``fractions.Fraction``.
 
 All values are immutable after construction and hashable, so they can be
 shared freely between threads and used as cache keys.
+
+The module also holds what every vector module shares: the sparse-vector
+base `SparseVector`, the in-place accumulator `accumulate`, and
+`UsageError` for arguments outside a computation's domain.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+
+class UsageError(ValueError):
+    """An argument outside the domain a computation is defined on (bad
+    input, as opposed to an identity that fails); the CLI exits 2."""
 
 
 def as_fraction(x) -> Fraction:
@@ -615,8 +624,85 @@ def _power(value, n: int):
 
 def is_zero_scalar(x) -> bool:
     if _is_rational(x):
-        return x == 0
+        return not x
     return x.is_zero()
+
+
+def accumulate(out: dict, terms, scale=None) -> dict:
+    """Add `scale * terms` into the dict `out` in place and return it.
+
+    `terms` is a mapping or an iterable of (key, coefficient) pairs.  A
+    key whose coefficient cancels is removed, so `out` never holds a
+    zero; the coefficients may be rationals or any scalar of this module.
+    """
+    if isinstance(terms, dict):
+        terms = terms.items()
+    for key, coeff in terms:
+        if scale is not None:
+            coeff = scale * coeff
+        cur = out.get(key)
+        if cur is not None:
+            coeff = cur + coeff
+        if is_zero_scalar(coeff):
+            out.pop(key, None)
+        else:
+            out[key] = coeff
+    return out
+
+
+class SparseVector:
+    """Finite linear combination `terms: key -> coefficient` without zeros.
+
+    Subclasses fix what a key is (a partition, an exponent tuple, a wedge
+    state) and add their domain methods; the vector algebra lives here.
+    Vectors of different subclasses never compare equal.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        self.terms = {k: v for k, v in dict(terms or {}).items() if not is_zero_scalar(v)}
+
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def coeff(self, key):
+        return self.terms.get(key, Fraction(0))
+
+    def add_into(self, other, scale=None):
+        """self + scale * other, as a new vector."""
+        return type(self)(accumulate(dict(self.terms), other.terms, scale))
+
+    def __add__(self, other):
+        return self.add_into(other)
+
+    def __sub__(self, other):
+        return self.add_into(other, scale=-1)
+
+    def scale(self, scalar):
+        if is_zero_scalar(scalar):
+            return self.zero()
+        return type(self)({k: scalar * v for k, v in self.terms.items()})
+
+    def map_coeffs(self, fn):
+        return type(self)({k: fn(v) for k, v in self.terms.items()})
+
+    def apply_linear(self, image):
+        """The linear extension of `image` (key -> mapping or iterable of
+        (key, coefficient) pairs) applied to this vector."""
+        out = {}
+        for key, coeff in self.terms.items():
+            accumulate(out, image(key), coeff)
+        return type(self)(out)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.terms == other.terms
 
 
 def order_at_zero(f):

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .combinat import partitions_of
 from .linalg import nullspace
-from .scalars import RatFunc, UniPoly, as_fraction, is_zero_scalar
+from .scalars import RatFunc, UniPoly, UsageError, accumulate, as_fraction, is_zero_scalar
 from .verma import (
     PBWVector,
     VermaParams,
@@ -96,7 +96,7 @@ class SpinModule:
 
     def __init__(self, two_j: int):
         if two_j < 0:
-            raise ValueError("spin must be non-negative")
+            raise UsageError("spin must be non-negative")
         self.two_j = two_j
         self.dim = two_j + 1
 
@@ -151,7 +151,7 @@ def bdiz_singular(j, var: str = "t") -> PBWVector:
     j = as_fraction(j)
     two_j = j * 2
     if two_j.denominator != 1 or two_j < 0:
-        raise ValueError("j must be a non-negative half-integer")
+        raise UsageError("j must be a non-negative half-integer")
     two_j = int(two_j)
     spin = SpinModule(two_j)
     t = UniPoly.gen(var)
@@ -162,14 +162,13 @@ def bdiz_singular(j, var: str = "t") -> PBWVector:
 
     chain = [poly_vec(PBWVector.vacuum())]  # xi at index 0 <-> v_{-j}
     for i in range(two_j + 1):
-        total = PBWVector.zero()
+        total = {}
         for m in range(i + 1):
             factor = spin.e_power_factor(i - m, m)
-            if factor == 0:
-                continue
-            term = pbw_left_multiply(m + 1, chain[i - m]).scale(((-t) ** m) * factor)
-            total = total.add_into(term)
-        chain.append(total)
+            if factor:
+                accumulate(total, pbw_left_multiply(m + 1, chain[i - m]).terms,
+                           ((-t) ** m) * factor)
+        chain.append(PBWVector(total))
     return chain[two_j + 1]
 
 
@@ -181,7 +180,7 @@ def curve_singular(r: int, s: int, var: str = "t") -> PBWVector:
     a RuntimeError is raised.
     """
     if r < 1 or s < 1:
-        raise ValueError("r and s must be positive")
+        raise UsageError("r and s must be positive")
     params = VermaParams(c_curve(var), h_pq_curve(r, s, var))
     found = singular_kernel(params, r * s)
     if len(found) != 1:
@@ -223,25 +222,17 @@ def c1_chain_levels(j, count: int) -> list:
     for k in range(1, count + 1):
         lvl = k * (k + 2 * j)
         if lvl.denominator != 1:
-            raise ValueError("j must be a half-integer")
+            raise UsageError("j must be a half-integer")
         out.append(int(lvl))
     return out
 
 
 def discrete_chain_levels(m: int, r: int, s: int, max_level: int) -> list:
-    """Relative levels (r+am)(s+a(m+1)), a in Z, up to max_level, sorted."""
-    out = set()
-    a = 0
-    while True:
-        vals = [(r + a * m) * (s + a * (m + 1)), (r - a * m) * (s - a * (m + 1))]
-        hits = [v for v in vals if 0 < v <= max_level]
-        if a > 0 and not hits and min(vals) > max_level:
-            break
-        out.update(hits)
-        a += 1
-        if a > max_level + 2:
-            break
-    return sorted(out)
+    """Relative levels (r+am)(s+a(m+1)), a in Z, within 1..max_level,
+    sorted and each listed once (inside the Kac table none repeats)."""
+    bound = max_level + 1
+    levels = ((r + a * m) * (s + a * (m + 1)) for a in range(-bound, bound + 1))
+    return sorted({lvl for lvl in levels if 1 <= lvl <= max_level})
 
 
 class SpinChainOps:
@@ -291,17 +282,13 @@ class SpinChainOps:
         return [v.map_coeffs(up) for v in chain]
 
     def E(self, chain):
-        out = self.zero()
-        for i in range(self.spin.dim - 1):
-            step = RatFunc.const(self.spin.e_step(i), self.var)
-            out[i + 1] = out[i + 1].add_into(chain[i].scale(step))
-        return out
+        return [PBWVector.zero()] + [
+            chain[i].scale(RatFunc.const(self.spin.e_step(i), self.var))
+            for i in range(self.spin.dim - 1)
+        ]
 
     def F(self, chain):
-        out = self.zero()
-        for i in range(1, self.spin.dim):
-            out[i - 1] = out[i - 1].add_into(chain[i])
-        return out
+        return list(chain[1:]) + [PBWVector.zero()]
 
     def H(self, chain):
         return [
@@ -318,13 +305,15 @@ class SpinChainOps:
         if k < -1:
             return self.zero()
         if k == -1:
-            out = self.scale(self.F(chain), -one)
+            out = [dict(v.terms) for v in self.scale(self.F(chain), -one)]
             for m in range(self.spin.two_j + 1):
                 term = self.L(-m - 1, chain)
                 for _ in range(m):
                     term = self.E(term)
-                out = self.add(out, self.scale(term, (-t) ** m))
-            return out
+                weight = (-t) ** m
+                for slot, v in zip(out, term):
+                    accumulate(slot, v.terms, weight)
+            return [PBWVector(slot) for slot in out]
         if k == 0:
             out = self.add(self.L(0, chain), self.scale(self.H(chain), -one))
             return self.add(out, self.scale(chain, -t * self.casimir))

@@ -22,7 +22,16 @@ from fractions import Fraction
 
 from .combinat import num_partitions, partition_key, partitions_of
 from .linalg import bareiss_det, rank
-from .scalars import BiPoly, RatFunc, UniPoly, as_fraction, is_zero_scalar, render_scalar
+from .scalars import (
+    BiPoly,
+    RatFunc,
+    SparseVector,
+    UniPoly,
+    UsageError,
+    accumulate,
+    as_fraction,
+    render_scalar,
+)
 
 
 @dataclass(frozen=True)
@@ -45,17 +54,10 @@ class VermaParams:
         return isinstance(self.c, (int, Fraction)) and isinstance(self.h, (int, Fraction))
 
 
-class PBWVector:
+class PBWVector(SparseVector):
     """Finite linear combination of PBW monomials, partition -> scalar."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        data = {}
-        for part, coeff in dict(terms or {}).items():
-            if not is_zero_scalar(coeff):
-                data[tuple(part)] = coeff
-        self.terms = data
+    __slots__ = ()
 
     @classmethod
     def monomial(cls, part, coeff=Fraction(1)) -> "PBWVector":
@@ -65,13 +67,6 @@ class PBWVector:
     def vacuum(cls) -> "PBWVector":
         return cls({(): Fraction(1)})
 
-    @classmethod
-    def zero(cls) -> "PBWVector":
-        return cls({})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def level(self) -> int:
         levels = {sum(p) for p in self.terms}
         if not levels:
@@ -79,41 +74,6 @@ class PBWVector:
         if len(levels) > 1:
             raise ValueError(f"inhomogeneous vector with levels {sorted(levels)}")
         return levels.pop()
-
-    def coeff(self, part):
-        return self.terms.get(tuple(part), Fraction(0))
-
-    def add_into(self, other: "PBWVector", scale=None) -> "PBWVector":
-        out = dict(self.terms)
-        for part, coeff in other.terms.items():
-            if scale is not None:
-                coeff = scale * coeff
-            cur = out.get(part)
-            new = coeff if cur is None else cur + coeff
-            if is_zero_scalar(new):
-                out.pop(part, None)
-            else:
-                out[part] = new
-        return PBWVector(out)
-
-    def __add__(self, other):
-        return self.add_into(other)
-
-    def __sub__(self, other):
-        return self.add_into(other, scale=Fraction(-1))
-
-    def scale(self, scalar) -> "PBWVector":
-        if is_zero_scalar(scalar):
-            return PBWVector.zero()
-        return PBWVector({p: scalar * c for p, c in self.terms.items()})
-
-    def map_coeffs(self, fn) -> "PBWVector":
-        return PBWVector({p: fn(c) for p, c in self.terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, PBWVector):
-            return NotImplemented
-        return self.terms == other.terms
 
     def __repr__(self):
         if not self.terms:
@@ -143,10 +103,7 @@ def pbw_left_multiply(p: int, v: PBWVector) -> PBWVector:
     """
     if p <= 0:
         raise ValueError("pbw_left_multiply expects a positive index")
-    out = PBWVector.zero()
-    for part, coeff in v.terms.items():
-        out = out.add_into(_left_mul_monomial(p, part).scale(coeff))
-    return out
+    return v.apply_linear(lambda part: _left_mul_monomial(p, part).terms)
 
 
 _LEFT_CACHE: dict = {}
@@ -161,12 +118,11 @@ def _left_mul_monomial(p: int, part: tuple) -> PBWVector:
         return hit
     head, rest = part[0], part[1:]
     # L_{-p} L_{-head} = L_{-head} L_{-p} + (head - p) L_{-p-head}
-    inner = _left_mul_monomial(p, rest)
-    swapped = PBWVector.zero()
-    for q, c in inner.terms.items():
-        swapped = swapped.add_into(_left_mul_monomial(head, q).scale(c))
-    bracket = _left_mul_monomial(p + head, rest).scale(Fraction(head - p))
-    result = swapped.add_into(bracket)
+    out = {}
+    for q, c in _left_mul_monomial(p, rest).terms.items():
+        accumulate(out, _left_mul_monomial(head, q).terms, c)
+    accumulate(out, _left_mul_monomial(p + head, rest).terms, Fraction(head - p))
+    result = PBWVector(out)
     _LEFT_CACHE[key] = result
     return result
 
@@ -174,13 +130,13 @@ def _left_mul_monomial(p: int, part: tuple) -> PBWVector:
 def pbw_operator_apply(op: PBWVector, v: PBWVector) -> PBWVector:
     """Apply an element of the lowering algebra, written in the PBW
     basis, to a vector: rightmost factor of each monomial acts first."""
-    out = PBWVector.zero()
+    out = {}
     for part, coeff in op.terms.items():
         w = v
         for p in reversed(part):
             w = pbw_left_multiply(p, w)
-        out = out.add_into(w.scale(coeff))
-    return out
+        accumulate(out, w.terms, coeff)
+    return PBWVector(out)
 
 
 _ACTION_CACHE: dict = {}
@@ -188,10 +144,7 @@ _ACTION_CACHE: dict = {}
 
 def apply_L(k: int, v: PBWVector, params: VermaParams) -> PBWVector:
     """Exact action of L_k on a PBW vector of M(c, h)."""
-    out = PBWVector.zero()
-    for part, coeff in v.terms.items():
-        out = out.add_into(_apply_monomial(k, part, params).scale(coeff))
-    return out
+    return v.apply_linear(lambda part: _apply_monomial(k, part, params).terms)
 
 
 def _apply_monomial(k: int, part: tuple, params: VermaParams) -> PBWVector:
@@ -203,25 +156,21 @@ def _apply_monomial(k: int, part: tuple, params: VermaParams) -> PBWVector:
     hit = _ACTION_CACHE.get(key)
     if hit is not None:
         return hit
-    if not part:
-        result = PBWVector.zero()  # k > 0 annihilates the lowest-weight vector
-    else:
+    out = {}  # k > 0 annihilates the lowest-weight vector
+    if part:
         head, rest = part[0], part[1:]
         # L_k L_{-head} = L_{-head} L_k + (k + head) L_{k-head} + delta central
-        through = _apply_monomial(k, rest, params)
-        swapped = PBWVector.zero()
-        for q, c in through.terms.items():
-            swapped = swapped.add_into(_left_mul_monomial(head, q).scale(c))
+        for q, c in _apply_monomial(k, rest, params).terms.items():
+            accumulate(out, _left_mul_monomial(head, q).terms, c)
         m = k - head
         if m == 0:
-            bracket = PBWVector.monomial(rest, (params.h + sum(rest)) * Fraction(2 * k))
+            bracket = {rest: (params.h + sum(rest)) * Fraction(2 * k)}
         else:
-            bracket = _apply_monomial(m, rest, params).scale(Fraction(k + head))
+            bracket = accumulate({}, _apply_monomial(m, rest, params).terms, Fraction(k + head))
         if k == head:
-            bracket = bracket.add_into(
-                PBWVector.monomial(rest, params.c * central_term(k))
-            )
-        result = swapped.add_into(bracket)
+            accumulate(bracket, {rest: params.c * central_term(k)})
+        accumulate(out, bracket)
+    result = PBWVector(out)
     _ACTION_CACHE[key] = result
     return result
 
@@ -260,7 +209,7 @@ def shapovalov_pair(left_part, w: PBWVector, params: VermaParams):
 
 def gram_matrix(level: int, params: VermaParams) -> GramMatrix:
     if level < 0:
-        raise ValueError("negative level")
+        raise UsageError("negative level")
     basis = partitions_of(level)
     n = len(basis)
     entries = [[None] * n for _ in range(n)]
@@ -304,7 +253,7 @@ def phi_rs(r: int, s: int) -> BiPoly:
 def kac_det_product_sym(level: int) -> BiPoly:
     """Product form of the level determinant, up to a constant, in Q[c,h]."""
     if level < 1:
-        raise ValueError("product form defined for level >= 1")
+        raise UsageError("product form defined for level >= 1")
     result = BiPoly.const(1)
     for r in range(1, level + 1):
         for s in range(1, r + 1):
@@ -331,7 +280,7 @@ def kac_det_ratio(level: int):
 def h_pq(p: int, q: int, m: int) -> Fraction:
     """Discrete-series weight ((p(m+1)-qm)^2 - 1) / (4m(m+1))."""
     if m < 2:
-        raise ValueError("the weight grid needs m >= 2")
+        raise UsageError("the weight grid needs m >= 2")
     a = p * (m + 1) - q * m
     return Fraction(a * a - 1, 4 * m * (m + 1))
 

@@ -1,4 +1,5 @@
 import json
+import re
 import shlex
 import subprocess
 import sys
@@ -191,11 +192,6 @@ def test_out_file(tmp_path, capsys, monkeypatch):
     assert on_disk == json.loads(out)
 
 
-def test_threads_flag_validated(capsys):
-    with pytest.raises(SystemExit):
-        main(["--threads", "0", "kacdet", "--level", "1"])
-
-
 def test_jantzen_weight_path_doubles_orders(capsys):
     # the weight path at c = 1 crosses each vanishing curve with
     # multiplicity two; the subcommand accounts for that
@@ -262,7 +258,22 @@ def test_acceptance_json_stdout_is_pure_json(tmp_path, capsys):
     assert json.loads(out.read_text()) == report
 
 
+@pytest.mark.parametrize("argv", [
+    ["kacdet", "--level", "-1"],
+    ["binomdet", "--f", "1,3", "--mu", "2"],
+    ["character", "--discrete", "--m", "1", "--r", "1", "--s", "1"],
+    ["goldstone", "--k", "-3", "--m", "1"],
+    ["goldstone", "--k", "1/2", "--m", "-3", "--check"],
+], ids=" ".join)
+def test_library_rejects_bad_input_as_usage_error(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
 README_HEAVY = ("kacdet --level 6", "fock-check", "acceptance --suite all")
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def _readme_examples():
@@ -276,4 +287,13 @@ def _readme_examples():
 
 @pytest.mark.parametrize("example", _readme_examples())
 def test_readme_example_succeeds(example, capsys):
-    assert main(shlex.split(example)) == 0
+    """Each cheap README example exits 0, and its --json report is byte
+    for byte the one stored under tests/golden/."""
+    argv = shlex.split(example)
+    if "--json" not in argv:
+        assert main(argv) == 0
+        capsys.readouterr()
+        argv.append("--json")
+    assert main(argv) == 0
+    golden = GOLDEN / (re.sub(r"[^A-Za-z0-9]+", "_", example).strip("_") + ".json")
+    assert capsys.readouterr().out == golden.read_text()

@@ -98,6 +98,12 @@ def test_qseries_equality_alignment():
     assert QSeries([1], 0, 0) != QSeries([1], 1, 0)
 
 
+def test_qseries_is_unhashable():
+    # equality ignores the truncation order, which no hash could follow
+    with pytest.raises(TypeError):
+        hash(QSeries([1]))
+
+
 def test_qseries_json():
     s = QSeries([1, 0, 2], Fraction(1, 16), 2)
     assert s.to_json() == {

@@ -257,18 +257,12 @@ def test_mode_matrix_assembly_and_grading():
         bilinear("nope", 0, basis)
 
 
-def test_two_factor_checks_and_level1_characters():
-    from virasoro.fock_checks import level1_characters, two_factor_checks
-
-    reports = two_factor_checks(2)
+def test_pair_space_suites():
+    reports = run_suites(2, ["example2", "level1", "psi-boson", "theta"])
     assert [r["name"] for r in reports] == [
         "example2", "level1-brackets", "psi-boson", "theta"
     ]
     assert all(r["ok"] for r in reports)
-    rep = level1_characters(Fraction(5, 2))
-    assert rep["ok"]
-    assert rep["integer_spin_bands"][0]["coeffs"][0] == "1"
-    assert rep["half_spin_bands"][1]["leading_exponent"] == "1/4"
 
 
 def test_psi_boson_realisation_matches_graded_product():

@@ -3,14 +3,19 @@ from fractions import Fraction
 
 import pytest
 
+from virasoro.fock import FermionState, FockVector, PairState, PairVector
+from virasoro.oscillator import PolyState
 from virasoro.scalars import (
     BiPoly,
     RatFunc,
+    SparseVector,
     UniPoly,
+    accumulate,
     order_at_zero,
     render_scalar,
     specialize,
 )
+from virasoro.verma import PBWVector
 
 
 def rand_unipoly(rng, var="t", max_deg=4):
@@ -163,3 +168,57 @@ def test_hash_and_equality_across_constants():
     assert five == 5
     assert hash(five) == hash(UniPoly.const(5, "x"))
     assert RatFunc.from_poly(t) == t
+
+
+_F0, _F1 = FermionState(0, (1,)), FermionState(1, ())
+VECTOR_KEYS = {
+    PBWVector: ((2,), (1, 1)),
+    PolyState: ((0, 1), (2,)),
+    FockVector: (_F0, _F1),
+    PairVector: (PairState(_F0, _F1), PairState(_F1, _F0)),
+}
+_C, _H = BiPoly.gens()
+COEFFS = {
+    "Fraction": (Fraction(1, 2), Fraction(-3), Fraction(5, 4)),
+    "BiPoly": (_C, _H - 1, _C * _H),
+}
+vector_cases = pytest.mark.parametrize(
+    "cls, ring", [(cls, ring) for cls in VECTOR_KEYS for ring in COEFFS],
+    ids=lambda x: x if isinstance(x, str) else x.__name__,
+)
+
+
+@vector_cases
+def test_accumulate_drops_cancelled_keys(cls, ring):
+    (a, b), (x, y, z) = VECTOR_KEYS[cls], COEFFS[ring]
+    out = {a: x}
+    assert accumulate(out, {a: x, b: y}, -1) is out
+    assert out == {b: -y}
+    accumulate(out, [(b, y), (a, z)])
+    assert out == {a: z}
+    assert cls(accumulate({}, [(a, x), (b, y), (a, -x)])).terms == {b: y}
+
+
+@vector_cases
+def test_vector_algebra(cls, ring):
+    (a, b), (x, y, z) = VECTOR_KEYS[cls], COEFFS[ring]
+    u, w = cls({a: x, b: y}), cls({b: -y, a: z})
+    assert isinstance(u, SparseVector)
+    assert (u + w).terms == {a: x + z}
+    assert (u - w).terms == {a: x - z, b: 2 * y}
+    assert u.add_into(w, scale=z).terms == {a: x + z * z, b: y - z * y}
+    assert u.scale(z).terms == {a: z * x, b: z * y}
+    assert u.scale(0).is_zero() and (u - u).is_zero()
+    assert u.coeff(a) == x and u.coeff(b) == y
+    assert u.map_coeffs(lambda v: v * 2) == cls({a: 2 * x, b: 2 * y})
+    assert cls({a: x, b: 0}).terms == {a: x}
+    assert cls.zero() == cls() and u != w
+    # the operands are left untouched
+    assert u.terms == {a: x, b: y} and w.terms == {b: -y, a: z}
+
+
+def test_vector_types_never_compare_equal():
+    assert FockVector.zero() != PairVector.zero()
+    assert FockVector.basis(_F0) != PairVector.basis(_F0, _F1)
+    assert PBWVector.vacuum() != PolyState.one()
+    assert FockVector.basis(_F0) == FockVector({_F0: Fraction(1)})

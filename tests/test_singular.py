@@ -145,6 +145,27 @@ def test_chain_levels():
     assert discrete_chain_levels(3, 2, 2, 31) == [2, 4, 24, 30]
 
 
+def test_discrete_chain_levels_over_the_kac_table():
+    # the two chains (r + am)(s + a(m+1)) and (r - am)(s - a(m+1)), a >= 0,
+    # walked outward until both leave the window; inside the Kac table no
+    # level repeats, so the sorted union is the whole list
+    def reference(m, r, s, top):
+        out = []
+        for sign in (1, -1):
+            for a in range(0 if sign == 1 else 1, top + 2):
+                lvl = (r + sign * a * m) * (s + sign * a * (m + 1))
+                if 1 <= lvl <= top:
+                    out.append(lvl)
+        return sorted(out)
+
+    for m in (3, 4, 5):
+        for r in range(1, m):
+            for s in range(1, m + 1):
+                for top in range(41):
+                    assert discrete_chain_levels(m, r, s, top) == reference(m, r, s, top), (
+                        m, r, s, top)
+
+
 def test_singular_chain_c1():
     chain = singular_chain("c1", 2, j=0)
     assert [v.level for v in chain] == [1, 4]
