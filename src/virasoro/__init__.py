@@ -65,6 +65,7 @@ from .verma import (
     PBWVector,
     VermaParams,
     apply_L,
+    gram_matrices,
     gram_matrix,
     h_pq,
     h_pq_curve,

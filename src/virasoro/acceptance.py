@@ -17,9 +17,9 @@ from .scalars import BiPoly, RatFunc, UniPoly
 
 def _timed(fn):
     def wrapper(**kwargs):
-        t0 = time.time()
+        t0 = time.perf_counter()
         ok, details = fn(**kwargs)
-        return {"ok": ok, "details": details, "elapsed": round(time.time() - t0, 2)}
+        return {"ok": ok, "details": details, "elapsed": round(time.perf_counter() - t0, 2)}
 
     return wrapper
 
@@ -180,6 +180,26 @@ def criterion_characters_vs_ranks(**_):
 
 
 @_timed
+def criterion_discrete_characters_vs_ranks(**_):
+    """Discrete-series characters against the Gram-rank oracle to q^10 for
+    m in {3, 4, 5}, every Kac-table (r, s) up to (r, s) ~ (m - r, m + 1 - s)."""
+    details = {}
+    for m in (3, 4, 5):
+        c = verma.central_charge(m)
+        for r in range(1, m):
+            for s in range(1, m + 1):
+                if (m - r, m + 1 - s) < (r, s):
+                    continue
+                params = verma.VermaParams.rational(c, verma.h_pq(r, s, m))
+                dims = verma.irreducible_dims(params, 10)
+                closed = jantzen.discrete_character_closed(m, r, s, 10)
+                if [Fraction(x) for x in dims] != list(closed.coeffs):
+                    return False, {"case": f"m={m} ({r},{s})", "dims": dims}
+                details[f"m={m} ({r},{s})"] = dims
+    return True, details
+
+
+@_timed
 def criterion_goldstone(**_):
     """Goldstone vectors are singular; kernels have dimension exactly one
     at the predicted levels and zero elsewhere, energies up to 9."""
@@ -257,6 +277,8 @@ CRITERIA = (
     ("jantzen", "determinant order = filtration dimension sum", criterion_jantzen_identity),
     ("character-sums", "filtration character sums match closed forms", criterion_character_sums),
     ("characters", "closed characters match the Gram-rank oracle", criterion_characters_vs_ranks),
+    ("discrete-characters", "discrete-series characters match the rank oracle to q^10",
+     criterion_discrete_characters_vs_ranks),
     ("goldstone", "Goldstone vectors exhaust oscillator singular vectors", criterion_goldstone),
     ("binomial", "L_1-power pairings equal binomial determinants", criterion_binomial),
     ("fock", "Fock space identity suite", criterion_fock),

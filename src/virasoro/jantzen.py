@@ -23,17 +23,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .combinat import QSeries, num_partitions, partitions_of
 from .linalg import bareiss_det, nullspace, rref, sum_entries
-from .scalars import UniPoly, as_fraction, order_at_zero
+from .scalars import UniPoly, UsageError, as_fraction, order_at_zero
 from .singular import discrete_chain_levels
 from .verma import (
     PBWVector,
     VermaParams,
     central_charge,
-    gram_matrix,
+    gram_matrices,
     h_pq,
     pbw_left_multiply,
 )
@@ -66,9 +65,15 @@ class Filtration:
         return sum(self.dims[1:])
 
 
-@lru_cache(maxsize=None)
+_SYMBOLIC_GRAMS: list = []  # symbolic Gram matrices of levels 0, 1, ...
+
+
 def _symbolic_gram_rows(level: int):
-    return gram_matrix(level, VermaParams.symbolic()).entries
+    """Entries of the symbolic Gram matrix; a level beyond those held
+    rebuilds every level up to it in one gram_matrices call."""
+    if level >= len(_SYMBOLIC_GRAMS):
+        _SYMBOLIC_GRAMS[:] = gram_matrices(level, VermaParams.symbolic())
+    return _SYMBOLIC_GRAMS[level].entries
 
 
 def _as_x_poly(value, var="x") -> UniPoly:
@@ -223,9 +228,23 @@ def filtration_character_sum(case: str, n_max: int, *, j=None, m=None, r=None, s
     return QSeries(coeffs, lead, n_max)
 
 
+def _c1_spin(j) -> Fraction:
+    """j as a Fraction; a UsageError unless j is a non-negative half-integer."""
+    j = as_fraction(j)
+    if j < 0 or (2 * j).denominator != 1:
+        raise UsageError(f"the c = 1 characters need j a non-negative half-integer, got {j}")
+    return j
+
+
+def _check_kac_label(m: int, r: int, s: int) -> None:
+    h_pq(r, s, m)  # rejects m < 2
+    if not (1 <= r < m and 1 <= s <= m):
+        raise UsageError(f"(r, s) = ({r}, {s}) lies outside the Kac table 1 <= r < m, 1 <= s <= m")
+
+
 def c1_character_sum_closed(j, n_max: int) -> QSeries:
     """phi(q) * sum_{r>=1} q^{r(r+2j)} truncated, lead j^2."""
-    j = as_fraction(j)
+    j = _c1_spin(j)
     coeffs = []
     for n in range(n_max + 1):
         total = 0
@@ -266,7 +285,7 @@ def norm_vanishing_order(vector: PBWVector, family: MatrixFamily) -> int:
 
 def c1_character_closed(j, n_max: int) -> QSeries:
     """(q^{j^2} - q^{(j+1)^2}) phi(q) truncated, lead j^2."""
-    j = as_fraction(j)
+    j = _c1_spin(j)
     d = int(2 * j) + 1
     coeffs = [num_partitions(n) - num_partitions(n - d) for n in range(n_max + 1)]
     return QSeries(coeffs, j * j, n_max)
@@ -281,7 +300,9 @@ def discrete_character_closed(m: int, r: int, s: int, n_max: int) -> QSeries:
         l-(k) = r s + k^2 m(m+1) + k (r(m+1) + s m),
 
     the relative levels of the two chains of submodule generators.
+    (r, s) must lie in the Kac table 1 <= r < m, 1 <= s <= m.
     """
+    _check_kac_label(m, r, s)
     a_minus = r * (m + 1) - s * m
     a_plus = r * (m + 1) + s * m
     period = m * (m + 1)

@@ -1,16 +1,19 @@
 """Exact linear algebra over the coefficient tower.
 
-Two regimes:
+Three regimes:
 
 * fraction-free (Bareiss) elimination for determinants over a polynomial
   ring (Q[x] or Q[c,h]), where naive division would leave the ring;
-* plain Gauss-Jordan over a field (Q or Q(t)) for ranks, kernels and
-  reduced row echelon forms.
+* fraction-free elimination over Python ints for the rank of a rational
+  matrix, after clearing each row's denominators;
+* plain Gauss-Jordan over a field (Q or Q(t)) for kernels and reduced row
+  echelon forms.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .scalars import BiPoly, UniPoly, is_zero_scalar
 
@@ -107,9 +110,48 @@ def rref(matrix):
 
 
 def rank(matrix) -> int:
-    if not matrix or not matrix[0]:
+    """Rank over Q of a matrix of rationals (Fraction or int entries).
+
+    Each row is scaled by the lcm of its denominators, which keeps the
+    rank, and fraction-free row echelon runs over Python ints, skipping
+    the columns without a pivot.  Every division is by the previous pivot
+    and exact (each entry stays a minor of the scaled matrix); a nonzero
+    remainder raises ArithmeticError instead of rounding.
+    """
+    rows = []
+    for row in matrix:
+        den = lcm(*(x.denominator for x in row))
+        ints = [x.numerator * (den // x.denominator) for x in row]
+        if any(ints):
+            rows.append(ints)
+    if not rows:
         return 0
-    return len(rref(matrix)[1])
+    nrows, ncols = len(rows), len(rows[0])
+    prev = 1
+    r = 0
+    for col in range(ncols):
+        for i in range(r, nrows):
+            if rows[i][col]:
+                rows[r], rows[i] = rows[i], rows[r]
+                break
+        else:
+            continue
+        top = rows[r]
+        pivot = top[col]
+        for i in range(r + 1, nrows):
+            row = rows[i]
+            a = row[col]
+            for j in range(col + 1, ncols):
+                q, rem = divmod(pivot * row[j] - a * top[j], prev)
+                if rem:
+                    raise ArithmeticError("inexact division in fraction-free rank")
+                row[j] = q
+            row[col] = 0
+        prev = pivot
+        r += 1
+        if r == nrows:
+            break
+    return r
 
 
 def nullspace(matrix, ncols=None):

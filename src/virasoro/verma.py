@@ -30,6 +30,7 @@ from .scalars import (
     UsageError,
     accumulate,
     as_fraction,
+    is_zero_scalar,
     render_scalar,
 )
 
@@ -139,39 +140,55 @@ def pbw_operator_apply(op: PBWVector, v: PBWVector) -> PBWVector:
     return PBWVector(out)
 
 
+# params -> {(k, part): L_k applied to the monomial}, least recently used
+# first; a long process that visits many (c, h) keeps only the last few.
 _ACTION_CACHE: dict = {}
+_ACTION_CACHE_PARAMS = 4
+
+
+def _action_table(params: VermaParams) -> dict:
+    table = _ACTION_CACHE.pop(params, None)
+    if table is None:
+        table = {}
+        if len(_ACTION_CACHE) >= _ACTION_CACHE_PARAMS:
+            del _ACTION_CACHE[next(iter(_ACTION_CACHE))]
+    _ACTION_CACHE[params] = table
+    return table
 
 
 def apply_L(k: int, v: PBWVector, params: VermaParams) -> PBWVector:
     """Exact action of L_k on a PBW vector of M(c, h)."""
-    return v.apply_linear(lambda part: _apply_monomial(k, part, params).terms)
+    table = _action_table(params)
+    return v.apply_linear(lambda part: _apply_monomial(k, part, params, table).terms)
 
 
-def _apply_monomial(k: int, part: tuple, params: VermaParams) -> PBWVector:
+def _apply_monomial(k: int, part: tuple, params: VermaParams, table: dict) -> PBWVector:
     if k == 0:
         return PBWVector.monomial(part, params.h + sum(part))
     if k < 0 and (not part or -k >= part[0]):
         return PBWVector.monomial((-k,) + part)
-    key = (params, k, part)
-    hit = _ACTION_CACHE.get(key)
+    key = (k, part)
+    hit = table.get(key)
     if hit is not None:
         return hit
     out = {}  # k > 0 annihilates the lowest-weight vector
     if part:
         head, rest = part[0], part[1:]
         # L_k L_{-head} = L_{-head} L_k + (k + head) L_{k-head} + delta central
-        for q, c in _apply_monomial(k, rest, params).terms.items():
+        for q, c in _apply_monomial(k, rest, params, table).terms.items():
             accumulate(out, _left_mul_monomial(head, q).terms, c)
         m = k - head
         if m == 0:
             bracket = {rest: (params.h + sum(rest)) * Fraction(2 * k)}
         else:
-            bracket = accumulate({}, _apply_monomial(m, rest, params).terms, Fraction(k + head))
+            bracket = accumulate(
+                {}, _apply_monomial(m, rest, params, table).terms, Fraction(k + head)
+            )
         if k == head:
             accumulate(bracket, {rest: params.c * central_term(k)})
         accumulate(out, bracket)
     result = PBWVector(out)
-    _ACTION_CACHE[key] = result
+    table[key] = result
     return result
 
 
@@ -207,20 +224,50 @@ def shapovalov_pair(left_part, w: PBWVector, params: VermaParams):
     return w.coeff(())
 
 
-def gram_matrix(level: int, params: VermaParams) -> GramMatrix:
-    if level < 0:
+def gram_matrices(max_level: int, params: VermaParams) -> list:
+    """The Gram matrices of levels 0..max_level, each from the lower ones.
+
+    With lambda' the partition lambda without its first part lambda_1,
+
+        G_n[lambda, mu] = sum_nu [nu](L_{lambda_1} L_{-mu} xi) G_{n-lambda_1}[lambda', nu],
+
+    so a column mu applies L_k once per distinct first part k of its rows,
+    and rows of the lower matrices replace the apply_L chains of
+    shapovalov_pair.  Only the upper triangle is computed.  Entries equal
+    shapovalov_pair's, type included: a zero entry is Fraction(0).
+    """
+    if max_level < 0:
         raise UsageError("negative level")
-    basis = partitions_of(level)
-    n = len(basis)
-    entries = [[None] * n for _ in range(n)]
-    for j, mu in enumerate(basis):
-        w = PBWVector.monomial(mu)
-        for i, lam in enumerate(basis):
-            if i > j:
-                continue
-            entries[i][j] = shapovalov_pair(lam, w, params)
-            entries[j][i] = entries[i][j]
-    return GramMatrix(level, basis, tuple(tuple(r) for r in entries), params)
+    grams = [GramMatrix(0, ((),), ((Fraction(1),),), params)]
+    index = [{(): 0}]
+    for n in range(1, max_level + 1):
+        basis = partitions_of(n)
+        size = len(basis)
+        entries = [[None] * size for _ in range(size)]
+        for j, mu in enumerate(basis):
+            images = {}
+            for i in range(j + 1):
+                lam = basis[i]
+                k = lam[0]
+                image = images.get(k)
+                if image is None:
+                    image = images[k] = apply_L(k, PBWVector.monomial(mu), params).terms
+                where = index[n - k]
+                lower = grams[n - k].entries[where[lam[1:]]]
+                total = Fraction(0)
+                for nu, a in image.items():
+                    total = total + a * lower[where[nu]]
+                if is_zero_scalar(total):
+                    total = Fraction(0)
+                entries[i][j] = entries[j][i] = total
+        grams.append(GramMatrix(n, basis, tuple(map(tuple, entries)), params))
+        index.append({part: i for i, part in enumerate(basis)})
+    return grams
+
+
+def gram_matrix(level: int, params: VermaParams) -> GramMatrix:
+    """The Shapovalov Gram matrix at one level: gram_matrices(level)[level]."""
+    return gram_matrices(level, params)[level]
 
 
 def kac_det_direct(level: int, params: VermaParams):
@@ -314,11 +361,8 @@ def h_pq_curve(p: int, q: int, var: str = "t") -> RatFunc:
 
 
 def irreducible_dims(params: VermaParams, max_level: int) -> list:
-    """dim L(c,h)(n) for n = 0..max_level via Gram-matrix ranks over Q."""
+    """dim L(c,h)(n) for n = 0..max_level: the Q-rank of each Gram matrix,
+    all levels from one gram_matrices call, each rank in integers."""
     if not params.is_rational():
         raise ValueError("the rank oracle needs rational (c, h)")
-    dims = []
-    for n in range(max_level + 1):
-        g = gram_matrix(n, params)
-        dims.append(rank(g.rows()))
-    return dims
+    return [rank(g.rows()) for g in gram_matrices(max_level, params)]

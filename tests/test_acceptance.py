@@ -8,6 +8,7 @@ from virasoro.acceptance import CRITERIA
 RUNTIME_TARGETS = {
     "kac-ratio": 60.0,     # levels 1..6 fully symbolic
     "characters": 300.0,   # rank oracle to level 9
+    "discrete-characters": 60.0,  # rank oracle, 19 modules to level 10
     "fock": 600.0,         # identity suite at E_max = 6
 }
 

@@ -264,6 +264,9 @@ def test_acceptance_json_stdout_is_pure_json(tmp_path, capsys):
     ["character", "--discrete", "--m", "1", "--r", "1", "--s", "1"],
     ["goldstone", "--k", "-3", "--m", "1"],
     ["goldstone", "--k", "1/2", "--m", "-3", "--check"],
+    ["character", "--c1", "--j", "1/3", "--N", "4"],
+    ["character", "--c1", "--j", "-1", "--N", "4"],
+    ["character", "--discrete", "--m", "3", "--r", "0", "--s", "1", "--N", "4", "--check-oracle"],
 ], ids=" ".join)
 def test_library_rejects_bad_input_as_usage_error(argv, capsys):
     assert main(argv) == 2

@@ -21,7 +21,7 @@ from virasoro.jantzen import (
     norm_vanishing_order,
 )
 from virasoro.linalg import matrix_apply, rref
-from virasoro.scalars import UniPoly
+from virasoro.scalars import UniPoly, UsageError
 from virasoro.singular import singular_kernel
 from virasoro.verma import PBWVector, VermaParams, h_pq
 
@@ -207,3 +207,17 @@ def test_character_formula_second_weight_grid():
         closed = discrete_character_closed(4, r, s, 5)
         dims = irreducible_dims(VermaParams.rational(Fraction(7, 10), h), 5)
         assert [Fraction(d) for d in dims] == list(closed.coeffs), (r, s)
+
+
+@pytest.mark.parametrize("j", [Fraction(1, 3), Fraction(-1), Fraction(-1, 2)])
+def test_c1_characters_need_a_half_integer_spin(j):
+    with pytest.raises(UsageError):
+        c1_character_closed(j, 4)
+    with pytest.raises(UsageError):
+        c1_character_sum_closed(j, 4)
+
+
+@pytest.mark.parametrize("r,s", [(0, 1), (3, 1), (1, 0), (1, 4), (-1, 2)])
+def test_discrete_character_needs_a_kac_label(r, s):
+    with pytest.raises(UsageError):
+        discrete_character_closed(3, r, s, 4)

@@ -12,6 +12,7 @@ from virasoro.verma import (
     apply_L,
     c_curve,
     central_charge,
+    gram_matrices,
     gram_matrix,
     h_pq,
     h_pq_curve,
@@ -89,6 +90,48 @@ def test_gram_levels_0_1_2():
     assert g.entry((1, 1), (1, 1)) == 4 * h * (2 * h + 1)
     assert g.entry((1, 1), (2,)) == 6 * h
     assert g.entry((2,), (2,)) == 4 * h + c * Fraction(1, 2)
+
+
+def _gram_by_pairs(level, params):
+    basis = partitions_of(level)
+    return tuple(
+        tuple(shapovalov_pair(lam, PBWVector.monomial(mu), params) for mu in basis)
+        for lam in basis
+    )
+
+
+@pytest.mark.parametrize(
+    "params,max_level",
+    [
+        (SYM, 7),
+        (VermaParams.rational(Fraction(1, 2), Fraction(1, 16)), 9),
+        (VermaParams.rational(1, Fraction(9, 4)), 9),
+        (VermaParams.rational(Fraction(-22, 5), Fraction(-1, 5)), 9),
+    ],
+    ids=["symbolic", "ising", "c1-j3/2", "lee-yang"],
+)
+def test_gram_matrices_match_shapovalov_pairs(params, max_level):
+    grams = gram_matrices(max_level, params)
+    assert [g.level for g in grams] == list(range(max_level + 1))
+    for level, g in enumerate(grams):
+        assert g.basis == partitions_of(level)
+        expected = _gram_by_pairs(level, params)
+        assert g.entries == expected, level
+        # same entry types as the pairing, so rendered JSON is unchanged
+        assert [type(x) for row in g.entries for x in row] == [
+            type(x) for row in expected for x in row
+        ]
+
+
+def test_action_cache_keeps_few_params():
+    from virasoro import verma
+
+    v = PBWVector.monomial((2, 1, 1))
+    for n in range(20):
+        apply_L(2, v, VermaParams.rational(n, Fraction(1, n + 2)))
+        assert len(verma._ACTION_CACHE) <= verma._ACTION_CACHE_PARAMS
+    last = VermaParams.rational(19, Fraction(1, 21))
+    assert last in verma._ACTION_CACHE
 
 
 def test_kac_det_examples():
