@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .linalg import det_expansion, identity, mat_mul
-from .scalars import BiPoly, as_fraction, is_zero_scalar
+from .scalars import BiPoly, as_fraction
 from .singular import SpinModule, bdiz_singular, specialize_curve_vector
 from .verma import PBWVector
 
@@ -46,12 +46,12 @@ def density_apply(k: int, w: DensityVector) -> DensityVector:
     for n, coeff in w.terms:
         factor = -(w.lam * k + w.mu + n)
         val = coeff * factor
-        if is_zero_scalar(val):
+        if not val:
             continue
         key = n + k
         cur = out.get(key)
         new = val if cur is None else cur + val
-        if is_zero_scalar(new):
+        if not new:
             out.pop(key, None)
         else:
             out[key] = new

@@ -1,17 +1,28 @@
 """Truncated fermionic Fock space, fermion bilinears and vertex operators.
 
 Basis states are semi-infinite wedges e_{i_1} ^ e_{i_2} ^ ... with
-i_1 < i_2 < ... and i_s = k + s - 1 eventually.  A state is stored as the
-pair (sector k, partition lam): the occupied indices are
+i_1 < i_2 < ... and i_s = k + s - 1 eventually.  Such a state is labelled
+by its sector k and a partition lam, with occupied indices
 
     i_s = k - 1 + s - lam_s   (s = 1..len(lam)),  then  k + len(lam), ...
 
-The sector vacuum Omega_k = e_k ^ e_{k+1} ^ ... has energy k^2 / 2; the
-boson charge a_0 acts on sector k as -k (particles below zero count +1,
-holes at or above zero count -1).  Energy of (k, lam) is k^2/2 + |lam|.
+A state is stored as its Maya diagram relative to the sector vacuum
+Omega_k = e_k ^ e_{k+1} ^ ...: the tuple (k, particles, holes) of two
+int bitmasks, bit j of `particles` marking index k - 1 - j occupied and
+bit j of `holes` marking index k + j empty (Miwa, Jimbo and Date,
+Solitons, ch. 9).  The key is canonical, so tuple hashing and equality
+are state identity; e_n and e_n* set or clear one bit, re-centre the
+masks on the new sector with a shift, and take their sign from the
+bit count of the occupied indices below n.  The partition `lam` is
+derived from the masks.
+
+The sector vacuum Omega_k has energy k^2 / 2; the boson charge a_0 acts
+on sector k as -k (particles below zero count +1, holes at or above zero
+count -1).  Energy of (k, lam) is k^2/2 + |lam|.
 
 The shift U raises every wedge index, so U Omega_k = Omega_{k+1},
-U e_i U* = e_{i+1}, U a_0 U* = a_0 + 1.
+U e_i U* = e_{i+1}, U a_0 U* = a_0 + 1; on the stored key it only moves
+the sector.
 
 Vertex operators follow Phi_m(z) = U^{-m} z^{m a_0} E_-^m(z) E_+^m(z)
 with E_-^m(z) = exp(m sum_{n>0} z^n a_{-n} / n) and E_+^m(z) =
@@ -32,15 +43,47 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
+from typing import NamedTuple
 
 from .combinat import QSeries, num_partitions, partitions_of
 from .scalars import SparseVector, accumulate, as_fraction
 
+# Entries kept by each per-state operator table (_boson_state,
+# _lprime_state, _vertex_modes); the acceptance window at emax 6 fills
+# them to 5,061, 2,929 and 775.
+STATE_CACHE_SIZE = 1 << 14
+# The pair-space modes of psi_mode_b are kept for the few pair states
+# in use: a check asks for every mode of one state before the next.
+PAIR_CACHE_SIZE = 1 << 6
 
-@dataclass(frozen=True)
-class FermionState:
+_tuple_new = tuple.__new__
+
+
+class _MayaKey(NamedTuple):
     sector: int     # wedge label k: vacuum is e_k ^ e_{k+1} ^ ...
-    lam: tuple      # excitation partition
+    particles: int  # bit j: index k - 1 - j is occupied
+    holes: int      # bit j: index k + j is empty
+
+
+class FermionState(_MayaKey):
+    """A wedge state; built as FermionState(sector, lam)."""
+
+    __slots__ = ()
+
+    def __new__(cls, sector: int, lam=()):
+        occupied = {sector - 1 + s - part for s, part in enumerate(lam, start=1)}
+        particles = sum(1 << (sector - 1 - i) for i in occupied if i < sector)
+        holes = sum(1 << j for j in range(len(lam)) if sector + j not in occupied)
+        return _tuple_new(cls, (sector, particles, holes))
+
+    def __getnewargs__(self):
+        return self.sector, self.lam
+
+    @property
+    def lam(self) -> tuple:
+        """The excitation partition: lam_s = k - 1 + s - i_s."""
+        k = self.sector
+        return tuple(k - 1 + s - i for s, i in enumerate(self.occupied_prefix(), start=1))
 
     @property
     def charge(self) -> int:
@@ -49,67 +92,91 @@ class FermionState:
 
     @property
     def energy(self) -> Fraction:
-        return Fraction(self.sector * self.sector, 2) + sum(self.lam)
+        return Fraction(self.sector * self.sector, 2) + _level(self)
 
     @property
     def parity(self) -> int:
         return self.sector & 1
 
     def occupied_prefix(self) -> list:
-        k, lam = self.sector, self.lam
-        return [k - 1 + s - lam[s - 1] for s in range(1, len(lam) + 1)]
+        """The occupied indices below `tail_start`, ascending."""
+        k, particles, holes = self
+        below = [k - 1 - j for j in range(particles.bit_length() - 1, -1, -1)
+                 if particles >> j & 1]
+        return below + [k + j for j in range(holes.bit_length()) if not holes >> j & 1]
 
     @property
     def tail_start(self) -> int:
-        return self.sector + len(self.lam)
+        return self.sector + self.holes.bit_length()
 
     def __repr__(self):
         return f"F({self.sector};{','.join(map(str, self.lam))})"
 
 
+def _level(st: FermionState) -> int:
+    """|lam|, the energy above the sector vacuum: a particle at k - 1 - j
+    and a hole at k + j each carry j + 1/2, and they come in equal numbers."""
+    _, particles, holes = st
+    total = particles.bit_count()
+    for mask in (particles, holes):
+        while mask:
+            low = mask & -mask
+            total += low.bit_length() - 1
+            mask ^= low
+    return total
+
+
 def vacuum(sector: int = 0) -> FermionState:
-    return FermionState(sector, ())
+    return _tuple_new(FermionState, (sector, 0, 0))
 
 
-def _state_from_occupied(prefix: list, tail_start: int) -> FermionState:
-    """Rebuild (sector, lam) from explicit occupied indices below tail_start."""
-    sector = tail_start - len(prefix)
-    lam = []
-    for s, idx in enumerate(prefix, start=1):
-        lam.append(sector - 1 + s - idx)
-    while lam and lam[-1] == 0:
-        lam.pop()
-    if any(l <= 0 for l in lam) or any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
-        raise AssertionError(f"broken wedge bookkeeping: {prefix}, {tail_start}")
-    return FermionState(sector, tuple(lam))
+def _shifted(st: FermionState, power: int) -> FermionState:
+    """U^power st: the masks are relative to the sector, so only it moves."""
+    k, particles, holes = st
+    return _tuple_new(FermionState, (k + power, particles, holes))
+
+
+def _occupied_below(n: int, k: int, particles: int, holes: int) -> int:
+    """How many indices below n are occupied (n below the tail)."""
+    if n < k:
+        return (particles >> (k - n)).bit_count()
+    return particles.bit_count() + (n - k) - (holes & ((1 << (n - k)) - 1)).bit_count()
 
 
 def apply_e(n: int, st: FermionState):
     """Exterior multiplication by e_n; returns (sign, state) or None."""
-    if n >= st.tail_start:
-        return None
-    occ = st.occupied_prefix()
-    if n in occ:
-        return None
-    before = sum(1 for i in occ if i < n)
-    occ.append(n)
-    occ.sort()
-    return (-1) ** before, _state_from_occupied(occ, st.tail_start)
+    k, particles, holes = st
+    if n < k:
+        bit = 1 << (k - 1 - n)
+        if particles & bit:
+            return None
+        particles |= bit
+    else:
+        bit = 1 << (n - k)
+        if not holes & bit:
+            return None
+        holes ^= bit
+    sign = -1 if _occupied_below(n, k, particles, holes) & 1 else 1
+    # re-centre on sector k - 1: index k - 1 moves to the upper mask
+    return sign, _tuple_new(FermionState, (k - 1, particles >> 1, holes << 1 | (~particles & 1)))
 
 
 def apply_e_star(n: int, st: FermionState):
     """Interior multiplication by e_n*; returns (sign, state) or None."""
-    occ = st.occupied_prefix()
-    tail = st.tail_start
-    if n >= tail:
-        pos = len(occ) + (n - tail)          # 0-based position in the wedge
-        occ.extend(range(tail, n))
-        return (-1) ** pos, _state_from_occupied(occ, n + 1)
-    if n not in occ:
-        return None
-    pos = occ.index(n)
-    occ.remove(n)
-    return (-1) ** pos, _state_from_occupied(occ, tail)
+    k, particles, holes = st
+    if n < k:
+        bit = 1 << (k - 1 - n)
+        if not particles & bit:
+            return None
+        particles ^= bit
+    else:
+        bit = 1 << (n - k)
+        if holes & bit:
+            return None
+        holes |= bit
+    sign = -1 if _occupied_below(n, k, particles, holes) & 1 else 1
+    # re-centre on sector k + 1: index k moves to the lower mask
+    return sign, _tuple_new(FermionState, (k + 1, particles << 1 | (~holes & 1), holes >> 1))
 
 
 class FockVector(SparseVector):
@@ -166,7 +233,7 @@ def _hops(n: int, st: FermionState):
         yield q, s1 * s2, new
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=STATE_CACHE_SIZE)
 def _boson_state(n: int, st: FermionState) -> tuple:
     if n == 0:
         return ((st, -st.sector),)
@@ -178,7 +245,7 @@ def boson_apply(n: int, vec: FockVector) -> FockVector:
     return vec.apply_linear(lambda st: _boson_state(n, st))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=STATE_CACHE_SIZE)
 def _lprime_state(k: int, st: FermionState) -> tuple:
     if k == 0:
         return ((st, st.energy),)
@@ -210,17 +277,13 @@ def lprime_zero_bilinear(st: FermionState) -> Fraction:
     return total
 
 
-def _relative_energy(st: FermionState) -> int:
-    return sum(st.lam)
-
-
 def sugawara_apply(k: int, vec: FockVector) -> FockVector:
     """Boson-bilinear Virasoro: L_k = (1/2) sum_{r+s=k} :a_r a_s:."""
     if vec.is_zero():
         return vec
     if k == 0:
         return FockVector({st: st.energy * c for st, c in vec.terms.items()})
-    max_rel = max(_relative_energy(st) for st in vec.terms)
+    max_rel = max(_level(st) for st in vec.terms)
     total = {}
     half = Fraction(1, 2)
     for r in range(k - max_rel, k // 2 + 1):
@@ -236,7 +299,7 @@ def sugawara_apply(k: int, vec: FockVector) -> FockVector:
 def shift_apply(power: int, vec: FockVector) -> FockVector:
     """U^power; U shifts every wedge index up by one (no sign)."""
     return FockVector(
-        {FermionState(st.sector + power, st.lam): c for st, c in vec.terms.items()}
+        {_shifted(st, power): c for st, c in vec.terms.items()}
     )
 
 
@@ -264,6 +327,13 @@ def _exp_series(table, step: int, c: int, terms: dict, order: int) -> list:
     return series
 
 
+def _quotient(p: int, den: int):
+    """p / den, as an int when the division is exact: the vector algebra
+    compares values only, and integer coefficients keep it in ints."""
+    q, r = divmod(p, den)
+    return Fraction(p, den) if r else q
+
+
 def _exp_coeff(table, step: int, c: int, terms: dict, order: int) -> dict:
     """S_order v for a vector v with rational coefficients (see _exp_series)."""
     if order < 0:
@@ -272,7 +342,7 @@ def _exp_coeff(table, step: int, c: int, terms: dict, order: int) -> dict:
     ints = {st: v.numerator * (den // v.denominator) for st, v in terms.items()}
     scale = den * factorial(order)
     top = _exp_series(table, step, c, ints, order)[order]
-    return {st: Fraction(p, scale) for st, p in top.items()}
+    return {st: _quotient(p, scale) for st, p in top.items()}
 
 
 def raising_coeff_apply(u: int, m: int, vec: FockVector) -> FockVector:
@@ -285,30 +355,64 @@ def lowering_coeff_apply(d: int, m: int, vec: FockVector) -> FockVector:
     return FockVector(_exp_coeff(_boson_state, 1, -m, vec.terms, d))
 
 
-def _exp_product_mode(table, m: int, st, depth: int, u0: int) -> dict:
-    """sum_{d >= 0} [z^{u0+d}] exp(m sum z^n X_{-n}/n) [z^{-d}] exp(-m sum z^{-n} X_n/n)
-    applied to the basis state `st`, for commuting X_n with integer
-    coefficients that lower the excitation by n; `depth` bounds the
-    excitation of `st`, so the lowering series stops there.  Unshifted:
+def _exp_product_modes(table, m: int, st, depth: int, u0s) -> list:
+    """For each u0 of `u0s`, sum_{d >= 0} [z^{u0+d}] exp(m sum z^n X_{-n}/n)
+    [z^{-d}] exp(-m sum z^{-n} X_n/n) applied to the basis state `st`,
+    for commuting X_n with integer coefficients that lower the excitation
+    by n; `depth` bounds the excitation of `st`, so the lowering series
+    stops there, and every u0 is at least -depth.  The modes share one
+    lowering series and one raising series per lowered term.  Unshifted:
     the caller applies its own U^{-m}."""
+    lowered = _exp_series(table, 1, -m, {st: 1}, depth)
+    u0_max = max(u0s)
+    raised = [_exp_series(table, -1, m, low, u0_max + d) if low and u0_max + d >= 0 else None
+              for d, low in enumerate(lowered)]
+    out = []
+    for u0 in u0s:
+        top = u0 + depth
+        num = {}                         # numerators over top! depth!
+        for d, series in enumerate(raised):
+            u = u0 + d
+            if u < 0 or series is None:
+                continue
+            weight = factorial(top) // factorial(u) * (factorial(depth) // factorial(d))
+            accumulate(num, series[u], weight)
+        den = factorial(top) * factorial(depth)
+        out.append({new: _quotient(p, den) for new, p in num.items()})
+    return out
+
+
+def _grow_modes(modes: dict, n: int, table, m: int, st, depth: int, u0: int, term) -> tuple:
+    """Mode n of the vertex operator whose z^{-k} mode on `st` is
+    _exp_product_modes(table, m, st, depth, [u0 - k]), each term mapped by
+    `term(state, coefficient)`, as a tuple of (state, coefficient) pairs.
+
+    `modes` holds the modes computed so far, a contiguous range ending at
+    the top mode u0 + depth (the higher ones vanish).  A mode below that
+    range is computed in one batch with every mode up to the range, so
+    they share one pair of exponential series."""
     top = u0 + depth
-    if top < 0:
-        return {}
-    num = {}                             # numerators over top! depth!
-    for d, lowered in enumerate(_exp_series(table, 1, -m, {st: 1}, depth)):
-        u = u0 + d
-        if u < 0 or not lowered:
-            continue
-        weight = factorial(top) // factorial(u) * (factorial(depth) // factorial(d))
-        accumulate(num, _exp_series(table, -1, m, lowered, u)[u], weight)
-    den = factorial(top) * factorial(depth)
-    return {new: Fraction(p, den) for new, p in num.items()}
+    if n > top:
+        return ()
+    ns = range(n, top + 1 - len(modes))
+    for k, raw in zip(ns, _exp_product_modes(table, m, st, depth, [u0 - k for k in ns])):
+        modes[k] = tuple(term(s, c) for s, c in raw.items())
+    return modes[n]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=STATE_CACHE_SIZE)
+def _vertex_modes(m: int, st: FermionState) -> dict:
+    """n -> Phi_m(n) st, filled by _vertex_mode_state."""
+    return {}
+
+
 def _vertex_mode_state(m: int, n: int, st: FermionState) -> tuple:
-    raw = _exp_product_mode(_boson_state, m, st, _relative_energy(st), -m * st.charge - n)
-    return tuple((FermionState(s.sector - m, s.lam), c) for s, c in raw.items())
+    modes = _vertex_modes(m, st)
+    got = modes.get(n)
+    if got is None:
+        got = _grow_modes(modes, n, _boson_state, m, st, _level(st), -m * st.charge,
+                          lambda s, c: (_shifted(s, -m), c))
+    return got
 
 
 def vertex_mode(m: int, n: int, vec: FockVector) -> FockVector:
@@ -317,8 +421,8 @@ def vertex_mode(m: int, n: int, vec: FockVector) -> FockVector:
 
 
 def vertex_mode_range(m: int, st: FermionState):
-    """Modes n with Phi_m(n) st possibly nonzero: n <= rel + m*charge."""
-    return _relative_energy(st) - m * st.charge
+    """The top mode: Phi_m(n) st vanishes for n > |lam| - m * charge."""
+    return _level(st) - m * st.charge
 
 
 class FockBasis:
@@ -352,8 +456,7 @@ class FockBasis:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PairState:
+class PairState(NamedTuple):
     left: FermionState
     right: FermionState
 
@@ -383,21 +486,6 @@ class PairVector(SparseVector):
         return "PairVector(" + (" + ".join(bits) or "0") + ")"
 
 
-def factor_apply(fn, which: int, vec: PairVector, odd: bool) -> PairVector:
-    """Apply a single-factor FockVector map with the Koszul sign rule."""
-
-    def image(st):
-        if which == 1:
-            for new, c in fn(FockVector.basis(st.left, 1)).terms.items():
-                yield PairState(new, st.right), c
-        else:
-            sign = -1 if (odd and st.left.parity) else 1
-            for new, c in fn(FockVector.basis(st.right, 1)).terms.items():
-                yield PairState(st.left, new), sign * c
-
-    return vec.apply_linear(image)
-
-
 def pair_bilinear_apply(n: int, vec: PairVector, which: tuple) -> PairVector:
     """E_{ij}(n) = sum_{p-q=n} e_p^{(i)} (e_q^{(j)})* for i != j."""
     i, j = which
@@ -406,17 +494,15 @@ def pair_bilinear_apply(n: int, vec: PairVector, which: tuple) -> PairVector:
         src = st.right if j == 2 else st.left
         dst_state = st.left if i == 1 else st.right
         qs = src.occupied_prefix()
-        window_hi = dst_state.tail_start - n
-        qs += [q for q in range(src.tail_start, window_hi)]
+        qs += range(src.tail_start, dst_state.tail_start - n)
         for q in qs:
-            first = apply_e_star(q, src)
-            if first is None:
-                continue
-            s1, mid = first
+            # e on factor i can vanish, e* on an occupied q cannot; the two
+            # act on different factors, so test the first one first
             second = apply_e(q + n, dst_state)
             if second is None:
                 continue
             s2, new_dst = second
+            s1, mid = apply_e_star(q, src)
             # operator order: e* on factor j first, then e on factor i
             if j == 2:
                 yield PairState(new_dst, mid), s1 * (-1 if st.left.parity else 1) * s2
@@ -439,9 +525,17 @@ def H_apply(n: int, vec: PairVector) -> PairVector:
 
 
 def K_apply(n: int, vec: PairVector) -> PairVector:
-    a1 = factor_apply(lambda v: boson_apply(n, v), 1, vec, odd=False)
-    a2 = factor_apply(lambda v: boson_apply(n, v), 2, vec, odd=False)
-    return (a1 + a2).scale(Fraction(1, 2))
+    """K(n) = (a_n^(1) + a_n^(2)) / 2; the bosons are even, so the second
+    factor takes no Koszul sign."""
+
+    def image(st):
+        left, right = st
+        for new, c in _boson_state(n, left):
+            yield PairState(new, right), c
+        for new, c in _boson_state(n, right):
+            yield PairState(left, new), c
+
+    return vec.apply_linear(image).scale(Fraction(1, 2))
 
 
 def psi_mode(m: int, n: int, vec: PairVector) -> PairVector:
@@ -453,12 +547,11 @@ def psi_mode(m: int, n: int, vec: PairVector) -> PairVector:
         j_hi = vertex_mode_range(-m, st.right)
         sign = -1 if (odd and st.left.parity) else 1
         for i in range(n - j_hi, i_hi + 1):
-            right = vertex_mode(-m, n - i, FockVector.basis(st.right, 1))
-            if right.is_zero():
+            right = _vertex_mode_state(-m, n - i, st.right)
+            if not right:
                 continue
-            left = vertex_mode(m, i, FockVector.basis(st.left, 1))
-            for ls, lc in left.terms.items():
-                for rs, rc in right.terms.items():
+            for ls, lc in _vertex_mode_state(m, i, st.left):
+                for rs, rc in right:
                     yield PairState(ls, rs), sign * lc * rc
 
     return vec.apply_linear(image)
@@ -467,10 +560,10 @@ def psi_mode(m: int, n: int, vec: PairVector) -> PairVector:
 def _b_state(n: int, st: PairState):
     """b_n on one pair state as (state, coefficient) pairs; the bosons are
     even, so the second factor takes no Koszul sign."""
-    for new, c in _boson_state(n, st.left):
-        yield PairState(new, st.right), c
-    for new, c in _boson_state(n, st.right):
-        yield PairState(st.left, new), -c
+    left, right = st
+    out = [(_tuple_new(PairState, (new, right)), c) for new, c in _boson_state(n, left)]
+    out += [(_tuple_new(PairState, (left, new)), -c) for new, c in _boson_state(n, right)]
+    return out
 
 
 def b_apply(n: int, vec: PairVector) -> PairVector:
@@ -478,38 +571,40 @@ def b_apply(n: int, vec: PairVector) -> PairVector:
     return vec.apply_linear(lambda st: _b_state(n, st))
 
 
-def plain_shift_apply(vec: PairVector, power: int = 1) -> PairVector:
-    """The unsigned shift (U x) ox (U^{-1} y); the difference-boson
-    vertex operators anchor on this one (the graded V of V_apply picks
-    up the cocycle sign instead)."""
-    return PairVector({
-        PairState(FermionState(st.left.sector + power, st.left.lam),
-                  FermionState(st.right.sector - power, st.right.lam)): coeff
-        for st, coeff in vec.terms.items()
-    })
-
-
 def psi_mode_b(m: int, n: int, vec: PairVector) -> PairVector:
     """Psi_m(n) built from the difference-boson system:
     Psi_m(z) = C_m V^{-m} z^{m b_0} exp(m sum_{n>0} z^n b_{-n}/n)
     exp(-m sum_{n>0} z^{-n} b_n/n), modes Psi_m(z) = sum Psi_m(n) z^{-n}.
 
-    C_m is the cocycle (-1)^{m |left|}: the bare boson exponential cannot
-    see the fermionic crossing of the two factors, which for odd m flips
-    the sign on odd left sectors.  With it, this agrees entry for entry
-    with the graded product of the single-factor vertex operators."""
+    Here V is the unsigned shift (U x) ox (U^{-1} y), not the graded one
+    of V_apply, and C_m is the cocycle (-1)^{m |left|}: the bare boson
+    exponential cannot see the fermionic crossing of the two factors,
+    which for odd m flips the sign on odd left sectors.  With it, this
+    agrees entry for entry with the graded product of the single-factor
+    vertex operators."""
 
     def image(st):
-        q_b = st.left.charge - st.right.charge
-        # the b modes preserve both factor charges, so total lowering is
-        # bounded by the excitation above the fixed sector pair
-        rel = sum(st.left.lam) + sum(st.right.lam)
-        raw = _exp_product_mode(_b_state, m, st, rel, -m * q_b - n)
-        if m % 2 and st.left.parity:
-            return {new: -c for new, c in raw.items()}
-        return raw
+        modes = _psi_b_modes(m, st)
+        got = modes.get(n)
+        if got is None:
+            left, right = st
+            sign = -1 if m % 2 and left.parity else 1
+            # the b modes preserve both factor charges, so total lowering
+            # is bounded by the excitation above the fixed sector pair
+            got = _grow_modes(
+                modes, n, _b_state, m, st, _level(left) + _level(right),
+                -m * (left.charge - right.charge),
+                lambda s, c: (PairState(_shifted(s.left, -m), _shifted(s.right, m)), sign * c),
+            )
+        return got
 
-    return plain_shift_apply(vec.apply_linear(image), -m)
+    return vec.apply_linear(image)
+
+
+@lru_cache(maxsize=PAIR_CACHE_SIZE)
+def _psi_b_modes(m: int, st: PairState) -> dict:
+    """n -> psi_mode_b(m, n) on the pair state st, filled by psi_mode_b."""
+    return {}
 
 
 def b_sugawara_apply(k: int, vec: PairVector) -> PairVector:
@@ -520,7 +615,7 @@ def b_sugawara_apply(k: int, vec: PairVector) -> PairVector:
     if vec.is_zero():
         return vec
     quarter = Fraction(1, 4)
-    max_rel = max(sum(st.left.lam) + sum(st.right.lam) for st in vec.terms)
+    max_rel = max(_level(st.left) + _level(st.right) for st in vec.terms)
     total = {}
     if k == 0:
         accumulate(total, {st: c * Fraction((st.left.charge - st.right.charge) ** 2, 4)
@@ -551,8 +646,7 @@ def V_apply(vec: PairVector, power: int = 1) -> PairVector:
     k = power
     sigma = -1 if (k * (k - 1) // 2) % 2 else 1
     return PairVector({
-        PairState(FermionState(st.left.sector + k, st.left.lam),
-                  FermionState(st.right.sector - k, st.right.lam)):
+        PairState(_shifted(st.left, k), _shifted(st.right, -k)):
             sigma * (-1 if (k % 2 and st.left.parity) else 1) * coeff
         for st, coeff in vec.terms.items()
     })

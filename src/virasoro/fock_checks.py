@@ -270,7 +270,7 @@ def check_example2(emax, mode_span=3, sample=None) -> dict:
     mism = []
     checked = 0
     for st in states:
-        v = PairVector({st: Fraction(1)})
+        v = PairVector({st: 1})
         for n in range(-mode_span, mode_span + 1):
             checked += 2
             if E_apply(n, v) != psi_mode(1, n + 1, v):
@@ -293,7 +293,7 @@ def check_level_one_brackets(emax, mode_span=2, sample=None) -> dict:
     mism = []
     checked = 0
     for st in states:
-        v = PairVector({st: Fraction(1)})
+        v = PairVector({st: 1})
         for m, n in itertools.product(range(-mode_span, mode_span + 1), repeat=2):
             lhs = E_apply(m, F_apply(n, v)) - F_apply(n, E_apply(m, v))
             rhs = H_apply(m + n, v).scale(2)
@@ -329,7 +329,7 @@ def check_psi_boson(emax, ms=(1, -1, 2), mode_span=2, sample=None) -> dict:
     mism = []
     checked = 0
     for st in states:
-        v = PairVector({st: Fraction(1)})
+        v = PairVector({st: 1})
         for m in ms:
             for n in range(-mode_span, mode_span + 1):
                 checked += 1

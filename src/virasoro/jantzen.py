@@ -236,6 +236,11 @@ def _c1_spin(j) -> Fraction:
     return j
 
 
+def _check_order(n_max: int) -> None:
+    if n_max < 0:
+        raise UsageError(f"a character is truncated at an order n >= 0, got {n_max}")
+
+
 def _check_kac_label(m: int, r: int, s: int) -> None:
     h_pq(r, s, m)  # rejects m < 2
     if not (1 <= r < m and 1 <= s <= m):
@@ -245,6 +250,7 @@ def _check_kac_label(m: int, r: int, s: int) -> None:
 def c1_character_sum_closed(j, n_max: int) -> QSeries:
     """phi(q) * sum_{r>=1} q^{r(r+2j)} truncated, lead j^2."""
     j = _c1_spin(j)
+    _check_order(n_max)
     coeffs = []
     for n in range(n_max + 1):
         total = 0
@@ -261,6 +267,7 @@ def c1_character_sum_closed(j, n_max: int) -> QSeries:
 
 
 def discrete_character_sum_closed(m: int, r: int, s: int, n_max: int) -> QSeries:
+    _check_order(n_max)
     coeffs = [0] * (n_max + 1)
     for lvl in discrete_chain_levels(m, r, s, n_max):
         for n in range(lvl, n_max + 1):
@@ -321,6 +328,7 @@ def discrete_character_closed(m: int, r: int, s: int, n_max: int) -> QSeries:
 
 def character_formula(case: str, n_max: int, *, j=None, m=None, r=None, s=None) -> QSeries:
     """Closed-form irreducible character, truncated at relative level n_max."""
+    _check_order(n_max)
     if case == "c1":
         return c1_character_closed(j, n_max)
     if case == "discrete":

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .scalars import BiPoly, UniPoly, is_zero_scalar
+from .scalars import BiPoly, UniPoly
 
 
 def _exact_div(a, b):
@@ -37,9 +37,9 @@ def bareiss_det(matrix):
     sign = 1
     prev = Fraction(1)
     for k in range(n - 1):
-        if is_zero_scalar(m[k][k]):
+        if not m[k][k]:
             for i in range(k + 1, n):
-                if not is_zero_scalar(m[i][k]):
+                if m[i][k]:
                     m[k], m[i] = m[i], m[k]
                     sign = -sign
                     break
@@ -65,7 +65,7 @@ def det_expansion(matrix):
     total = None
     for j in range(n):
         entry = matrix[0][j]
-        if is_zero_scalar(entry):
+        if not entry:
             continue
         minor = [row[:j] + row[j + 1 :] for row in matrix[1:]]
         term = entry * det_expansion(minor)
@@ -90,7 +90,7 @@ def rref(matrix):
     for col in range(cols):
         pivot_row = None
         for i in range(r, rows):
-            if not is_zero_scalar(m[i][col]):
+            if m[i][col]:
                 pivot_row = i
                 break
         if pivot_row is None:
@@ -99,7 +99,7 @@ def rref(matrix):
         inv = m[r][col]
         m[r] = [x / inv for x in m[r]]
         for i in range(rows):
-            if i != r and not is_zero_scalar(m[i][col]):
+            if i != r and m[i][col]:
                 f = m[i][col]
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
         pivots.append(col)
@@ -179,10 +179,6 @@ def nullspace(matrix, ncols=None):
             vec[pc] = -reduced[r][fc]
         basis.append(vec)
     return basis
-
-
-def matrix_apply(matrix, vector):
-    return [sum_entries(row, vector) for row in matrix]
 
 
 def sum_entries(row, vector):

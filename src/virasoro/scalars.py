@@ -79,6 +79,9 @@ class UniPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
     def is_constant(self) -> bool:
         return len(self.coeffs) <= 1
 
@@ -302,6 +305,9 @@ class RatFunc:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
+    def __bool__(self) -> bool:
+        return bool(self.num.coeffs)
+
     def is_constant(self) -> bool:
         return self.num.is_constant() and self.den.is_constant()
 
@@ -428,6 +434,9 @@ class BiPoly:
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
     def is_constant(self) -> bool:
         return all(k == (0, 0) for k in self.terms)
@@ -622,31 +631,27 @@ def _power(value, n: int):
     return result
 
 
-def is_zero_scalar(x) -> bool:
-    if _is_rational(x):
-        return not x
-    return x.is_zero()
-
-
 def accumulate(out: dict, terms, scale=None) -> dict:
     """Add `scale * terms` into the dict `out` in place and return it.
 
     `terms` is a mapping or an iterable of (key, coefficient) pairs.  A
     key whose coefficient cancels is removed, so `out` never holds a
-    zero; the coefficients may be rationals or any scalar of this module.
+    zero; the coefficients may be rationals or any scalar of this module
+    (each of which is false exactly when it is zero).
     """
     if isinstance(terms, dict):
         terms = terms.items()
+    get = out.get
     for key, coeff in terms:
         if scale is not None:
             coeff = scale * coeff
-        cur = out.get(key)
+        cur = get(key)
         if cur is not None:
             coeff = cur + coeff
-        if is_zero_scalar(coeff):
-            out.pop(key, None)
-        else:
+        if coeff:
             out[key] = coeff
+        elif cur is not None:
+            del out[key]
     return out
 
 
@@ -661,7 +666,15 @@ class SparseVector:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = {k: v for k, v in dict(terms or {}).items() if not is_zero_scalar(v)}
+        self.terms = {k: v for k, v in dict(terms or {}).items() if v}
+
+    @classmethod
+    def _wrap(cls, terms: dict):
+        """A vector that takes ownership of `terms`, which holds no zero
+        (a dict built by `accumulate`); nothing is copied or filtered."""
+        vec = cls.__new__(cls)
+        vec.terms = terms
+        return vec
 
     @classmethod
     def zero(cls):
@@ -675,7 +688,7 @@ class SparseVector:
 
     def add_into(self, other, scale=None):
         """self + scale * other, as a new vector."""
-        return type(self)(accumulate(dict(self.terms), other.terms, scale))
+        return self._wrap(accumulate(dict(self.terms), other.terms, scale))
 
     def __add__(self, other):
         return self.add_into(other)
@@ -684,9 +697,10 @@ class SparseVector:
         return self.add_into(other, scale=-1)
 
     def scale(self, scalar):
-        if is_zero_scalar(scalar):
+        if not scalar:
             return self.zero()
-        return type(self)({k: scalar * v for k, v in self.terms.items()})
+        # every scalar ring here is a domain: nonzero times nonzero is nonzero
+        return self._wrap({k: scalar * v for k, v in self.terms.items()})
 
     def map_coeffs(self, fn):
         return type(self)({k: fn(v) for k, v in self.terms.items()})
@@ -697,7 +711,7 @@ class SparseVector:
         out = {}
         for key, coeff in self.terms.items():
             accumulate(out, image(key), coeff)
-        return type(self)(out)
+        return self._wrap(out)
 
     def __eq__(self, other):
         if type(other) is not type(self):

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .combinat import partitions_of
 from .linalg import nullspace
-from .scalars import RatFunc, UniPoly, UsageError, accumulate, as_fraction, is_zero_scalar
+from .scalars import RatFunc, UniPoly, UsageError, accumulate, as_fraction
 from .verma import (
     PBWVector,
     VermaParams,
@@ -71,7 +71,7 @@ def singular_kernel(params: VermaParams, level: int) -> list:
     ones_index = basis.index((1,) * level)
     for vec in kernel:
         lead = vec[ones_index]
-        if not is_zero_scalar(lead):
+        if lead:
             vec = [x / lead for x in vec]
         v = PBWVector({p: c for p, c in zip(basis, vec)})
         out.append(SingularVector(v, level, params))

@@ -30,7 +30,6 @@ from .scalars import (
     UsageError,
     accumulate,
     as_fraction,
-    is_zero_scalar,
     render_scalar,
 )
 
@@ -257,7 +256,7 @@ def gram_matrices(max_level: int, params: VermaParams) -> list:
                 total = Fraction(0)
                 for nu, a in image.items():
                     total = total + a * lower[where[nu]]
-                if is_zero_scalar(total):
+                if not total:
                     total = Fraction(0)
                 entries[i][j] = entries[j][i] = total
         grams.append(GramMatrix(n, basis, tuple(map(tuple, entries)), params))

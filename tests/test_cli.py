@@ -267,6 +267,10 @@ def test_acceptance_json_stdout_is_pure_json(tmp_path, capsys):
     ["character", "--c1", "--j", "1/3", "--N", "4"],
     ["character", "--c1", "--j", "-1", "--N", "4"],
     ["character", "--discrete", "--m", "3", "--r", "0", "--s", "1", "--N", "4", "--check-oracle"],
+    ["character", "--c1", "--j", "1", "--N", "-1"],
+    ["character", "--discrete", "--m", "3", "--r", "1", "--s", "1", "--N", "-1"],
+    ["jantzen", "--case", "c1", "--j", "1/2", "--N", "-1"],
+    ["jantzen", "--case", "discrete", "--m", "3", "--r", "1", "--s", "1", "--N", "-1"],
 ], ids=" ".join)
 def test_library_rejects_bad_input_as_usage_error(argv, capsys):
     assert main(argv) == 2

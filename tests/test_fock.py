@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
@@ -62,6 +64,76 @@ def test_state_bookkeeping_roundtrip():
         assert all(occ[i] < occ[i + 1] for i in range(len(occ) - 1))
         assert st.energy == Fraction(st.sector**2, 2) + sum(st.lam)
         assert lprime_zero_bilinear(st) == st.energy
+
+
+def _occupied_from_partition(st):
+    """The wedge of (sector, lam) as explicit occupied indices below its
+    tail, from the partition alone: i_s = k - 1 + s - lam_s."""
+    k, lam = st.sector, st.lam
+    return [k - 1 + s - part for s, part in enumerate(lam, start=1)], k + len(lam)
+
+
+def _state_from_occupied(prefix, tail):
+    sector = tail - len(prefix)
+    lam = [sector - 1 + s - idx for s, idx in enumerate(prefix, start=1)]
+    while lam and lam[-1] == 0:
+        lam.pop()
+    assert all(part > 0 for part in lam) and lam == sorted(lam, reverse=True)
+    return FermionState(sector, tuple(lam))
+
+
+def _apply_e_on_lists(n, st):
+    """e_n on an occupied-index list: the reference for the bit version."""
+    occ, tail = _occupied_from_partition(st)
+    if n >= tail or n in occ:
+        return None
+    before = sum(1 for i in occ if i < n)
+    return (-1) ** before, _state_from_occupied(sorted(occ + [n]), tail)
+
+
+def _apply_e_star_on_lists(n, st):
+    occ, tail = _occupied_from_partition(st)
+    if n >= tail:
+        pos = len(occ) + (n - tail)
+        return (-1) ** pos, _state_from_occupied(occ + list(range(tail, n)), n + 1)
+    if n not in occ:
+        return None
+    pos = occ.index(n)
+    occ.remove(n)
+    return (-1) ** pos, _state_from_occupied(occ, tail)
+
+
+def test_wedge_operators_match_occupied_lists():
+    for st in FockBasis(6):
+        occ, tail = _occupied_from_partition(st)
+        for n in range(min(occ + [tail]) - 3, tail + 4):
+            assert apply_e(n, st) == _apply_e_on_lists(n, st), (st, n)
+            assert apply_e_star(n, st) == _apply_e_star_on_lists(n, st), (st, n)
+
+
+def test_maya_key_round_trip():
+    basis = FockBasis(6)
+    assert len(set(basis)) == len(basis) == 96
+    for k in range(-3, 4):
+        for size in range(7):
+            for lam in partitions_of(size):
+                st = FermionState(k, lam)
+                assert (st.sector, st.lam) == (k, lam)
+                assert FermionState(st.sector, st.lam) == st and hash(FermionState(k, lam)) == hash(st)
+                assert st.occupied_prefix() == _occupied_from_partition(st)[0]
+                assert st.tail_start == k + len(lam)
+                assert st.energy == Fraction(k * k, 2) + size
+                assert repr(st) == f"F({k};{','.join(map(str, lam))})"
+    assert vacuum(2) == FermionState(2, ()) == FermionState(2)
+    st = FermionState(-1, (3, 1, 1))
+    assert pickle.loads(pickle.dumps(st)) == st and copy.deepcopy(st) == st
+
+
+def test_operator_tables_are_bounded():
+    from virasoro import fock
+
+    for table in (fock._boson_state, fock._lprime_state, fock._vertex_modes, fock._psi_b_modes):
+        assert table.cache_info().maxsize is not None, table.__name__
 
 
 def test_car_relations():

@@ -20,7 +20,7 @@ from virasoro.jantzen import (
     lowering_matrix,
     norm_vanishing_order,
 )
-from virasoro.linalg import matrix_apply, rref
+from virasoro.linalg import rref, sum_entries
 from virasoro.scalars import UniPoly, UsageError
 from virasoro.singular import singular_kernel
 from virasoro.verma import PBWVector, VermaParams, h_pq
@@ -129,7 +129,7 @@ def test_filtration_functoriality():
                     target = filt_nk.bases[i] if i < len(filt_nk.bases) else ()
                     span_rows = [list(v) for v in target]
                     for vec in basis:
-                        image = matrix_apply(mat, list(vec))
+                        image = [sum_entries(row, vec) for row in mat]
                         assert _in_span(image, span_rows), (label, n, k, i)
 
 

@@ -222,3 +222,28 @@ def test_vector_types_never_compare_equal():
     assert FockVector.basis(_F0) != PairVector.basis(_F0, _F1)
     assert PBWVector.vacuum() != PolyState.one()
     assert FockVector.basis(_F0) == FockVector({_F0: Fraction(1)})
+
+
+def test_scalars_are_false_exactly_when_zero():
+    t = UniPoly.gen("t")
+    c, h = BiPoly.gens()
+    for zero in (UniPoly((), "t"), t - t, RatFunc.const(0, "t"), RatFunc(t, t + 1) * 0,
+                 BiPoly({}), c * h - h * c):
+        assert not zero and zero.is_zero()
+    for nonzero in (t, UniPoly.const(Fraction(1, 3), "t"), RatFunc.gen("t"),
+                    RatFunc(UniPoly.const(2, "t"), t + 1), c, BiPoly.const(-1)):
+        assert nonzero and not nonzero.is_zero()
+
+
+@vector_cases
+def test_apply_linear_never_holds_a_zero(cls, ring):
+    """Images that cancel, fully or in part, leave no zero coefficient."""
+    (a, b), (x, y, z) = VECTOR_KEYS[cls], COEFFS[ring]
+    u = cls({a: x, b: y})
+    images = {a: ((a, y), (b, x)), b: ((a, -x), (b, z))}
+    got = u.apply_linear(lambda key: images[key])
+    assert got.terms == {b: x * x + y * z}
+    assert all(v for v in got.terms.values())
+    assert u.apply_linear(lambda key: ((a, y),) if key == a else ((a, -x),)).is_zero()
+    for vec in (u + cls({a: -x}), u.add_into(u, scale=-1), u.scale(z)):
+        assert all(v for v in vec.terms.values())
