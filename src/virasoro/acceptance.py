@@ -259,7 +259,7 @@ def criterion_binomial(**_):
 
 
 @_timed
-def criterion_fock(emax=6, pair_emax=4, **_):
+def criterion_fock(emax=7, pair_emax=4, **_):
     """The full identity suite on the truncated Fock space."""
     reports = fock_checks.run_suites(emax, pair_emax=pair_emax)
     bad = [r for r in reports if not r["ok"]]
@@ -285,7 +285,7 @@ CRITERIA = (
 )
 
 
-def run_acceptance(names=None, level_cap=6, seed=20260809, emax=6, pair_emax=4):
+def run_acceptance(names=None, level_cap=6, seed=20260809, emax=7, pair_emax=4):
     """Run the selected criteria; returns (all_ok, list of result rows)."""
     wanted = set(names) if names else None
     rows = []

@@ -477,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of criterion names, or 'all'")
     p.add_argument("--level-cap", type=int, default=6)
     p.add_argument("--seed", type=int, default=20260809)
-    p.add_argument("--emax", type=_parse_fraction, default=Fraction(6))
+    p.add_argument("--emax", type=_parse_fraction, default=Fraction(7))
     p.add_argument("--pair-emax", type=_parse_fraction, default=Fraction(4))
     _common(p)
     p.set_defaults(fn=cmd_acceptance)

@@ -49,8 +49,8 @@ from .combinat import QSeries, num_partitions, partitions_of
 from .scalars import SparseVector, accumulate, as_fraction
 
 # Entries kept by each per-state operator table (_boson_state,
-# _lprime_state, _vertex_modes); the acceptance window at emax 6 fills
-# them to 5,061, 2,929 and 775.
+# _lprime_state, _vertex_modes); the acceptance window at emax 7 fills
+# them to 7,775, 4,389 and 1,186.
 STATE_CACHE_SIZE = 1 << 14
 # The pair-space modes of psi_mode_b are kept for the few pair states
 # in use: a check asks for every mode of one state before the next.

@@ -9,7 +9,7 @@ RUNTIME_TARGETS = {
     "kac-ratio": 60.0,     # levels 1..6 fully symbolic
     "characters": 300.0,   # rank oracle to level 9
     "discrete-characters": 60.0,  # rank oracle, 19 modules to level 10
-    "fock": 60.0,          # identity suite at E_max = 6
+    "fock": 60.0,          # identity suite at E_max = 7, pair space at 4
 }
 
 RESULTS = {}
@@ -17,7 +17,7 @@ RESULTS = {}
 
 @pytest.mark.parametrize("key,title,fn", CRITERIA, ids=[c[0] for c in CRITERIA])
 def test_criterion(key, title, fn):
-    result = fn(level_cap=6, seed=20260809, emax=6, pair_emax=4)
+    result = fn(level_cap=6, seed=20260809, emax=7, pair_emax=4)
     RESULTS[key] = result
     status = "PASS" if result["ok"] else "FAIL"
     print(f"{status} {key}: {title} ({result['elapsed']}s)")
