@@ -46,7 +46,6 @@ from .oscillator import (
     c_coefficients,
     goldstone_vector,
     l1_power_pairing,
-    osc_apply,
     rect_binom_product,
     singular_kernel_osc,
 )

@@ -133,11 +133,10 @@ def criterion_jantzen_identity(level_cap=6, **_):
     for name, mk in JANTZEN_FAMILIES:
         path, label = mk()
         orders = []
-        for level in range(1, level_cap + 1):
-            family = jantzen.gram_family(path, level, label)
-            order, sdim = jantzen.det_order_identity(family)
-            if order != sdim:
-                return False, {"family": name, "level": level, "order": order, "sum": sdim}
+        for level, (order, filt) in enumerate(jantzen.level_filtrations(path, label, level_cap), 1):
+            if order != filt.depth_sum():
+                return False, {"family": name, "level": level, "order": order,
+                               "sum": filt.depth_sum()}
             orders.append(order)
         details[name] = orders
     return True, details

@@ -3,7 +3,9 @@
 Exit codes: 0 for success or a verified identity, 1 when a computation
 ran but an identity failed (a diff report is printed), 2 for usage
 errors, including arguments the library rejects (`UsageError`).  All
-reports are deterministic given the arguments and seed.
+reports are deterministic given the arguments and seed.  A reader that
+closes the pipe early (`virasoro ... | head`) cuts the report short
+without a traceback, and the command still exits with its own code.
 
 The optional VIRASORO_OUT_DIR environment variable sets the directory
 for --out files given as bare names.
@@ -20,6 +22,7 @@ from fractions import Fraction
 
 from . import density, jantzen, oscillator, singular, verma
 from .acceptance import CRITERIA, run_acceptance
+from .combinat import QSeries
 from .fock_checks import SUITES, run_suites
 from .scalars import BiPoly, UniPoly, UsageError, as_fraction, render_scalar
 
@@ -70,7 +73,13 @@ def _emit(report: dict, args, text=None) -> None:
                 fh.write(text + "\n")
         except OSError as exc:
             raise UsageError(f"cannot write --out file {out!r}: {exc.strerror}") from None
-    print(text)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit: send what is left
+        # to devnull so that flush cannot raise as well
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _render_text(report, indent=0) -> str:
@@ -203,14 +212,13 @@ def cmd_jantzen(args) -> int:
         if args.j is None:
             raise UsageError("jantzen --case c1 needs --j")
         j = args.j
-        if args.path == "c" or (args.path == "auto" and j != 0):
-            if j == 0:
-                raise UsageError("the c-path is degenerate at j = 0; use --path h")
-            x = UniPoly.gen("x")
-            path, label = (1 + x, UniPoly.const(j * j, "x")), f"c=1+x, h={j * j}"
-        else:
+        if args.path == "h" or (args.path == "auto" and j == 0):
             x = UniPoly.gen("x")
             path, label = (UniPoly.const(1, "x"), j * j + x), f"c=1, h={j * j}+x"
+        elif j == 0:
+            raise UsageError("the c-path is degenerate at j = 0; use --path h")
+        else:
+            path, label = jantzen.c1_path(j)
         lead = j * j
         closed = jantzen.c1_character_sum_closed(j, args.n)
         if args.path == "h" and j != 0:
@@ -225,15 +233,11 @@ def cmd_jantzen(args) -> int:
         closed = jantzen.discrete_character_sum_closed(args.m, args.r, args.s, args.n)
     levels = {}
     depth_sums = [0]
-    for level in range(1, args.n + 1):
-        family = jantzen.gram_family(path, level, label)
-        order, filt = jantzen.det_order_filtration(family)
+    for level, (order, filt) in enumerate(jantzen.level_filtrations(path, label, args.n), 1):
         depth_sums.append(filt.depth_sum())
         levels[level] = {
             "dims": list(filt.dims), "det_order": order, "identity": order == depth_sums[-1]
         }
-    from .combinat import QSeries
-
     computed = QSeries(depth_sums, lead, args.n)
     verdict = computed == closed and all(v["identity"] for v in levels.values())
     report = {

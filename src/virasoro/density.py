@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .linalg import det_expansion, identity, mat_mul
-from .scalars import BiPoly, as_fraction
+from .scalars import BiPoly, accumulate, as_fraction
 from .singular import SpinModule, bdiz_singular, specialize_curve_vector
 from .verma import PBWVector
 
@@ -42,19 +42,7 @@ class DensityVector:
 
 def density_apply(k: int, w: DensityVector) -> DensityVector:
     """l_k w by linear extension of l_k v_n = -(n + lam*k + mu) v_{n+k}."""
-    out = {}
-    for n, coeff in w.terms:
-        factor = -(w.lam * k + w.mu + n)
-        val = coeff * factor
-        if not val:
-            continue
-        key = n + k
-        cur = out.get(key)
-        new = val if cur is None else cur + val
-        if not new:
-            out.pop(key, None)
-        else:
-            out[key] = new
+    out = accumulate({}, ((n + k, coeff * -(w.lam * k + w.mu + n)) for n, coeff in w.terms))
     return DensityVector(tuple(sorted(out.items())), w.lam, w.mu)
 
 

@@ -46,6 +46,7 @@ from math import factorial, lcm
 from typing import NamedTuple
 
 from .combinat import QSeries, num_partitions, partitions_of
+from .oscillator import exp_series, sugawara
 from .scalars import SparseVector, accumulate, as_fraction
 
 # Entries kept by each per-state operator table (_boson_state,
@@ -279,21 +280,7 @@ def lprime_zero_bilinear(st: FermionState) -> Fraction:
 
 def sugawara_apply(k: int, vec: FockVector) -> FockVector:
     """Boson-bilinear Virasoro: L_k = (1/2) sum_{r+s=k} :a_r a_s:."""
-    if vec.is_zero():
-        return vec
-    if k == 0:
-        return FockVector({st: st.energy * c for st, c in vec.terms.items()})
-    max_rel = max(_level(st) for st in vec.terms)
-    total = {}
-    half = Fraction(1, 2)
-    for r in range(k - max_rel, k // 2 + 1):
-        s = k - r
-        weight = half if r == s else 1
-        inner = boson_apply(s, vec)
-        if inner.is_zero():
-            continue
-        accumulate(total, boson_apply(r, inner).terms, weight)
-    return FockVector(total)
+    return sugawara(k, vec, boson_apply, Fraction(1, 2), _level)
 
 
 def shift_apply(power: int, vec: FockVector) -> FockVector:
@@ -301,30 +288,6 @@ def shift_apply(power: int, vec: FockVector) -> FockVector:
     return FockVector(
         {_shifted(st, power): c for st, c in vec.terms.items()}
     )
-
-
-def _exp_series(table, step: int, c: int, terms: dict, order: int) -> list:
-    """[P_0, ..., P_order] with P_u = u! S_u v, where
-    sum_u S_u z^u = exp(c sum_{n>0} z^n X_n / n).
-
-    X_n is the operator `table(step * n, state)` (an iterable of
-    (state, coefficient) pairs) and v is the state dict `terms`.  The X_n
-    commute, so Newton's identity u S_u = c sum_{n=1..u} X_n S_{u-n}
-    (Macdonald, Symmetric Functions, I.2) gives each coefficient from the
-    lower ones exactly, with no sum over partitions.  In the scaled form
-    P_u = c sum_{n=1..u} (u-1)!/(u-n)! X_n P_{u-n} it stays in the
-    integers when c, v and the X_n are integral.
-    """
-    series = [terms]
-    for u in range(1, order + 1):
-        acc = {}
-        weight = c                       # c (u-1)!/(u-n)!
-        for n in range(1, u + 1):
-            for st, coeff in series[u - n].items():
-                accumulate(acc, table(step * n, st), weight * coeff)
-            weight *= u - n
-        series.append(acc)
-    return series
 
 
 def _quotient(p: int, den: int):
@@ -335,13 +298,13 @@ def _quotient(p: int, den: int):
 
 
 def _exp_coeff(table, step: int, c: int, terms: dict, order: int) -> dict:
-    """S_order v for a vector v with rational coefficients (see _exp_series)."""
+    """S_order v for a vector v with rational coefficients (see exp_series)."""
     if order < 0:
         raise ValueError(f"negative series order {order}")
     den = lcm(*(v.denominator for v in terms.values()))
     ints = {st: v.numerator * (den // v.denominator) for st, v in terms.items()}
     scale = den * factorial(order)
-    top = _exp_series(table, step, c, ints, order)[order]
+    top = exp_series(table, step, c, ints, order)[order]
     return {st: _quotient(p, scale) for st, p in top.items()}
 
 
@@ -363,9 +326,9 @@ def _exp_product_modes(table, m: int, st, depth: int, u0s) -> list:
     stops there, and every u0 is at least -depth.  The modes share one
     lowering series and one raising series per lowered term.  Unshifted:
     the caller applies its own U^{-m}."""
-    lowered = _exp_series(table, 1, -m, {st: 1}, depth)
+    lowered = exp_series(table, 1, -m, {st: 1}, depth)
     u0_max = max(u0s)
-    raised = [_exp_series(table, -1, m, low, u0_max + d) if low and u0_max + d >= 0 else None
+    raised = [exp_series(table, -1, m, low, u0_max + d) if low and u0_max + d >= 0 else None
               for d, low in enumerate(lowered)]
     out = []
     for u0 in u0s:
@@ -612,27 +575,7 @@ def b_sugawara_apply(k: int, vec: PairVector) -> PairVector:
     L_k = (1/4) sum_{r+s=k} :b_r b_s: (central charge 1); these are the
     generators acting within each level-one component, and commute with
     the sum-boson ones."""
-    if vec.is_zero():
-        return vec
-    quarter = Fraction(1, 4)
-    max_rel = max(_level(st.left) + _level(st.right) for st in vec.terms)
-    total = {}
-    if k == 0:
-        accumulate(total, {st: c * Fraction((st.left.charge - st.right.charge) ** 2, 4)
-                           for st, c in vec.terms.items()})
-        for n in range(1, max_rel + 1):
-            lowered = b_apply(n, vec)
-            if not lowered.is_zero():
-                accumulate(total, b_apply(-n, lowered).terms, Fraction(1, 2))
-        return PairVector(total)
-    for r in range(k - max_rel, k // 2 + 1):
-        s = k - r
-        weight = quarter if r == s else 2 * quarter
-        inner = b_apply(s, vec)
-        if inner.is_zero():
-            continue
-        accumulate(total, b_apply(r, inner).terms, weight)
-    return PairVector(total)
+    return sugawara(k, vec, b_apply, Fraction(1, 4), lambda st: _level(st.left) + _level(st.right))
 
 
 def V_apply(vec: PairVector, power: int = 1) -> PairVector:

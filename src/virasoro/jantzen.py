@@ -104,6 +104,7 @@ def c1_path(j):
 
 
 def discrete_path(m: int, r: int, s: int):
+    _check_kac_label(m, r, s)
     x = UniPoly.gen("x")
     h0 = h_pq(r, s, m)
     return (UniPoly.const(central_charge(m), "x"), h0 + x), (
@@ -193,6 +194,13 @@ def det_order_filtration(family: MatrixFamily):
     return order_at_zero(det), jantzen_filtration(family, det)
 
 
+def level_filtrations(path, label: str, n_max: int) -> list:
+    """(det order, filtration) of the path's Gram family at each level
+    1..n_max, one determinant per level (see det_order_filtration)."""
+    return [det_order_filtration(gram_family(path, level, label))
+            for level in range(1, n_max + 1)]
+
+
 def det_order_identity(family: MatrixFamily):
     """(order of x=0 in det A(x), sum of filtration dims)."""
     order, filt = det_order_filtration(family)
@@ -221,10 +229,7 @@ def filtration_character_sum(case: str, n_max: int, *, j=None, m=None, r=None, s
         lead = h_pq(r, s, m)
     else:
         raise ValueError(f"unknown character-sum case {case!r}")
-    coeffs = [0]
-    for level in range(1, n_max + 1):
-        family = gram_family(path, level, label)
-        coeffs.append(jantzen_filtration(family).depth_sum())
+    coeffs = [0] + [filt.depth_sum() for _, filt in level_filtrations(path, label, n_max)]
     return QSeries(coeffs, lead, n_max)
 
 

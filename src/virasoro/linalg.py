@@ -56,24 +56,22 @@ def bareiss_det(matrix):
 
 
 def det_expansion(matrix):
-    """Cofactor expansion; fine for the small spin-chain matrices."""
+    """Cofactor expansion along the first row; fine for small matrices
+    (the spin-chain and Jacobi-Trudi ones).  Entries may lie in any ring
+    with +, - and * whose elements are false exactly when zero: scalars
+    or SparseVector subclasses with a product."""
     n = len(matrix)
     if n == 0:
         return Fraction(1)
     if n == 1:
         return matrix[0][0]
-    total = None
-    for j in range(n):
-        entry = matrix[0][j]
+    total = matrix[0][0] - matrix[0][0]
+    for j, entry in enumerate(matrix[0]):
         if not entry:
             continue
         minor = [row[:j] + row[j + 1 :] for row in matrix[1:]]
         term = entry * det_expansion(minor)
-        if j % 2:
-            term = -term
-        total = term if total is None else total + term
-    if total is None:
-        return matrix[0][0] * 0
+        total = total - term if j % 2 else total + term
     return total
 
 

@@ -14,6 +14,12 @@ operator reads mu_0 / 2 and singular vectors sit at energies (k + m)^2.
 The determinantal singular vectors (Goldstone vectors) are built from
 the coefficients c_n of exp(sum_{n>0} x_n z^n / n) via Jacobi-Trudi
 determinants over rectangular signatures.
+
+This module owns the two constructions every free-boson module here
+shares, and the Fock space imports them: `sugawara`, the normal-ordered
+quadratic sum L_k = w sum_{r+s=k} :X_r X_s: over any boson modes X_n,
+and `exp_series`, the coefficients of exp(c sum_{n>0} z^n X_n / n) by
+Newton's identity (which also gives c_n, with X_n = x_n).
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from itertools import zip_longest
 from math import factorial
 
 from .combinat import as_signature, partitions_of, transpose
-from .linalg import nullspace
+from .linalg import det_expansion, nullspace
 from .scalars import SparseVector, UniPoly, UsageError, accumulate, as_fraction, render_scalar
 
 
@@ -44,9 +50,6 @@ class OscParams:
     def charge_sector(cls, charge) -> "OscParams":
         """kappa = 2 sector with H(0)-charge `charge`, i.e. mu_0 = 2*charge."""
         return cls(Fraction(2), as_fraction(charge) * 2)
-
-    def lowest_energy(self):
-        return self.mu0 * self.mu0 / (2 * self.kappa)
 
 
 def _trim(exps) -> tuple:
@@ -113,13 +116,10 @@ def _weighted_degree(exps) -> int:
     return sum((i + 1) * e for i, e in enumerate(exps))
 
 
-def osc_apply(op: str, index: int, state: PolyState, params: OscParams) -> PolyState:
-    """Dispatch on the operator family: "b" for a mode, "L" for Virasoro."""
-    if op == "b":
-        return mode_apply(index, state, params)
-    if op == "L":
-        return virasoro_apply(index, state, params)
-    raise ValueError(f"unknown oscillator operator {op!r}")
+def _times_x(n: int, exps) -> tuple:
+    """x_n times the monomial `exps`, as its one (monomial, 1) pair."""
+    exps += (0,) * (n - len(exps))
+    return ((exps[: n - 1] + (exps[n - 1] + 1,) + exps[n:], 1),)
 
 
 def mode_apply(n: int, state: PolyState, params: OscParams) -> PolyState:
@@ -127,7 +127,7 @@ def mode_apply(n: int, state: PolyState, params: OscParams) -> PolyState:
     if n == 0:
         return state.scale(params.mu0)
     if n < 0:
-        return PolyState.variable(-n) * state
+        return state.apply_linear(lambda exps: _times_x(-n, exps))
 
     def lower(exps):
         e = exps[n - 1] if len(exps) >= n else 0
@@ -137,23 +137,56 @@ def mode_apply(n: int, state: PolyState, params: OscParams) -> PolyState:
     return state.apply_linear(lower)
 
 
-def virasoro_apply(k: int, state: PolyState, params: OscParams) -> PolyState:
-    """Sugawara action L_k = (1/2 kappa) sum_{r+s=k} :b_r b_s:."""
-    if state.is_zero():
-        return state
-    half_inv_kappa = Fraction(1, 2) / params.kappa
-    if k == 0:
-        e0 = params.lowest_energy()
-        return state.apply_linear(lambda exps: {exps: e0 + _weighted_degree(exps)})
-    max_deg = max(_weighted_degree(exps) for exps in state.terms)
+def sugawara(k: int, vec, mode, weight, depth):
+    """The quadratic Sugawara operator L_k = weight * sum_{r+s=k} :X_r X_s:.
+
+    `mode(n, vec)` applies the boson mode X_n to a SparseVector, and
+    `depth(key)` is the excitation of a basis key, above which every
+    annihilator X_n (n > 0) kills it.  For k = 0 the sum is
+    weight * X_0^2 + 2 weight * sum_{n>0} X_{-n} X_n, the energy.
+    """
+    if not vec:
+        return vec
+    top = max(depth(key) for key in vec.terms)
     total = {}
     # unordered pairs {r, s}, r + s = k, r <= s; the annihilating factor
     # (the larger index) is applied first, which keeps every step finite
-    for r in range(k - max_deg, k // 2 + 1):
+    for r in range(k - top, k // 2 + 1):
         s = k - r
-        weight = half_inv_kappa if r == s else 2 * half_inv_kappa
-        accumulate(total, mode_apply(r, mode_apply(s, state, params), params).terms, weight)
-    return PolyState(total)
+        inner = mode(s, vec)
+        if inner:
+            accumulate(total, mode(r, inner).terms, weight if r == s else 2 * weight)
+    return type(vec)._wrap(total)
+
+
+def virasoro_apply(k: int, state: PolyState, params: OscParams) -> PolyState:
+    """Sugawara action L_k = (1/2 kappa) sum_{r+s=k} :b_r b_s:."""
+    return sugawara(k, state, lambda n, v: mode_apply(n, v, params),
+                    Fraction(1, 2) / params.kappa, _weighted_degree)
+
+
+def exp_series(table, step: int, c: int, terms: dict, order: int) -> list:
+    """[P_0, ..., P_order] with P_u = u! S_u v, where
+    sum_u S_u z^u = exp(c sum_{n>0} z^n X_n / n).
+
+    X_n is the operator `table(step * n, state)` (an iterable of
+    (state, coefficient) pairs) and v is the state dict `terms`.  The X_n
+    commute, so Newton's identity u S_u = c sum_{n=1..u} X_n S_{u-n}
+    (Macdonald, Symmetric Functions, I.2) gives each coefficient from the
+    lower ones exactly, with no sum over partitions.  In the scaled form
+    P_u = c sum_{n=1..u} (u-1)!/(u-n)! X_n P_{u-n} it stays in the
+    integers when c, v and the X_n are integral.
+    """
+    series = [terms]
+    for u in range(1, order + 1):
+        acc = {}
+        weight = c                       # c (u-1)!/(u-n)!
+        for n in range(1, u + 1):
+            for st, coeff in series[u - n].items():
+                accumulate(acc, table(step * n, st), weight * coeff)
+            weight *= u - n
+        series.append(acc)
+    return series
 
 
 def level_basis(level: int):
@@ -200,31 +233,12 @@ def singular_kernel_osc(params: OscParams, level: int) -> list:
 
 
 @lru_cache(maxsize=None)
-def _partition_zcoeff(part) -> Fraction:
-    """1 / z_lambda with z_lambda = prod_i i^{m_i} m_i!."""
-    mult = {}
-    for p in part:
-        mult[p] = mult.get(p, 0) + 1
-    z = 1
-    for i, m in mult.items():
-        z *= i**m * factorial(m)
-    return Fraction(1, z)
-
-
-@lru_cache(maxsize=None)
 def c_coefficient(n: int) -> PolyState:
     """c_n in exp(sum_{n>0} x_n z^n / n) = sum c_n z^n; c_n = 0 for n < 0."""
     if n < 0:
         return PolyState.zero()
-    if n == 0:
-        return PolyState.one()
-    terms = {}
-    for part in partitions_of(n):
-        exps = [0] * part[0]
-        for p in part:
-            exps[p - 1] += 1
-        terms[tuple(exps)] = _partition_zcoeff(part)
-    return PolyState(terms)
+    top = exp_series(_times_x, 1, 1, {(): 1}, n)[n]
+    return PolyState._wrap({exps: Fraction(p, factorial(n)) for exps, p in top.items()})
 
 
 def c_coefficients(n_max: int) -> list:
@@ -237,21 +251,9 @@ def jacobi_trudi(f) -> PolyState:
     n = len(f)
     if n == 0:
         return PolyState.one()
-    return _jt_det([[c_coefficient(f[i] - (i + 1) + (j + 1)) for j in range(n)] for i in range(n)])
-
-
-def _jt_det(matrix) -> PolyState:
-    n = len(matrix)
-    if n == 1:
-        return matrix[0][0]
-    total = {}
-    for j in range(n):
-        entry = matrix[0][j]
-        if entry.is_zero():
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in matrix[1:]]
-        accumulate(total, (entry * _jt_det(minor)).terms, -1 if j % 2 else None)
-    return PolyState(total)
+    return det_expansion(
+        [[c_coefficient(f[i] - (i + 1) + (j + 1)) for j in range(n)] for i in range(n)]
+    )
 
 
 def goldstone_signature(k, m: int, sector: str = "minus"):
@@ -314,8 +316,6 @@ def binom_det(f, mu):
             poly = binomial_poly(f[i] - (i + 1) + (j + 1), var)
             row.append(poly(mu) if not isinstance(mu, UniPoly) else poly)
         mat.append(row)
-    from .linalg import det_expansion
-
     return det_expansion(mat)
 
 

@@ -683,6 +683,9 @@ class SparseVector:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     def coeff(self, key):
         return self.terms.get(key, Fraction(0))
 

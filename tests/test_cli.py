@@ -182,6 +182,22 @@ def test_usage_error_exit_code():
     assert proc.returncode == 2
 
 
+def test_reader_closing_the_pipe_leaves_no_traceback():
+    # the level-10 report (about 110 kB) outgrows the pipe buffer, so the
+    # writer is still writing when the reader stops after one line
+    with subprocess.Popen(
+        [sys.executable, "-m", "virasoro.cli", "gram", "--c", "c", "--h", "h", "--level", "10"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    assert first == b"subcommand: gram\n"
+    assert proc.returncode == 0
+    assert b"Traceback" not in err, err.decode()
+
+
 def test_out_file(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("VIRASORO_OUT_DIR", str(tmp_path))
     code, out = run_cli(
@@ -271,6 +287,8 @@ def test_acceptance_json_stdout_is_pure_json(tmp_path, capsys):
     ["character", "--discrete", "--m", "3", "--r", "1", "--s", "1", "--N", "-1"],
     ["jantzen", "--case", "c1", "--j", "1/2", "--N", "-1"],
     ["jantzen", "--case", "discrete", "--m", "3", "--r", "1", "--s", "1", "--N", "-1"],
+    ["jantzen", "--case", "discrete", "--m", "3", "--r", "0", "--s", "1", "--N", "2"],
+    ["jantzen", "--case", "discrete", "--m", "3", "--r", "3", "--s", "1", "--N", "2"],
 ], ids=" ".join)
 def test_library_rejects_bad_input_as_usage_error(argv, capsys):
     assert main(argv) == 2

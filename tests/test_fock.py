@@ -371,6 +371,19 @@ def test_b_sugawara_bracket():
             assert lhs == rhs, (st, m, n)
 
 
+def test_b_sugawara_zero_mode_written_out():
+    """L_0 = (q1 - q2)^2 / 4 + (1/2) sum_{n>0} b_{-n} b_n, where
+    b_0 = q1 - q2 is the difference of the boson charges."""
+    from virasoro.fock import b_apply, b_sugawara_apply
+
+    for st in PairBasis(3):
+        v = PairVector({st: Fraction(1)})
+        want = v.scale(Fraction((st.left.charge - st.right.charge) ** 2, 4))
+        for n in range(1, 4):
+            want = want + b_apply(-n, b_apply(n, v)).scale(HALF)
+        assert b_sugawara_apply(0, v) == want, st
+
+
 def _partition_exp_coeff(apply_mode, c, vec, order):
     """z^order coefficient of exp(c sum_{n>0} z^n X_n / n) applied to vec,
     as the sum over partitions lam of order of c^len(lam) / z_lam times

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from virasoro.linalg import rank, rref
+from virasoro.linalg import det_expansion, rank, rref
+from virasoro.oscillator import c_coefficient, jacobi_trudi
 
 
 def _rref_rank(matrix):
@@ -59,3 +60,20 @@ def test_rank_of_degenerate_shapes():
     assert rank([[1, 2], [2, 4]]) == 1
     assert rank([[Fraction(1, 3), Fraction(1, 2)], [Fraction(2, 3), 1]]) == 1
     assert rank([[0, Fraction(1, 7)], [Fraction(5, 2), 0]]) == 2
+
+
+def test_det_expansion_over_poly_states_matches_leibniz():
+    """The Jacobi-Trudi matrix of f = (2, 2, 2), det(c_{f_i - i + j})."""
+    c0, c1, c2, c3, c4 = (c_coefficient(n) for n in range(5))
+    m = [[c2, c3, c4], [c1, c2, c3], [c0, c1, c2]]
+    leibniz = (
+        m[0][0] * m[1][1] * m[2][2]
+        + m[0][1] * m[1][2] * m[2][0]
+        + m[0][2] * m[1][0] * m[2][1]
+        - m[0][0] * m[1][2] * m[2][1]
+        - m[0][1] * m[1][0] * m[2][2]
+        - m[0][2] * m[1][1] * m[2][0]
+    )
+    assert leibniz
+    assert det_expansion(m) == leibniz
+    assert jacobi_trudi((2, 2, 2)) == leibniz

@@ -1,10 +1,12 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 
-from virasoro.combinat import num_partitions
+from virasoro.combinat import num_partitions, partitions_of
 from virasoro.oscillator import (
     OscParams,
     PolyState,
@@ -74,6 +76,24 @@ def test_c_coefficients():
     assert c_coefficient(2) == (x1 * x1).scale(HALF).add_into(x2.scale(HALF))
     assert c_coefficient(-1).is_zero()
     assert len(c_coefficients(3)) == 4
+
+
+def _partition_c_coefficient(n):
+    """c_n as the sum over partitions lam of n of x^lam / z_lam, with
+    z_lam = prod_i i^{m_i} m_i!: the reference for Newton's identity."""
+    terms = {}
+    for part in partitions_of(n):
+        exps = [0] * (part[0] if part else 0)
+        for p in part:
+            exps[p - 1] += 1
+        z_lam = prod(i**m * factorial(m) for i, m in Counter(part).items())
+        terms[tuple(exps)] = Fraction(1, z_lam)
+    return terms
+
+
+def test_c_coefficients_match_partition_sum():
+    for n in range(9):
+        assert c_coefficient(n).terms == _partition_c_coefficient(n), n
 
 
 def test_goldstone_signatures():
@@ -175,8 +195,6 @@ def test_pairing_examples():
 
 
 def test_pairing_matches_determinant():
-    from virasoro.combinat import partitions_of
-
     for size in range(1, 6):
         for f in partitions_of(size):
             for two_p in range(0, 5):
@@ -191,15 +209,11 @@ def test_pairing_vanishing_rule():
     assert l1_power_pairing((1, 1), 0) == 0
 
 
-def test_osc_apply_dispatch():
-    from virasoro.oscillator import osc_apply
-
+def test_zero_mode_sugawara_and_raising_mode():
     p = OscParams.single(Fraction(0))
     x2 = PolyState.variable(2)
-    assert osc_apply("L", 0, x2, p) == x2.scale(2)
-    assert osc_apply("b", -1, PolyState.one(), p) == PolyState.variable(1)
-    with pytest.raises(ValueError):
-        osc_apply("q", 0, x2, p)
+    assert virasoro_apply(0, x2, p) == x2.scale(2)
+    assert mode_apply(-1, PolyState.one(), p) == PolyState.variable(1)
 
 
 def test_kernel_pattern_single_boson_normalisation():

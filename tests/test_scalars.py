@@ -209,6 +209,8 @@ def test_vector_algebra(cls, ring):
     assert u.add_into(w, scale=z).terms == {a: x + z * z, b: y - z * y}
     assert u.scale(z).terms == {a: z * x, b: z * y}
     assert u.scale(0).is_zero() and (u - u).is_zero()
+    # a vector is false exactly when it has no terms
+    assert u and w and cls({a: x}) and not cls.zero() and not u.scale(0) and not (u - u)
     assert u.coeff(a) == x and u.coeff(b) == y
     assert u.map_coeffs(lambda v: v * 2) == cls({a: 2 * x, b: 2 * y})
     assert cls({a: x, b: 0}).terms == {a: x}
