@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -494,9 +495,25 @@ def _common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="also write the report to this file")
 
 
+_NEGATIVE_FRACTION = re.compile(r"-\d+/\d+")
+
+
+def _join_negative_fractions(argv: list) -> list:
+    """`--opt -p/q` as `--opt=-p/q`: argparse takes a token such as -1/2,
+    which is not a negative number to it, for an option."""
+    out = []
+    for token in argv:
+        after_option = out and out[-1].startswith("--") and "=" not in out[-1]
+        if after_option and _NEGATIVE_FRACTION.fullmatch(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_fractions(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except UsageError as exc:

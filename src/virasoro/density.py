@@ -11,39 +11,24 @@ so each can be checked against the others.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .linalg import det_expansion, identity, mat_mul
-from .scalars import BiPoly, accumulate, as_fraction
+from .scalars import BiPoly, SparseVector, as_fraction
 from .singular import SpinModule, bdiz_singular, specialize_curve_vector
 from .verma import PBWVector
 
 
-@dataclass(frozen=True)
-class DensityVector:
-    """Finite support vector in V_{lambda,mu}; terms maps n -> scalar."""
+class DensityVector(SparseVector):
+    """Finite support vector in V_{lambda,mu}, n -> coefficient of v_n."""
 
-    terms: tuple  # tuple of (n, scalar) pairs, sorted by n
-    lam: object
-    mu: object
-
-    @classmethod
-    def basis(cls, n: int, lam, mu) -> "DensityVector":
-        return cls(((n, Fraction(1)),), lam, mu)
-
-    def as_dict(self) -> dict:
-        return dict(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
+    __slots__ = ()
 
 
-def density_apply(k: int, w: DensityVector) -> DensityVector:
+def density_apply(k: int, w: DensityVector, lam, mu) -> DensityVector:
     """l_k w by linear extension of l_k v_n = -(n + lam*k + mu) v_{n+k}."""
-    out = accumulate({}, ((n + k, coeff * -(w.lam * k + w.mu + n)) for n, coeff in w.terms))
-    return DensityVector(tuple(sorted(out.items())), w.lam, w.mu)
+    return w.apply_linear(lambda n: {n + k: -(lam * k + mu + n)})
 
 
 @lru_cache(maxsize=None)
@@ -63,15 +48,14 @@ def evaluate_ad(p: PBWVector, lam, mu):
     d = p.level()
     total = None
     for part, coeff in p.terms.items():
-        w = DensityVector.basis(0, lam, mu)
+        w = DensityVector({0: Fraction(1)})
         for k in reversed(part):  # rightmost factor of the monomial acts first
-            w = density_apply(-k, w)
+            w = density_apply(-k, w, lam, mu)
             if len(w.terms) > 1:
                 raise AssertionError("density action spread a monomial over several v_n")
-        got = w.as_dict()
-        if not got:
+        if not w:
             continue
-        (n, val), = got.items()
+        (n, val), = w.terms.items()
         if n != -d:
             raise AssertionError(f"monomial landed on v_{n}, expected v_{-d}")
         term = coeff * val

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .combinat import num_partitions, partition_key, partitions_of
 from .linalg import bareiss_det, rank
@@ -139,20 +140,11 @@ def pbw_operator_apply(op: PBWVector, v: PBWVector) -> PBWVector:
     return PBWVector(out)
 
 
-# params -> {(k, part): L_k applied to the monomial}, least recently used
-# first; a long process that visits many (c, h) keeps only the last few.
-_ACTION_CACHE: dict = {}
-_ACTION_CACHE_PARAMS = 4
-
-
+@lru_cache(maxsize=4)
 def _action_table(params: VermaParams) -> dict:
-    table = _ACTION_CACHE.pop(params, None)
-    if table is None:
-        table = {}
-        if len(_ACTION_CACHE) >= _ACTION_CACHE_PARAMS:
-            del _ACTION_CACHE[next(iter(_ACTION_CACHE))]
-    _ACTION_CACHE[params] = table
-    return table
+    """{(k, part): L_k applied to the monomial} at `params`; a long process
+    that visits many (c, h) keeps only the four most recently used."""
+    return {}
 
 
 def apply_L(k: int, v: PBWVector, params: VermaParams) -> PBWVector:

@@ -297,6 +297,21 @@ def test_library_rejects_bad_input_as_usage_error(argv, capsys):
     assert "error:" in captured.err
 
 
+@pytest.mark.parametrize("line, code", [
+    ("goldstone --k -1/2 --m 1", 0),
+    ("binomdet --f 2,1 --mu -1/2", 0),
+    ("ffpoly --j 1 --lambda -1/4 --mu -3/2 --compare direct,product", 0),
+    ("singvec --method bdiz --j -1/2", 2),
+    ("singvec --method curve --rs 2,1 --at -1/2", 0),
+], ids=str)
+def test_negative_fraction_as_its_own_token(line, code, capsys):
+    joined = re.sub(r"(--[\w-]+) (-\d+/\d+)", r"\1=\2", line)
+    assert joined != line
+    want = run_cli(joined.split(), capsys)
+    assert want[0] == code
+    assert run_cli(line.split(), capsys) == want
+
+
 README_HEAVY = ("kacdet --level 6", "fock-check", "acceptance --suite all")
 GOLDEN = Path(__file__).resolve().parent / "golden"
 

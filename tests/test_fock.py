@@ -39,7 +39,8 @@ from virasoro.fock import (
     vertex_mode,
     vertex_mode_range,
 )
-from virasoro.fock_checks import run_suites
+from virasoro import fock_checks
+from virasoro.fock_checks import SUITES, run_suites
 
 HALF = Fraction(1, 2)
 
@@ -308,6 +309,40 @@ def test_suite_runner_smoke():
         run_suites(2, names=["nope"])
 
 
+# comparisons per suite at the benchmark's window (emax 3, pair emax 2)
+CHECKED_AT_3_2 = {
+    "car": 1463, "boson": 703, "virasoro": 589, "shift": 286, "example1": 242,
+    "vacuum-anchor": 40, "fv": 1872, "exchange": 1216, "adjoint": 21, "example2": 505,
+    "level1": 3060, "psi-boson": 540, "eqmotion": 24, "theta": 11, "grading": 665,
+}
+
+
+def test_suite_counts_are_pinned():
+    reports = run_suites(3, pair_emax=2)
+    assert all(r["ok"] for r in reports)
+    assert dict(zip(SUITES, (r["checked"] for r in reports))) == CHECKED_AT_3_2
+
+
+def test_run_counts_every_comparison_and_keeps_differing_keys():
+    report = fock_checks._run("demo", iter([("a", 1, 1), ("b", 1, 2), ("c", 3, 3), ("d", [1], [])]))
+    assert report == {"name": "demo", "checked": 4, "mismatches": ["b", "d"], "ok": False}
+    assert fock_checks._run("none", iter([]))["ok"]
+
+
+def test_suites_look_up_operators_when_they_run(monkeypatch):
+    real = fock_checks.lprime_apply
+    monkeypatch.setattr(fock_checks, "lprime_apply", lambda k, v: real(k, v).scale(2))
+    report = SUITES["virasoro"](2)
+    got = {key for key in report["mismatches"] if key[0] == "L'=L"}
+    want = {
+        ("L'=L", st, k)
+        for st in FockBasis(2)
+        for k in range(-2, 3)
+        if real(k, FockVector.basis(st))
+    }
+    assert want and got == want and not report["ok"]
+
+
 def test_mode_matrix_assembly_and_grading():
     from virasoro.fock import FockBasis, bilinear, shift_U, vertex_mode_matrix
 
@@ -349,9 +384,7 @@ def test_psi_boson_realisation_matches_graded_product():
 
 
 def test_equation_of_motion_suite():
-    from virasoro.fock_checks import check_equation_of_motion
-
-    report = check_equation_of_motion()
+    report = SUITES["eqmotion"](0)
     assert report["ok"] and report["checked"] >= 20
 
 

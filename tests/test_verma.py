@@ -129,9 +129,14 @@ def test_action_cache_keeps_few_params():
     v = PBWVector.monomial((2, 1, 1))
     for n in range(20):
         apply_L(2, v, VermaParams.rational(n, Fraction(1, n + 2)))
-        assert len(verma._ACTION_CACHE) <= verma._ACTION_CACHE_PARAMS
-    last = VermaParams.rational(19, Fraction(1, 21))
-    assert last in verma._ACTION_CACHE
+        info = verma._action_table.cache_info()
+        assert info.maxsize == 4 and info.currsize <= 4
+    # the last point is still cached, the fifth most recent is gone
+    info = verma._action_table.cache_info()
+    verma._action_table(VermaParams.rational(19, Fraction(1, 21)))
+    assert verma._action_table.cache_info().hits == info.hits + 1
+    verma._action_table(VermaParams.rational(15, Fraction(1, 17)))
+    assert verma._action_table.cache_info().misses == info.misses + 1
 
 
 def test_kac_det_examples():
