@@ -9,6 +9,7 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
+from math import factorial
 
 from . import density, fock_checks, jantzen, oscillator, singular, verma
 from .combinat import partitions_of
@@ -26,14 +27,29 @@ def _timed(fn):
 
 @_timed
 def criterion_kac_ratio(level_cap=6, **_):
-    """Determinant/product ratio is a nonzero constant, levels 1..cap."""
+    """Determinant/product ratio is a nonzero constant, levels 1..cap,
+    equal to the closed leading coefficient `_kac_leading_constant`."""
     ratios = {}
     for level in range(1, level_cap + 1):
         ratio = verma.kac_det_ratio(level)
-        if not ratio.is_constant() or ratio.is_zero():
-            return False, {"level": level, "ratio": ratio.render()}
+        if not ratio.is_constant() or ratio.constant_value() != _kac_leading_constant(level):
+            return False, {"level": level, "ratio": ratio.render(),
+                           "closed": str(_kac_leading_constant(level))}
         ratios[level] = str(ratio.constant_value())
     return True, {"ratios": ratios}
+
+
+def _kac_leading_constant(level: int) -> int:
+    """prod over partitions lambda of level of prod_k (2k)^{m_k} m_k!, with
+    m_k the multiplicity of k in lambda: the leading h-coefficient of the
+    Gram determinant (the product of the diagonal leading terms), and so
+    the direct/product ratio, since every phi_{r,s} is monic in h."""
+    total = 1
+    for part in partitions_of(level):
+        for k in set(part):
+            m = part.count(k)
+            total *= (2 * k) ** m * factorial(m)
+    return total
 
 
 @_timed

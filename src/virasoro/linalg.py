@@ -2,10 +2,12 @@
 
 Three regimes:
 
-* fraction-free (Bareiss) elimination for determinants over a polynomial
-  ring (Q[x] or Q[c,h]), where naive division would leave the ring;
+* fraction-free (Bareiss) elimination for determinants over Q, Q[x] or
+  Q[c,h]: each row's denominators are cleared and the elimination runs
+  on integer coefficient arrays over Z, Z[x] or Z[c][h], where every
+  division by the previous pivot is exact and remainder-checked;
 * fraction-free elimination over Python ints for the rank of a rational
-  matrix, after clearing each row's denominators;
+  matrix, after clearing each row's denominators the same way;
 * plain Gauss-Jordan over a field (Q or Q(t)) for kernels and reduced row
   echelon forms.
 """
@@ -13,46 +15,194 @@ Three regimes:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 from .scalars import BiPoly, UniPoly
 
 
-def _exact_div(a, b):
-    if isinstance(a, (UniPoly, BiPoly)):
-        return a.exact_div(b)
-    return a / b
-
-
 def bareiss_det(matrix):
-    """Determinant by fraction-free elimination.
+    """Determinant by fraction-free (Bareiss) elimination over the integers.
 
-    Entries may be Fraction, UniPoly, RatFunc or BiPoly; every division
-    performed is exact in the entry ring.
+    Entries may be Fraction/int, UniPoly or BiPoly; rational entries of a
+    polynomial matrix are constants of its ring.  Each row is scaled by
+    the lcm of its coefficient denominators (a symmetric matrix by one
+    lcm for all rows), every entry becomes an integer coefficient array
+    (see `_array`), and the elimination runs in Z, Z[x] or Z[c][h].
+    Every division is by the previous pivot, exact, and checked: a
+    nonzero remainder raises ArithmeticError.  The result is divided by
+    the product of the row scales, in the entries' ring.
     """
     n = len(matrix)
     if n == 0:
         return Fraction(1)
-    m = [list(row) for row in matrix]
-    sign = 1
-    prev = Fraction(1)
+    kind, var = _ring_of(matrix)
+    depth = 2 if kind is BiPoly else 1
+    arrays = [[_array(x, depth) for x in row] for row in matrix]
+    dens = [_row_scale([y for a in row for y in _leaves(a, depth)]) for row in arrays]
+    # Every entry of step k is a bordered minor det M[0..k-1 + i; 0..k-1 + j],
+    # so a symmetric matrix stays symmetric until a row swap and only
+    # j >= i is computed; one scale for all rows keeps it symmetric.
+    sym = all(arrays[i][j] == arrays[j][i] for i in range(n) for j in range(i))
+    if sym:
+        dens = [lcm(*dens)] * n
+    m = [[_scaled(a, den, depth) for a in row] for row, den in zip(arrays, dens)]
+    scale = prod(dens)
+    prev = None
     for k in range(n - 1):
         if not m[k][k]:
             for i in range(k + 1, n):
                 if m[i][k]:
                     m[k], m[i] = m[i], m[k]
-                    sign = -sign
+                    scale, sym = -scale, False
                     break
             else:
-                return m[k][k] * 0  # zero of the right ring
+                return _entry([], kind, var, 1)
+        top = m[k]
+        pivot = top[k]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = _exact_div(num, prev)
-            m[i][k] = m[i][k] * 0
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return -det if sign < 0 else det
+            row = m[i]
+            a = row[k]
+            for j in range(i if sym else k + 1, n):
+                num = _addmul([], row[j], pivot, depth)
+                if a:
+                    _addmul(num, a, top[j], depth, neg=True)
+                _trim(num, depth)
+                row[j] = num if prev is None else _div(num, prev, depth)
+                if sym:
+                    m[j][i] = row[j]
+            row[k] = []
+        prev = pivot
+    return _entry(m[n - 1][n - 1], kind, var, scale)
+
+
+# Integer coefficient arrays.  An element of Z[x] is the list of its
+# coefficients from x^0 up; an element of Z[c][h] is the list over h of
+# its coefficients in Z[c] (the layout of BiPoly.exact_div).  Arrays
+# carry no trailing zeros, so zero is [] and the leading entry is last;
+# a rational matrix runs in Z[x] with constant entries.
+
+
+def _ring_of(matrix):
+    """(Fraction, UniPoly or BiPoly, variable tag) of the entries' ring."""
+    kind, var, constant = Fraction, None, True
+    for row in matrix:
+        for x in row:
+            if isinstance(x, (int, Fraction)):
+                continue
+            if not isinstance(x, (UniPoly, BiPoly)):
+                raise TypeError(f"bareiss_det takes rational, UniPoly or BiPoly entries, "
+                                f"not {type(x).__name__}")
+            if kind not in (Fraction, type(x)):
+                raise TypeError("bareiss_det got both UniPoly and BiPoly entries")
+            kind, v = type(x), (x.var if isinstance(x, UniPoly) else x.vars)
+            if x.is_constant():
+                var = v if var is None else var
+            elif constant:
+                var, constant = v, False
+            elif v != var:
+                raise ValueError(f"variable mismatch: {var!r} vs {v!r}")
+    return kind, var
+
+
+def _array(x, depth):
+    """The coefficient array of an entry, over Q."""
+    if isinstance(x, UniPoly):
+        return list(x.coeffs)
+    if isinstance(x, BiPoly):
+        rows = []
+        for (i, j), v in x.terms.items():
+            rows.extend([] for _ in range(j + 1 - len(rows)))
+            row = rows[j]
+            row.extend([0] * (i + 1 - len(row)))
+            row[i] = v
+        return rows
+    if not x:
+        return []
+    for _ in range(depth):
+        x = [x]
+    return x
+
+
+def _leaves(a, depth):
+    return a if depth == 1 else [y for x in a for y in _leaves(x, depth - 1)]
+
+
+def _scaled(a, den, depth):
+    if depth == 0:
+        return a.numerator * (den // a.denominator)
+    return [_scaled(x, den, depth - 1) for x in a]
+
+
+def _entry(a, kind, var, scale):
+    """The array `a` divided by `scale`, as an element of `kind`."""
+    if kind is Fraction:
+        return Fraction(a[0] if a else 0, scale)
+    if kind is UniPoly:
+        return UniPoly([Fraction(x, scale) for x in a], var)
+    return BiPoly({(i, j): Fraction(x, scale)
+                   for j, row in enumerate(a) for i, x in enumerate(row) if x}, var)
+
+
+def _trim(a, depth):
+    """Drop trailing zeros, at every depth, in place (an int at depth 0
+    is returned as it is)."""
+    if depth > 1:
+        for x in a:
+            _trim(x, depth - 1)
+    while depth and a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _addmul(acc, a, b, depth, neg=False):
+    """acc += a * b (acc -= a * b with `neg`) in place, growing `acc` as
+    needed; the caller trims the result."""
+    grow = len(a) + len(b) - 1 - len(acc)
+    if grow > 0:
+        acc.extend([0] * grow if depth == 1 else ([] for _ in range(grow)))
+    if depth == 1:
+        for i, x in enumerate(a):
+            if x:
+                if neg:
+                    x = -x
+                for j, y in enumerate(b):
+                    acc[i + j] += x * y
+    else:
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        _addmul(acc[i + j], x, y, depth - 1, neg)
+    return acc
+
+
+def _div(a, b, depth):
+    """The exact quotient a / b by schoolbook long division, consuming
+    `a`; each leading coefficient is divided the same way down to
+    `divmod` on ints.  A nonzero remainder raises ArithmeticError."""
+    if depth == 0:
+        q, r = divmod(a, b)
+        if r:
+            raise ArithmeticError("inexact division in fraction-free elimination")
+        return q
+    *low, lead = b
+    zero = 0 if depth == 1 else []
+    quo = []
+    for k in range(len(a) - len(b), -1, -1):
+        q = _div(_trim(a.pop(), depth - 1), lead, depth - 1)
+        quo.append(q)
+        if q:  # a -= q x^k * low, which clears a below its old top term
+            _addmul(a, [zero] * k + [q], low, depth, neg=True)
+    if _trim(a, depth):
+        raise ArithmeticError("inexact division in fraction-free elimination")
+    quo.reverse()
+    return quo
+
+
+def _row_scale(values) -> int:
+    """The lcm of the denominators of a row of rationals: the least
+    positive integer that makes the scaled row integral."""
+    return lcm(*(x.denominator for x in values))
 
 
 def det_expansion(matrix):
@@ -118,7 +268,7 @@ def rank(matrix) -> int:
     """
     rows = []
     for row in matrix:
-        den = lcm(*(x.denominator for x in row))
+        den = _row_scale(row)
         ints = [x.numerator * (den // x.denominator) for x in row]
         if any(ints):
             rows.append(ints)

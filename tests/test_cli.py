@@ -182,6 +182,21 @@ def test_usage_error_exit_code():
     assert proc.returncode == 2
 
 
+def test_internal_error_exits_3_without_traceback(monkeypatch, capsys):
+    from virasoro import cli
+
+    def broken(args):
+        raise ArithmeticError("inexact division in fraction-free elimination")
+
+    monkeypatch.setattr(cli, "cmd_kacdet", broken)
+    assert main(["kacdet", "--level", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
 def test_reader_closing_the_pipe_leaves_no_traceback():
     # the level-10 report (about 110 kB) outgrows the pipe buffer, so the
     # writer is still writing when the reader stops after one line

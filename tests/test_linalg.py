@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from virasoro.linalg import det_expansion, rank, rref
+from virasoro import jantzen, linalg, verma
+from virasoro.linalg import bareiss_det, det_expansion, rank, rref
 from virasoro.oscillator import c_coefficient, jacobi_trudi
+from virasoro.scalars import BiPoly, RatFunc, UniPoly
 
 
 def _rref_rank(matrix):
@@ -77,3 +79,196 @@ def test_det_expansion_over_poly_states_matches_leibniz():
     assert leibniz
     assert det_expansion(m) == leibniz
     assert jacobi_trudi((2, 2, 2)) == leibniz
+
+
+# ----------------------------------------------------------------------
+# bareiss_det against the elimination over Fraction coefficients
+# ----------------------------------------------------------------------
+
+
+def _exact_div(a, b):
+    if isinstance(a, (UniPoly, BiPoly)):
+        return a.exact_div(b)
+    return a / b
+
+
+def _bareiss_fraction(matrix):
+    """Oracle: Bareiss with the entries' own arithmetic over Q, Q[x] or
+    Q[c,h], every coefficient a Fraction (the kernel before integer
+    coefficient arrays)."""
+    n = len(matrix)
+    if n == 0:
+        return Fraction(1)
+    m = [list(row) for row in matrix]
+    sign = 1
+    prev = Fraction(1)
+    for k in range(n - 1):
+        if not m[k][k]:
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return m[k][k] * 0  # zero of the right ring
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
+                m[i][j] = _exact_div(num, prev)
+            m[i][k] = m[i][k] * 0
+        prev = m[k][k]
+    det = m[n - 1][n - 1]
+    return -det if sign < 0 else det
+
+
+def _rational(rng, zeros=0.3):
+    if rng.random() < zeros:
+        return Fraction(0)
+    return Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 4, 6, 7]))
+
+
+def _random_entry(rng, ring):
+    if ring == "Q":
+        return _rational(rng)
+    if ring == "Q[x]":
+        if rng.random() < 0.2:
+            return _rational(rng)  # a constant of Q[x]
+        return UniPoly([_rational(rng) for _ in range(rng.randint(0, 3))], "x")
+    if rng.random() < 0.2:
+        return _rational(rng)  # a constant of Q[c,h]
+    degrees = [(rng.randint(0, 2), rng.randint(0, 2)) for _ in range(rng.randint(0, 4))]
+    return BiPoly({d: _rational(rng, 0) for d in degrees})
+
+
+def _same(got, want, ring):
+    """Equal, and in the ring the entries live in."""
+    kind = {"Q": Fraction, "Q[x]": UniPoly, "Q[c,h]": BiPoly}[ring]
+    return type(got) is kind and got == want
+
+
+@pytest.mark.parametrize("ring", ["Q", "Q[x]", "Q[c,h]"])
+def test_bareiss_matches_fraction_oracle_on_random_matrices(ring):
+    rng = random.Random(f"bareiss {ring}")
+    for _ in range(60 if ring == "Q[c,h]" else 120):
+        n = rng.randint(1, 5 if ring == "Q[c,h]" else 6)
+        m = [[_random_entry(rng, ring) for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.25:
+            m[rng.randrange(n)] = list(m[rng.randrange(n)])  # often singular
+        if rng.random() < 0.4:  # symmetric, as Gram matrices are
+            for i in range(n):
+                for j in range(i):
+                    m[i][j] = m[j][i]
+        want = _bareiss_fraction(m)
+        got = bareiss_det(m)
+        assert got == want, m
+        if any(not isinstance(x, (int, Fraction)) for row in m for x in row):
+            assert _same(got, want, ring), m
+
+
+def test_bareiss_zero_leading_pivot_swaps_rows_with_sign():
+    x = UniPoly.gen("x")
+    m = [[0, x + 1, 2], [3, Fraction(1, 2), x], [x, 0, Fraction(-5, 3)]]
+    assert bareiss_det(m) == _bareiss_fraction(m) == det_expansion(m)
+    assert bareiss_det([[0, 1], [1, 0]]) == -1
+    # symmetric, with a zero pivot only after the first step
+    m = [[1, 1, 2], [1, 1, x], [2, x, Fraction(1, 3)]]
+    assert bareiss_det(m) == _bareiss_fraction(m) == det_expansion(m)
+    c, h = BiPoly.gens()
+    m = [[BiPoly.const(0), h], [c, Fraction(7, 2)]]
+    assert bareiss_det(m) == -c * h
+
+
+def test_bareiss_singular_gives_zero_of_the_ring():
+    x = UniPoly.gen("x")
+    c, h = BiPoly.gens()
+    for m in ([[x, x * x], [1, x]],
+              [[0, x], [0, x + 1]],
+              [[c, h, 1], [2 * c, 2 * h, 2], [h, c, Fraction(1, 3)]],
+              [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]]):
+        det = bareiss_det(m)
+        assert not det and det == _bareiss_fraction(m) == 0
+    assert type(bareiss_det([[0, x], [0, x + 1]])) is UniPoly
+    assert type(bareiss_det([[0, h], [0, c]])) is BiPoly
+
+
+def test_bareiss_mixed_denominators_and_constants():
+    x = UniPoly.gen("x")
+    m = [[x / 6 + Fraction(1, 4), Fraction(2, 9), Fraction(0)],
+         [Fraction(-1, 10), x * x / 35, x / 3],
+         [7, Fraction(0), x / 8 - Fraction(5, 12)]]
+    assert bareiss_det(m) == _bareiss_fraction(m) == det_expansion(m)
+    c, h = BiPoly.gens()
+    m = [[c / 24 - h / 4, Fraction(1, 3)], [Fraction(0), h * c / 9 + Fraction(1, 2)]]
+    assert bareiss_det(m) == _bareiss_fraction(m) == det_expansion(m)
+
+
+def test_bareiss_degenerate_sizes():
+    x = UniPoly.gen("x")
+    c, h = BiPoly.gens()
+    assert bareiss_det([]) == 1
+    assert bareiss_det([[Fraction(-3, 4)]]) == Fraction(-3, 4)
+    assert bareiss_det([[Fraction(0)]]) == 0
+    assert bareiss_det([[x / 3]]) == x / 3
+    assert bareiss_det([[c * h - 1]]) == c * h - 1
+    det = bareiss_det([[5]])
+    assert type(det) is Fraction and det == 5
+
+
+def test_bareiss_rejects_other_rings():
+    with pytest.raises(TypeError):
+        bareiss_det([[RatFunc.gen("t")]])
+    with pytest.raises(TypeError):
+        bareiss_det([[UniPoly.gen("x"), BiPoly.gens()[0]], [1, 1]])
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
+def test_bareiss_on_symbolic_gram_matrices(level):
+    rows = verma.gram_matrix(level, verma.VermaParams.symbolic()).rows()
+    want = _bareiss_fraction(rows)
+    got = bareiss_det(rows)
+    assert type(got) is BiPoly and got == want
+
+
+_JANTZEN_PATHS = (
+    jantzen.c1_path(Fraction(1, 2)),
+    jantzen.c1_path(Fraction(1)),
+    jantzen.discrete_path(3, 1, 1),
+    jantzen.discrete_path(3, 2, 1),
+    jantzen.discrete_path(3, 2, 2),
+)
+
+
+@pytest.mark.parametrize("case", range(len(_JANTZEN_PATHS)))
+def test_bareiss_on_acceptance_jantzen_families(case):
+    path, label = _JANTZEN_PATHS[case]
+    for level in range(1, 7):
+        rows = jantzen.gram_family(path, level, label).rows()
+        assert bareiss_det(rows) == _bareiss_fraction(rows)
+
+
+def test_exact_division_checks_every_remainder():
+    assert linalg._div([-1, 0, 1], [1, 1], 1) == [-1, 1]  # (x^2 - 1)/(x + 1)
+    for a, b, depth in (([1, 0, 1], [1, 1], 1),    # x^2 + 1 by x + 1
+                        ([3, 1], [2, 1], 1),       # remainder in the constant term
+                        ([1], [0, 1], 1),          # lower degree than the divisor
+                        ([[2, 1]], [[0, 2]], 2),   # (2 + c) by 2c in Z[c][h]
+                        (7, 2, 0)):
+        with pytest.raises(ArithmeticError):
+            linalg._div(a, b, depth)
+
+
+@pytest.mark.parametrize("level", [3, 4])
+def test_corrupted_pivot_raises(level, monkeypatch):
+    """Mutation check: an off-by-one previous pivot is caught by the
+    remainder check of the exact division, never rounded away."""
+    real = linalg._div
+
+    def corrupted(a, b, depth):
+        if depth == 2:
+            low = b[0]  # the h^0 coefficient, in Z[c]
+            b = [[(low[0] if low else 0) + 1] + low[1:]] + b[1:]
+        return real(a, b, depth)
+
+    monkeypatch.setattr(linalg, "_div", corrupted)
+    with pytest.raises(ArithmeticError):
+        bareiss_det(verma.gram_matrix(level, verma.VermaParams.symbolic()).rows())

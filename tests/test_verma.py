@@ -164,6 +164,16 @@ def test_kac_ratio_constant(level):
     assert ratio.constant_value() != 0
 
 
+def test_kac_ratio_level7_is_the_closed_leading_coefficient():
+    """The 15 x 15 symbolic Gram determinant against the product form;
+    the ratio is prod_{lambda |- 7} prod_k (2k)^{m_k} m_k!."""
+    from virasoro.acceptance import _kac_leading_constant
+
+    ratio = kac_det_ratio(7)
+    assert ratio.is_constant()
+    assert ratio.constant_value() == _kac_leading_constant(7) == 181331507972673152746653422022819840000
+
+
 def test_c1_kac_factors():
     # at c = 1 the quadratic factors collapse to (h - (r-s)^2/4)^2
     c, h = BiPoly.gens()
