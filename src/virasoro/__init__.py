@@ -49,7 +49,7 @@ from .oscillator import (
     rect_binom_product,
     singular_kernel_osc,
 )
-from .scalars import BiPoly, RatFunc, UniPoly, order_at_zero, specialize
+from .scalars import BiPoly, RatFunc, UniPoly, order_at_zero
 from .singular import (
     SingularVector,
     SpinModule,

@@ -13,7 +13,7 @@ from math import factorial
 
 from . import density, fock_checks, jantzen, oscillator, singular, verma
 from .combinat import partitions_of
-from .scalars import BiPoly, RatFunc, UniPoly
+from .scalars import BiPoly, RatFunc, UniPoly, UsageError
 
 
 def _timed(fn):
@@ -301,7 +301,11 @@ CRITERIA = (
 
 
 def run_acceptance(names=None, level_cap=6, seed=20260809, emax=7, pair_emax=4):
-    """Run the selected criteria; returns (all_ok, list of result rows)."""
+    """Run the selected criteria; returns (all_ok, list of result rows).
+    A level cap below 1 is a UsageError: kac-ratio and jantzen would
+    check nothing."""
+    if level_cap < 1:
+        raise UsageError(f"the level cap must be at least 1, got {level_cap}")
     wanted = set(names) if names else None
     rows = []
     all_ok = True

@@ -2,7 +2,8 @@
 
 Exit codes: 0 for success or a verified identity, 1 when a computation
 ran but an identity failed (a diff report is printed), 2 for usage
-errors, including arguments the library rejects (`UsageError`).  All
+errors, including arguments the library rejects (`UsageError`), and 3
+for an internal error (one `internal error:` line on stderr).  All
 reports are deterministic given the arguments and seed.  A reader that
 closes the pipe early (`virasoro ... | head`) cuts the report short
 without a traceback, and the command still exits with its own code.
@@ -55,6 +56,13 @@ def _parse_rs(text: str):
         return r, s
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected r,s integers, got {text!r}")
+
+
+def _parse_signature(text: str) -> tuple:
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
 def _emit(report: dict, args, text=None) -> None:
@@ -311,7 +319,7 @@ def cmd_goldstone(args) -> int:
 
 
 def cmd_binomdet(args) -> int:
-    f = tuple(int(x) for x in args.f.split(","))
+    f = args.f
     values = {"determinant": oscillator.binom_det(f, args.mu)}
     compare = args.compare.split(",") if args.compare else []
     if "product" in compare:
@@ -463,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_goldstone)
 
     p = sub.add_parser("binomdet", help="binomial determinants and pairings")
-    p.add_argument("--f", required=True, help="signature, e.g. 3,3,3")
+    p.add_argument("--f", type=_parse_signature, required=True, help="signature, e.g. 3,3,3")
     p.add_argument("--mu", type=_parse_fraction, required=True)
     p.add_argument("--compare", default="")
     _common(p)

@@ -7,11 +7,13 @@ along a curve through a degenerate point) induces the filtration
 
 and the order of x = 0 as a root of det A(x) equals sum_{i>=1} dim V^(i).
 V^(1) is the plain kernel of A_0; for deeper steps the witnessing section
-may need x-corrections, so V^(m) is computed from the block-Toeplitz
-system sum_{i+j=k} A_i v_j = 0 (k < m) rather than from the intersection
-of the ker A_i alone.  (The plain intersection undercounts: at c = 1,
-j = 1/2, level 6 it gives 5 where the determinant order is 6, because the
-depth-two singular vector only annihilates A_1 after a correction.)
+may need x-corrections, so V^(m) is read off the kernel K_m of the
+block-Toeplitz system sum_{i+j=k} A_i v_j = 0 (k < m) rather than from
+the intersection of the ker A_i alone.  (The plain intersection
+undercounts: at c = 1, j = 1/2, level 6 it gives 5 where the determinant
+order is 6, because the depth-two singular vector only annihilates A_1
+after a correction.)  The kernels nest, so K_{m+1} grows from a basis of
+K_m by one block row, and the loop stops after at most ord det + 1 depths.
 
 Two path families are supported: central-charge paths (1 + x, j^2) and
 weight paths (c(m), h_{r,s}(m) + x).  For j = 0 the c-path is degenerate
@@ -65,17 +67,6 @@ class Filtration:
         return sum(self.dims[1:])
 
 
-_SYMBOLIC_GRAMS: list = []  # symbolic Gram matrices of levels 0, 1, ...
-
-
-def _symbolic_gram_rows(level: int):
-    """Entries of the symbolic Gram matrix; a level beyond those held
-    rebuilds every level up to it in one gram_matrices call."""
-    if level >= len(_SYMBOLIC_GRAMS):
-        _SYMBOLIC_GRAMS[:] = gram_matrices(level, VermaParams.symbolic())
-    return _SYMBOLIC_GRAMS[level].entries
-
-
 def _as_x_poly(value, var="x") -> UniPoly:
     if isinstance(value, UniPoly):
         return value
@@ -83,15 +74,13 @@ def _as_x_poly(value, var="x") -> UniPoly:
 
 
 def gram_family(path, level: int, provenance: str = "") -> MatrixFamily:
-    """Substitute a polynomial path (c(x), h(x)) into the symbolic Gram form."""
-    from .scalars import specialize
-
+    """The level Gram matrix along a polynomial path (c(x), h(x)): the path
+    is itself the Verma parameter, since gram_matrices works over Q[x]."""
     c_path, h_path = (_as_x_poly(p) for p in path)
-    rows = []
-    for row in _symbolic_gram_rows(level):
-        rows.append(tuple(_as_x_poly(specialize(entry, c_path, h_path)) for entry in row))
+    gram = gram_matrices(level, VermaParams(c_path, h_path))[level]
+    rows = tuple(tuple(map(_as_x_poly, row)) for row in gram.entries)
     label = provenance or f"c(x)={c_path.render()}, h(x)={h_path.render()}"
-    return MatrixFamily(level, tuple(rows), label)
+    return MatrixFamily(level, rows, label)
 
 
 def c1_path(j):
@@ -129,22 +118,6 @@ def coefficient_matrices(family: MatrixFamily):
     return mats
 
 
-def _toeplitz_kernel(mats, n: int, depth: int):
-    """Kernel of the depth x depth lower-triangular block system
-    sum_{i+j=k} A_i v_j = 0 for k < depth, unknowns v_0..v_{depth-1}."""
-    zero = Fraction(0)
-    rows = []
-    for k in range(depth):
-        for r in range(n):
-            row = []
-            for jblk in range(depth):
-                i = k - jblk
-                block = mats[i] if 0 <= i < len(mats) else None
-                row.extend(block[r] if block is not None else [zero] * n)
-            rows.append(row)
-    return nullspace(rows, ncols=n * depth)
-
-
 def _first_block_span(kernel, n: int):
     """Basis of the projection of kernel vectors onto the v_0 block."""
     projected = [vec[:n] for vec in kernel if any(x != 0 for x in vec[:n])]
@@ -155,8 +128,15 @@ def _first_block_span(kernel, n: int):
 
 
 def jantzen_filtration(family: MatrixFamily, det=None) -> Filtration:
-    """Section-based filtration; terminates because det A(x) is not 0.
-    `det` is det A(x) when the caller has already computed it."""
+    """Section-based filtration from the growing kernels K_m; `det` is
+    det A(x) when the caller has already computed it.
+
+    K_{m+1} = {(w, v_m) : w in K_m, A_0 v_m + sum_{j<m} A_{m-j} w_j = 0},
+    so each depth solves one n-row system over the columns [residues of
+    the K_m basis | A_0], and dim V^(m) = dim K_m - dim K_{m-1}.  As the
+    dims sum to ord det, at most ord det + 1 depths are run; a filtration
+    that overran them would break the order identity its callers check.
+    """
     if det is None:
         det = bareiss_det(family.rows())
     if det.is_zero():
@@ -165,23 +145,33 @@ def jantzen_filtration(family: MatrixFamily, det=None) -> Filtration:
         )
     mats = coefficient_matrices(family)
     n = family.dim
+    zero = Fraction(0)
     dims = [n]
     bases = []
-    prev_kernel_dim = 0
-    depth = 1
-    while True:
-        kernel = _toeplitz_kernel(mats, n, depth)
-        dim_vm = len(kernel) - prev_kernel_dim
-        if dim_vm == 0:
+    kernel = []  # basis of K_m, each vector the blocks v_0 .. v_{m-1} in a row
+    for m in range(order_at_zero(det) + 1):
+        # the new block row A_0 v_m + sum_{j<m} A_{m-j} w_j = 0, with w
+        # written in the K_m basis: one column per basis vector, then A_0
+        residues = []
+        for w in kernel:
+            res = [zero] * n
+            for j in range(max(0, m + 1 - len(mats)), m):
+                block = w[j * n:(j + 1) * n]
+                for r, row in enumerate(mats[m - j]):
+                    res[r] += sum_entries(row, block)
+            residues.append(res)
+        system = [[res[r] for res in residues] + mats[0][r] for r in range(n)]
+        # each solution (a, v_m) gives the K_{m+1} vector (sum_t a_t w_t, v_m)
+        grown = [
+            [sum((a * w[k] for a, w in zip(sol, kernel) if a), zero) for k in range(n * m)]
+            + sol[len(kernel):]
+            for sol in nullspace(system, ncols=len(kernel) + n)
+        ]
+        if len(grown) == len(kernel):
             break
-        dims.append(dim_vm)
-        bases.append(_first_block_span(kernel, n))
-        prev_kernel_dim = len(kernel)
-        depth += 1
-        if depth > n * (max(len(mats), 2)) + 2:
-            raise DegenerateFamilyError(
-                f"kernels failed to terminate for {family.provenance} at level {family.level}"
-            )
+        dims.append(len(grown) - len(kernel))
+        bases.append(_first_block_span(grown, n))
+        kernel = grown
     dims.append(0)
     return Filtration(tuple(dims), tuple(bases))
 

@@ -735,15 +735,6 @@ def order_at_zero(f):
     raise TypeError(f"order_at_zero undefined for {type(f).__name__}")
 
 
-def specialize(f, first, second):
-    """Evaluate a BiPoly at a point of any coefficient ring; exact."""
-    if isinstance(f, BiPoly):
-        return f.specialize(first, second)
-    if _is_rational(f):
-        return as_fraction(f)
-    raise TypeError(f"specialize expects a BiPoly, got {type(f).__name__}")
-
-
 def render_scalar(x) -> str:
     """Canonical string form used verbatim in JSON output."""
     if _is_rational(x):

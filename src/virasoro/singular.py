@@ -60,9 +60,12 @@ def singular_kernel(params: VermaParams, level: int) -> list:
 
     Works over Q for rational parameters and over Q(t) for curve
     parameters.  Vectors are normalised so the L_{-1}^level coefficient
-    is 1 whenever it is nonzero.
+    is 1 whenever it is nonzero.  Level 0 has none; a negative level is
+    a UsageError.
     """
-    if level < 1:
+    if level < 0:
+        raise UsageError(f"a singular vector lies at a level >= 0, got {level}")
+    if level == 0:
         return []
     rows = _linear_map_matrix(1, level, params) + _linear_map_matrix(2, level, params)
     basis = partitions_of(level)

@@ -107,25 +107,22 @@ def pbw_left_multiply(p: int, v: PBWVector) -> PBWVector:
     return v.apply_linear(lambda part: _left_mul_monomial(p, part).terms)
 
 
-_LEFT_CACHE: dict = {}
+# Entries kept by the PBW reordering table _left_mul_monomial, which does
+# not depend on (c, h); the Gram matrices to level 10 fill it to 50.
+LEFT_CACHE_SIZE = 1 << 12
 
 
+@lru_cache(maxsize=LEFT_CACHE_SIZE)
 def _left_mul_monomial(p: int, part: tuple) -> PBWVector:
     if not part or p >= part[0]:
         return PBWVector.monomial((p,) + part)
-    key = (p, part)
-    hit = _LEFT_CACHE.get(key)
-    if hit is not None:
-        return hit
     head, rest = part[0], part[1:]
     # L_{-p} L_{-head} = L_{-head} L_{-p} + (head - p) L_{-p-head}
     out = {}
     for q, c in _left_mul_monomial(p, rest).terms.items():
         accumulate(out, _left_mul_monomial(head, q).terms, c)
     accumulate(out, _left_mul_monomial(p + head, rest).terms, Fraction(head - p))
-    result = PBWVector(out)
-    _LEFT_CACHE[key] = result
-    return result
+    return PBWVector(out)
 
 
 def pbw_operator_apply(op: PBWVector, v: PBWVector) -> PBWVector:

@@ -10,6 +10,8 @@ RUNTIME_TARGETS = {
     "characters": 300.0,   # rank oracle to level 9
     "discrete-characters": 60.0,  # rank oracle, 19 modules to level 10
     "fock": 60.0,          # identity suite at E_max = 7, pair space at 4
+    "jantzen": 10.0,       # five Gram families, levels 1..6
+    "character-sums": 10.0,  # five filtration character sums to q^6
 }
 
 RESULTS = {}

@@ -304,9 +304,25 @@ def test_acceptance_json_stdout_is_pure_json(tmp_path, capsys):
     ["jantzen", "--case", "discrete", "--m", "3", "--r", "1", "--s", "1", "--N", "-1"],
     ["jantzen", "--case", "discrete", "--m", "3", "--r", "0", "--s", "1", "--N", "2"],
     ["jantzen", "--case", "discrete", "--m", "3", "--r", "3", "--s", "1", "--N", "2"],
+    ["singvec", "--method", "kernel", "--c", "1", "--h", "0", "--level", "-1"],
+    ["acceptance", "--level-cap", "0"],
+    ["acceptance", "--level-cap", "-1"],
 ], ids=" ".join)
 def test_library_rejects_bad_input_as_usage_error(argv, capsys):
     assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["binomdet", "--f", "3,a", "--mu", "1"],
+    ["binomdet", "--f", "3,,1", "--mu", "1"],
+], ids=" ".join)
+def test_parser_rejects_bad_input_as_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error:" in captured.err

@@ -131,10 +131,12 @@ def test_maya_key_round_trip():
 
 
 def test_operator_tables_are_bounded():
-    from virasoro import fock
+    from virasoro import fock, verma
 
-    for table in (fock._boson_state, fock._lprime_state, fock._vertex_modes, fock._psi_b_modes):
+    for table in (fock._boson_state, fock._lprime_state, fock._vertex_modes, fock._psi_b_modes,
+                  verma._left_mul_monomial):
         assert table.cache_info().maxsize is not None, table.__name__
+    assert verma._left_mul_monomial.cache_info().maxsize == verma.LEFT_CACHE_SIZE
 
 
 def test_car_relations():

@@ -2,10 +2,14 @@ from fractions import Fraction
 
 import pytest
 
+from virasoro.acceptance import JANTZEN_FAMILIES
 from virasoro.combinat import num_partitions
 from virasoro.jantzen import (
     DegenerateFamilyError,
+    Filtration,
     MatrixFamily,
+    _as_x_poly,
+    _first_block_span,
     c1_character_closed,
     c1_character_sum_closed,
     c1_path,
@@ -20,10 +24,10 @@ from virasoro.jantzen import (
     lowering_matrix,
     norm_vanishing_order,
 )
-from virasoro.linalg import rref, sum_entries
-from virasoro.scalars import UniPoly, UsageError
+from virasoro.linalg import nullspace, rref, sum_entries
+from virasoro.scalars import BiPoly, UniPoly, UsageError
 from virasoro.singular import singular_kernel
-from virasoro.verma import PBWVector, VermaParams, h_pq
+from virasoro.verma import PBWVector, VermaParams, gram_matrices, h_pq
 
 HALF = Fraction(1, 2)
 X = UniPoly.gen("x")
@@ -37,9 +41,69 @@ def test_hand_families():
     assert filt.dims == (2, 1, 1, 0)
     assert filt.depth_sum() == 2
     assert det_order_identity(fam) == (2, 2)
+    assert filt == _rebuilt_filtration(fam)
 
     fam = MatrixFamily(2, ((X, X), (X, X + X * X)), "hand")
     assert det_order_identity(fam) == (3, 3)
+    assert jantzen_filtration(fam) == _rebuilt_filtration(fam)
+
+
+def _toeplitz_kernel(mats, n: int, depth: int):
+    """Kernel of the depth x depth lower-triangular block system
+    sum_{i+j=k} A_i v_j = 0 for k < depth, unknowns v_0..v_{depth-1}."""
+    zero = Fraction(0)
+    rows = []
+    for k in range(depth):
+        for r in range(n):
+            row = []
+            for jblk in range(depth):
+                i = k - jblk
+                block = mats[i] if 0 <= i < len(mats) else None
+                row.extend(block[r] if block is not None else [zero] * n)
+            rows.append(row)
+    return nullspace(rows, ncols=n * depth)
+
+
+def _rebuilt_filtration(family):
+    """The filtration with the whole block-Toeplitz system rebuilt and
+    solved at every depth, the reference for jantzen_filtration.  The
+    dims sum to ord det <= deg det <= n (len(mats) - 1), which bounds
+    the depths."""
+    mats = coefficient_matrices(family)
+    n = family.dim
+    dims, bases = [n], []
+    prev = 0
+    for depth in range(1, n * len(mats) + 2):
+        kernel = _toeplitz_kernel(mats, n, depth)
+        if len(kernel) == prev:
+            break
+        dims.append(len(kernel) - prev)
+        bases.append(_first_block_span(kernel, n))
+        prev = len(kernel)
+    dims.append(0)
+    return Filtration(tuple(dims), tuple(bases))
+
+
+@pytest.mark.parametrize("name,mk", JANTZEN_FAMILIES, ids=[f[0] for f in JANTZEN_FAMILIES])
+def test_growing_kernel_matches_rebuilt_systems(name, mk):
+    path, label = mk()
+    for level in range(1, 8):
+        fam = gram_family(path, level, label)
+        assert jantzen_filtration(fam) == _rebuilt_filtration(fam), (name, level)
+
+
+def test_gram_family_is_the_specialised_symbolic_gram():
+    symbolic = gram_matrices(6, VermaParams.symbolic())
+    paths = [mk() for _, mk in JANTZEN_FAMILIES] + [c1_path(0)]
+    for path, label in paths:
+        c_path, h_path = path
+        for level in range(7):
+            want = tuple(
+                tuple(_as_x_poly(e.specialize(c_path, h_path) if isinstance(e, BiPoly) else e)
+                      for e in row)
+                for row in symbolic[level].entries
+            )
+            assert gram_family(path, level, label).entries == want, (label, level)
 
 
 def test_degenerate_family_raises():

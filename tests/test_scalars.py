@@ -13,7 +13,6 @@ from virasoro.scalars import (
     accumulate,
     order_at_zero,
     render_scalar,
-    specialize,
 )
 from virasoro.verma import PBWVector
 
@@ -117,14 +116,14 @@ def test_ratfunc_order_at_zero():
 def test_specialize_examples():
     c, h = BiPoly.gens()
     phi11 = h
-    assert specialize(phi11, Fraction(1), Fraction(1, 4)) == Fraction(1, 4)
+    assert phi11.specialize(Fraction(1), Fraction(1, 4)) == Fraction(1, 4)
     phi22 = h + (c - 1) * Fraction(3, 24)
     x = UniPoly.gen("x")
-    got = specialize(phi22, 1 + x, Fraction(0))
+    got = phi22.specialize(1 + x, Fraction(0))
     assert got == x * Fraction(1, 8)
     # identity substitution
     f = c * c + h * 3 - 7
-    assert specialize(f, c, h) == f
+    assert f.specialize(c, h) == f
 
 
 def test_variable_mixing_is_an_error():
