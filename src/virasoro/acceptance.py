@@ -64,46 +64,50 @@ def criterion_gomes(**_):
 
 @_timed
 def criterion_singular_triple(**_):
-    """Kernel, spin-chain and curve singular vectors agree for
-    j in {1/2, 1, 3/2}; structural coefficients of the chain vector."""
-    from math import factorial
-
+    """Curve singular vectors against the other two routes, to level 9:
+    for (r, 1) = (2j+1, 1), j <= 7/2, equal to the spin-chain vector, whose
+    structural coefficients are checked, and otherwise singular over Q(t);
+    at two rational t each equals the kernel vector and is singular."""
     details = {}
-    for two_j in (1, 2, 3):
-        j = Fraction(two_j, 2)
-        d = two_j + 1
-        chain = singular.bdiz_singular(j)
-        curve = singular.curve_singular(d, 1)
-        # identical over Q(t) after normalisation
-        lifted = chain.map_coeffs(
-            lambda c: RatFunc.from_poly(c) if isinstance(c, UniPoly) else RatFunc.const(c, "t")
-        )
-        if lifted != curve:
-            return False, {"j": str(j), "stage": "curve vs chain"}
-        # constant term is L_{-1}^d, top t-coefficient has magnitude ((2j)!)^2
-        for part, coeff in chain.terms.items():
-            const = coeff.coeffs[0] if coeff.coeffs else 0
-            if part == (1,) * d:
-                if coeff != 1:
-                    return False, {"j": str(j), "stage": "L_{-1}^d normalisation"}
-            elif const != 0:
-                return False, {"j": str(j), "stage": "constant term", "part": part}
-        top = chain.coeff((d,))
-        magnitude = abs(top.coeffs[two_j]) if top.degree >= two_j else None
-        if magnitude != Fraction(factorial(two_j)) ** 2:
-            return False, {"j": str(j), "stage": "top t-coefficient", "got": str(magnitude)}
-        sign = 1 if top.coeffs[two_j] > 0 else -1
-        details[f"j={j}"] = {"top_sign": sign}
+    for r, s in [(d, 1) for d in range(2, 9)] + [(2, 2), (3, 2), (2, 3), (4, 2), (2, 4), (3, 3)]:
+        where = {"rs": [r, s]}
+        curve = singular.curve_singular(r, s)
+        details[f"({r},{s})"] = {"terms": len(curve.terms)}
+        if s > 1:
+            params = verma.VermaParams(verma.c_curve(), verma.h_pq_curve(r, s))
+            if not singular.check_singular(curve, params)[0]:
+                return False, {**where, "stage": "singularity over Q(t)"}
+        else:
+            two_j = r - 1
+            chain = singular.bdiz_singular(Fraction(two_j, 2))
+            # identical over Q(t) after normalisation
+            lifted = chain.map_coeffs(lambda c: RatFunc.from_poly(c) if isinstance(c, UniPoly)
+                                      else RatFunc.const(c, "t"))
+            if lifted != curve:
+                return False, {**where, "stage": "curve vs chain"}
+            # constant term is L_{-1}^r, top t-coefficient has magnitude ((2j)!)^2
+            for part, coeff in chain.terms.items():
+                const = coeff.coeffs[0] if coeff.coeffs else 0
+                if part == (1,) * r:
+                    if coeff != 1:
+                        return False, {**where, "stage": "L_{-1}^r normalisation"}
+                elif const != 0:
+                    return False, {**where, "stage": "constant term", "part": part}
+            top = chain.coeff((r,))
+            magnitude = abs(top.coeffs[two_j]) if top.degree >= two_j else None
+            if magnitude != Fraction(factorial(two_j)) ** 2:
+                return False, {**where, "stage": "top t-coefficient", "got": str(magnitude)}
+            details[f"({r},{s})"]["top_sign"] = 1 if top.coeffs[two_j] > 0 else -1
         # specialise at t = 1 and one generic t and match the kernel route
         for t_val in (Fraction(1), Fraction(3, 2)):
-            params = singular.curve_params_at(t_val, j=j)
-            vec = singular.specialize_curve_vector(chain, t_val)
-            found = singular.singular_kernel(params, d)
+            params = (singular.curve_params_at(t_val, j=Fraction(r - 1, 2)) if s == 1
+                      else singular.curve_params_at(t_val, rs=(r, s)))
+            vec = singular.specialize_curve_vector(curve, t_val)
+            found = singular.singular_kernel(params, r * s)
             if len(found) != 1 or found[0].vector != vec:
-                return False, {"j": str(j), "stage": f"kernel at t={t_val}"}
-            ok, _cert = singular.check_singular(vec, params)
-            if not ok:
-                return False, {"j": str(j), "stage": f"singularity at t={t_val}"}
+                return False, {**where, "stage": f"kernel at t={t_val}"}
+            if not singular.check_singular(vec, params)[0]:
+                return False, {**where, "stage": f"singularity at t={t_val}"}
     return True, details
 
 
@@ -112,7 +116,7 @@ def criterion_density_polynomial(seed=20260809, **_):
     """Direct density evaluation vs product forms vs transfer determinant."""
     mu = UniPoly.gen("mu")
     rng = random.Random(seed)
-    for two_j in (0, 1, 2, 3):
+    for two_j in range(9):
         j = Fraction(two_j, 2)
         direct = density.ad_direct(j, 0, mu)
         if direct != density.ff_product("a", j, None, mu):
@@ -130,7 +134,7 @@ def criterion_density_polynomial(seed=20260809, **_):
         for p in (0, 1):
             if density.appc_determinant(j, p, mu) != density.ad_direct(j, p * p, mu):
                 return False, {"j": str(j), "case": "determinant", "p": p}
-    return True, {"j": "0..3/2", "cases": "a b c d det"}
+    return True, {"j": "0..4", "cases": "a b c d det"}
 
 
 JANTZEN_FAMILIES = (

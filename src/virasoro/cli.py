@@ -381,10 +381,11 @@ def cmd_acceptance(args) -> int:
         names=names, level_cap=args.level_cap, seed=args.seed, emax=args.emax,
         pair_emax=args.pair_emax,
     )
+    width = max(map(len, known))
     lines = []
     for row in rows:
         status = "PASS" if row["ok"] else "FAIL"
-        lines.append(f"{status} {row['criterion']:16s} {row['elapsed']:8.2f}s  {row['title']}")
+        lines.append(f"{status} {row['criterion']:{width}s} {row['elapsed']:8.2f}s  {row['title']}")
         if not row["ok"]:
             lines.append(f"     {row['details']}")
     text = "\n".join(lines)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .combinat import QSeries, num_partitions, partitions_of
-from .linalg import bareiss_det, nullspace, rref, sum_entries
+from .linalg import _cleared, _echelon, bareiss_det, nullspace, sum_entries
 from .scalars import UniPoly, UsageError, as_fraction, order_at_zero
 from .singular import discrete_chain_levels
 from .verma import (
@@ -121,10 +121,9 @@ def coefficient_matrices(family: MatrixFamily):
 def _first_block_span(kernel, n: int):
     """Basis of the projection of kernel vectors onto the v_0 block."""
     projected = [vec[:n] for vec in kernel if any(x != 0 for x in vec[:n])]
-    if not projected:
-        return ()
-    reduced, pivots = rref(projected)
-    return tuple(tuple(reduced[i]) for i in range(len(pivots)))
+    rows = [_cleared(vec) for vec in projected]
+    pivots, d = _echelon(rows, 0, reduced=True)
+    return tuple(tuple(Fraction(x, d) for x in rows[i]) for i in range(len(pivots)))
 
 
 def jantzen_filtration(family: MatrixFamily, det=None) -> Filtration:

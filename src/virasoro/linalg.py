@@ -1,15 +1,13 @@
 """Exact linear algebra over the coefficient tower.
 
-Three regimes:
+Two regimes, both fraction-free (Bareiss): each row's denominators are
+cleared and the elimination runs on integers or integer coefficient
+arrays, where every division by the previous pivot is exact and
+remainder-checked (`_step`):
 
-* fraction-free (Bareiss) elimination for determinants over Q, Q[x] or
-  Q[c,h]: each row's denominators are cleared and the elimination runs
-  on integer coefficient arrays over Z, Z[x] or Z[c][h], where every
-  division by the previous pivot is exact and remainder-checked;
-* fraction-free elimination over Python ints for the rank of a rational
-  matrix, after clearing each row's denominators the same way;
-* plain Gauss-Jordan over a field (Q or Q(t)) for kernels and reduced row
-  echelon forms.
+* determinants over Q, Q[x] or Q[c,h], on Z, Z[x] or Z[c][h];
+* one Gauss-Jordan (`_echelon`) over Z or Z[t] for the rank, kernels
+  and reduced rows of a matrix over Q or Q(t).
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm, prod
 
-from .scalars import BiPoly, UniPoly
+from .scalars import BiPoly, RatFunc, UniPoly
 
 
 def bareiss_det(matrix):
@@ -63,11 +61,7 @@ def bareiss_det(matrix):
             row = m[i]
             a = row[k]
             for j in range(i if sym else k + 1, n):
-                num = _addmul([], row[j], pivot, depth)
-                if a:
-                    _addmul(num, a, top[j], depth, neg=True)
-                _trim(num, depth)
-                row[j] = num if prev is None else _div(num, prev, depth)
+                row[j] = _step(pivot, row[j], a, top[j], prev, depth)
                 if sym:
                     m[j][i] = row[j]
             row[k] = []
@@ -176,6 +170,17 @@ def _addmul(acc, a, b, depth, neg=False):
     return acc
 
 
+def _step(p, x, q, y, prev, depth):
+    """(p x - q y) / prev on coefficient arrays: the update of
+    `bareiss_det` and of `_echelon` over Z[t] (over Z, `_echelon` inlines
+    it).  The division is exact and checked; prev None stands for 1."""
+    num = _addmul([], x, p, depth)
+    if q:
+        _addmul(num, q, y, depth, neg=True)
+    _trim(num, depth)
+    return num if prev is None else _div(num, prev, depth)
+
+
 def _div(a, b, depth):
     """The exact quotient a / b by schoolbook long division, consuming
     `a`; each leading coefficient is divided the same way down to
@@ -225,106 +230,93 @@ def det_expansion(matrix):
     return total
 
 
-def rref(matrix):
-    """Reduced row echelon form over a field; returns (rows, pivot columns).
-
-    The input entries must support true division (Fraction or RatFunc).
-    """
-    m = [list(row) for row in matrix]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
+def _echelon(m, depth, reduced):
+    """Fraction-free elimination of the rows `m` in place over Z (depth 0,
+    ints) or Z[t] (depth 1, coefficient arrays); returns (pivot columns,
+    last pivot d).  Forward elimination leaves the Bareiss row echelon
+    form; `reduced` also clears above each pivot (Gauss-Jordan), so rows
+    0..r-1 end as d times the reduced row echelon form.  Each entry stays
+    a minor of the input, so every division by the previous pivot is
+    exact, and a nonzero remainder raises ArithmeticError."""
+    ncols = len(m[0]) if m else 0
     pivots = []
-    r = 0
-    for col in range(cols):
-        pivot_row = None
-        for i in range(r, rows):
-            if m[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
+    prev, zero = (None, []) if depth else (1, 0)
+    for col in range(ncols):
+        r = len(pivots)
+        i = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if i is None:
             continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = m[r][col]
-        m[r] = [x / inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][col]:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        m[r], m[i] = m[i], m[r]
+        top, p = m[r], m[r][col]
+        for i in [*range(r if reduced else 0), *range(r + 1, len(m))]:
+            row, q = m[i], m[i][col]
+            # rows below are zero left of col; rows above rescale every
+            # column, free ones included
+            cols = range(col + 1, ncols) if i > r else range(ncols)
+            if depth:
+                for j in cols:
+                    row[j] = _step(p, row[j], q, top[j], prev, depth)
+            else:
+                for j in cols:
+                    x, rem = divmod(p * row[j] - q * top[j], prev)
+                    if rem:
+                        raise ArithmeticError("inexact division in fraction-free elimination")
+                    row[j] = x
+            row[col] = zero
         pivots.append(col)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
+        prev = p
+    return pivots, prev
+
+
+def _cleared(row, var=None):
+    """The row times the lcm of its denominators.  Rationals become ints;
+    with `var`, entries in Q(var) become Z[var] coefficient arrays, scaled
+    by the polynomial lcm of the RatFunc denominators and then by the lcm
+    of the coefficient denominators."""
+    if var is None:
+        den = _row_scale(row)
+        return [x.numerator * (den // x.denominator) for x in row]
+    big = UniPoly.const(1, var)
+    for x in row:
+        if isinstance(x, RatFunc) and x.den != big:
+            big = big * x.den.exact_div(UniPoly.gcd(big, x.den))
+    row = [list((x.num * big.exact_div(x.den) if isinstance(x, RatFunc) else big * x).coeffs)
+           for x in row]
+    den = _row_scale([y for a in row for y in a])
+    return [_scaled(a, den, 1) for a in row]
 
 
 def rank(matrix) -> int:
-    """Rank over Q of a matrix of rationals (Fraction or int entries).
-
-    Each row is scaled by the lcm of its denominators, which keeps the
-    rank, and fraction-free row echelon runs over Python ints, skipping
-    the columns without a pivot.  Every division is by the previous pivot
-    and exact (each entry stays a minor of the scaled matrix); a nonzero
-    remainder raises ArithmeticError instead of rounding.
-    """
-    rows = []
-    for row in matrix:
-        den = _row_scale(row)
-        ints = [x.numerator * (den // x.denominator) for x in row]
-        if any(ints):
-            rows.append(ints)
-    if not rows:
-        return 0
-    nrows, ncols = len(rows), len(rows[0])
-    prev = 1
-    r = 0
-    for col in range(ncols):
-        for i in range(r, nrows):
-            if rows[i][col]:
-                rows[r], rows[i] = rows[i], rows[r]
-                break
-        else:
-            continue
-        top = rows[r]
-        pivot = top[col]
-        for i in range(r + 1, nrows):
-            row = rows[i]
-            a = row[col]
-            for j in range(col + 1, ncols):
-                q, rem = divmod(pivot * row[j] - a * top[j], prev)
-                if rem:
-                    raise ArithmeticError("inexact division in fraction-free rank")
-                row[j] = q
-            row[col] = 0
-        prev = pivot
-        r += 1
-        if r == nrows:
-            break
-    return r
+    """Rank over Q of a matrix of rationals (Fraction or int entries): the
+    pivot count of the forward elimination `_echelon` over Z, on the rows
+    cleared of their denominators (which keeps the rank)."""
+    rows = [row for row in map(_cleared, matrix) if any(row)]
+    return len(_echelon(rows, 0, reduced=False)[0])
 
 
 def nullspace(matrix, ncols=None):
-    """Basis of the right kernel, one vector per free column.
+    """Basis of the right kernel over Q, or over Q(t) when any entry is a
+    RatFunc; one vector per free column f, with a 1 there.
 
-    Each basis vector has a 1 in its free column, making the output
-    canonical given the column order.
+    The rows are cleared into Z or Z[t], where `_echelon` leaves d times
+    the reduced row echelon form, so vec[pivot_i] = -M[i][f] / d, made a
+    Fraction or RatFunc once per entry.  The reduced form is unique, so
+    the basis is canonical given the column order.  An empty matrix has
+    `ncols` columns.
     """
-    if not matrix:
-        if not ncols:
-            return []
-        one, zero = Fraction(1), Fraction(0)
-        return [[one if i == j else zero for i in range(ncols)] for j in range(ncols)]
-    cols = len(matrix[0])
-    reduced, pivots = rref(matrix)
-    pivot_set = set(pivots)
-    free = [c for c in range(cols) if c not in pivot_set]
-    some = matrix[0][0]
-    zero, one = some * 0, some * 0 + 1
+    cols = len(matrix[0]) if matrix else ncols or 0
+    var = next((x.var for row in matrix for x in row if isinstance(x, RatFunc)), None)
+    m = [_cleared(row, var) for row in matrix]
+    pivots, d = _echelon(m, 0 if var is None else 1, reduced=True)
+    one = Fraction(1) if var is None else RatFunc.const(1, var)
     basis = []
-    for fc in free:
-        vec = [zero] * cols
+    for fc in sorted(set(range(cols)) - set(pivots)):
+        vec = [one * 0] * cols
         vec[fc] = one
-        for r, pc in enumerate(pivots):
-            vec[pc] = -reduced[r][fc]
+        for i, pc in enumerate(pivots):
+            if a := m[i][fc]:
+                vec[pc] = (Fraction(a, -d) if var is None
+                           else RatFunc(-UniPoly(a, var), UniPoly(d, var)))
         basis.append(vec)
     return basis
 

@@ -5,7 +5,8 @@
   (BDIZ) for weights on the curve c(t) = 13 - 6t - 6/t, giving the
   singular vector as a polynomial in t;
 * a kernel solve over the rational-function field Q(t) along the curve
-  through a general (r, s) vanishing locus of the Kac determinant.
+  through a general (r, s) vanishing locus of the Kac determinant, run
+  fraction-free over Z[t] (see `linalg.nullspace`).
 
 All three normalise the coefficient of L_{-1}^d to 1, which is always
 possible: that coefficient is nonzero whenever a singular vector exists,
@@ -59,9 +60,10 @@ def singular_kernel(params: VermaParams, level: int) -> list:
     """Basis of the joint kernel of L_1 and L_2 at the given level.
 
     Works over Q for rational parameters and over Q(t) for curve
-    parameters.  Vectors are normalised so the L_{-1}^level coefficient
-    is 1 whenever it is nonzero.  Level 0 has none; a negative level is
-    a UsageError.
+    parameters; `linalg.nullspace` clears each row of the L_1, L_2 matrix
+    and solves it fraction-free over Z or Z[t].  Vectors are normalised
+    so the L_{-1}^level coefficient is 1 whenever it is nonzero.  Level 0
+    has none; a negative level is a UsageError.
     """
     if level < 0:
         raise UsageError(f"a singular vector lies at a level >= 0, got {level}")
@@ -178,7 +180,8 @@ def bdiz_singular(j, var: str = "t") -> PBWVector:
 def curve_singular(r: int, s: int, var: str = "t") -> PBWVector:
     """The unique singular vector of M(c(t), h_{r,s}(t)) at level r*s.
 
-    Solved as an exact kernel computation over Q(t); the kernel must be
+    Solved as an exact kernel computation over Q(t), fraction-free over
+    Z[t] with rows cleared of their denominators; the kernel must be
     one-dimensional, otherwise the uniqueness guarantee is violated and
     a RuntimeError is raised.
     """

@@ -6,10 +6,11 @@ import pytest
 from virasoro.acceptance import CRITERIA
 
 RUNTIME_TARGETS = {
-    "kac-ratio": 60.0,     # levels 1..6 fully symbolic
-    "characters": 300.0,   # rank oracle to level 9
-    "discrete-characters": 60.0,  # rank oracle, 19 modules to level 10
+    "kac-ratio": 6.0,      # levels 1..6 fully symbolic
+    "characters": 2.0,     # rank oracle to level 9
+    "discrete-characters": 12.0,  # rank oracle, 19 modules to level 10
     "fock": 60.0,          # identity suite at E_max = 7, pair space at 4
+    "singular-triple": 25.0,  # curve vectors to level 9 over Q(t)
     "jantzen": 10.0,       # five Gram families, levels 1..6
     "character-sums": 10.0,  # five filtration character sums to q^6
 }

@@ -168,6 +168,20 @@ def test_acceptance_subset(capsys):
     assert "PASS binomial" in out
 
 
+def test_acceptance_time_columns_line_up(monkeypatch, capsys):
+    """The name column fits the longest criterion name, so the time
+    column starts at one offset on every line."""
+    from virasoro import cli
+
+    rows = [{"criterion": key, "title": title, "ok": True, "details": {}, "elapsed": 0.5}
+            for key, title, _ in cli.CRITERIA]
+    monkeypatch.setattr(cli, "run_acceptance", lambda **_: (True, rows))
+    code, out = run_cli(["acceptance"], capsys)
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == len(rows)
+    assert len({line.index("0.50s") for line in lines}) == 1
+
+
 def test_acceptance_unknown_criterion(capsys):
     code, _ = run_cli(["acceptance", "--suite", "nonsense"], capsys)
     assert code == 2

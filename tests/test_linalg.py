@@ -3,16 +3,67 @@ from fractions import Fraction
 
 import pytest
 
-from virasoro import jantzen, linalg, verma
-from virasoro.linalg import bareiss_det, det_expansion, rank, rref
+from virasoro import jantzen, linalg, singular, verma
+from virasoro.linalg import bareiss_det, det_expansion, nullspace, rank
 from virasoro.oscillator import c_coefficient, jacobi_trudi
 from virasoro.scalars import BiPoly, RatFunc, UniPoly
+
+
+def rref(matrix):
+    """Oracle: reduced row echelon form by plain Gauss-Jordan over a field
+    (the entries' own division, Fraction or RatFunc); returns (rows, pivot
+    columns)."""
+    m = [list(row) for row in matrix]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots = []
+    r = 0
+    for col in range(cols):
+        pivot_row = None
+        for i in range(r, rows):
+            if m[i][col]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = m[r][col]
+        m[r] = [x / inv for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][col]:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
 
 
 def _rref_rank(matrix):
     if not matrix or not matrix[0]:
         return 0
     return len(rref(matrix)[1])
+
+
+def _rref_kernel(matrix):
+    """Oracle: the kernel basis read off `rref`, -rref[i][f] at pivot i
+    and 1 at the free column f."""
+    reduced, pivots = rref(matrix)
+    cols = len(matrix[0])
+    one = RatFunc.const(1, "t") if _has_ratfunc(matrix) else Fraction(1)
+    basis = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        vec = [one * 0] * cols
+        vec[fc] = one
+        for r, pc in enumerate(pivots):
+            vec[pc] = -reduced[r][fc]
+        basis.append(vec)
+    return basis
+
+
+def _has_ratfunc(matrix):
+    return any(isinstance(x, RatFunc) for row in matrix for x in row)
 
 
 def _random_matrix(rng, rows, cols, true_rank=None, density=0.7):
@@ -62,6 +113,68 @@ def test_rank_of_degenerate_shapes():
     assert rank([[1, 2], [2, 4]]) == 1
     assert rank([[Fraction(1, 3), Fraction(1, 2)], [Fraction(2, 3), 1]]) == 1
     assert rank([[0, Fraction(1, 7)], [Fraction(5, 2), 0]]) == 2
+
+
+def _same_kernel(matrix):
+    got, want = nullspace(matrix), _rref_kernel(matrix)
+    kind = RatFunc if _has_ratfunc(matrix) else Fraction
+    return got == want and all(type(x) is kind for vec in got for x in vec)
+
+
+def test_nullspace_matches_rref_kernel_over_q():
+    rng = random.Random(20261019)
+    for _ in range(300):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+        true_rank = rng.choice([None, 0, 1, 2, 3])
+        m = _random_matrix(rng, rows, cols, true_rank, density=rng.choice([0.3, 0.7, 1.0]))
+        assert _same_kernel(m), m
+
+
+def _random_ratfunc(rng):
+    if rng.random() < 0.4:
+        return rng.choice([Fraction(0), RatFunc.const(0, "t")])
+    def poly(coeff):
+        return UniPoly([coeff() for _ in range(rng.randint(1, 3))], "t")
+
+    return RatFunc(poly(lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 3))),
+                   poly(lambda: rng.randint(1, 3)))
+
+
+def test_nullspace_matches_rref_kernel_over_qt():
+    rng = random.Random("nullspace Q(t)")
+    zero = RatFunc.const(0, "t")
+    for _ in range(80):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 6)
+        true_rank = rng.choice([None, 1, 2])
+        if true_rank is None:
+            m = [[_random_ratfunc(rng) for _ in range(cols)] for _ in range(rows)]
+        else:
+            left = [[_random_ratfunc(rng) for _ in range(true_rank)] for _ in range(rows)]
+            right = [[_random_ratfunc(rng) for _ in range(cols)] for _ in range(true_rank)]
+            m = [[sum((left[i][k] * right[k][j] for k in range(true_rank)), zero)
+                  for j in range(cols)] for i in range(rows)]
+        m[0][0] = zero if rng.random() < 0.5 else m[0][0] + zero  # one RatFunc entry at least
+        assert _same_kernel(m), m
+
+
+@pytest.mark.parametrize("rs", [(1, 1), (2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (2, 3)])
+def test_nullspace_matches_rref_kernel_on_curve_matrices(rs):
+    """The joint L_1, L_2 matrix of the (r, s) curve module at level rs,
+    over Q(t): the kernel is one vector, the same from both routes."""
+    params = verma.VermaParams(verma.c_curve(), verma.h_pq_curve(*rs))
+    level = rs[0] * rs[1]
+    m = [row for k in (1, 2) for row in singular._linear_map_matrix(k, level, params)]
+    assert _same_kernel(m) and len(nullspace(m)) == 1
+
+
+def test_nullspace_of_degenerate_shapes():
+    assert nullspace([]) == [] and nullspace([], ncols=0) == []
+    assert nullspace([], ncols=2) == [[1, 0], [0, 1]]
+    assert nullspace([[Fraction(0)] * 2]) == [[1, 0], [0, 1]]
+    zero, one = RatFunc.const(0, "t"), RatFunc.const(1, "t")
+    assert nullspace([[zero, Fraction(0)]]) == [[one, zero], [zero, one]]
+    t = RatFunc.gen("t")
+    assert nullspace([[Fraction(2, 3), t]]) == [[-t * Fraction(3, 2), one]]
 
 
 def test_det_expansion_over_poly_states_matches_leibniz():

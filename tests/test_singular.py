@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from virasoro.singular import (
     singular_kernel,
     specialize_curve_vector,
 )
-from virasoro.verma import PBWVector, VermaParams
+from virasoro.verma import PBWVector, VermaParams, c_curve, h_pq_curve
 
 HALF = Fraction(1, 2)
 
@@ -113,6 +114,16 @@ def test_curve_22_specialisation_matches_kernel():
     found = singular_kernel(params, 4)
     assert len(found) == 1 and found[0].vector == sp
     assert check_singular(sp, params)[0]
+
+
+def test_curve_42_is_fast_and_singular():
+    """The fraction-free Z[t] solve: (4, 2) took about two minutes as a
+    Gauss-Jordan over Q(t)."""
+    start = time.perf_counter()
+    vec = curve_singular(4, 2)
+    assert time.perf_counter() - start < 2.0
+    params = VermaParams(c_curve(), h_pq_curve(4, 2))
+    assert check_singular(vec, params)[0] and vec.coeff((1,) * 8) == 1
 
 
 def test_curve_coefficients_clear_to_polynomials():
