@@ -15,7 +15,6 @@ from .combinat import (
     num_partitions,
     partition_key,
     partitions_of,
-    phi_series,
     transpose,
 )
 from .density import (

@@ -16,8 +16,12 @@ from .scalars import UsageError, as_fraction, render_fraction
 Partition = tuple  # weakly decreasing tuple of positive ints
 Signature = tuple  # weakly decreasing tuple of non-negative ints, trimmed
 
+# Entries kept by each of partitions_of and num_partitions; the acceptance
+# gate fills them to 66 and 14.
+PARTITION_CACHE_SIZE = 1 << 12
 
-@lru_cache(maxsize=None)
+
+@lru_cache(maxsize=PARTITION_CACHE_SIZE)
 def partitions_of(n: int, max_part: int | None = None) -> tuple:
     """All partitions of n in descending lexicographic order."""
     if n < 0:
@@ -33,7 +37,7 @@ def partitions_of(n: int, max_part: int | None = None) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=PARTITION_CACHE_SIZE)
 def num_partitions(n: int) -> int:
     """Partition counts via the pentagonal number recurrence."""
     if n < 0:
@@ -59,16 +63,6 @@ def num_partitions(n: int) -> int:
 def partition_key(p: Partition) -> str:
     """Canonical JSON key, e.g. "[3,1]" or "[]"."""
     return "[" + ",".join(str(x) for x in p) + "]"
-
-
-def parse_partition(text: str) -> Partition:
-    body = text.strip().lstrip("[").rstrip("]").strip()
-    if not body:
-        return ()
-    parts = tuple(int(x) for x in body.split(","))
-    if any(x <= 0 for x in parts) or list(parts) != sorted(parts, reverse=True):
-        raise UsageError(f"not a partition: {text!r}")
-    return parts
 
 
 def as_signature(rows) -> Signature:
@@ -97,8 +91,8 @@ class QSeries:
 
     The leading exponent may be any rational (characters carry q^h).  The
     truncation order is the number of known coefficients past the lead;
-    arithmetic propagates the minimum of the operands' orders, and asking
-    for a coefficient beyond the order raises.
+    equality compares the coefficients both series know, and asking for
+    a coefficient beyond the order raises.
     """
 
     __slots__ = ("lead", "coeffs", "order")
@@ -117,14 +111,6 @@ class QSeries:
     def __setattr__(self, name, value):
         raise AttributeError("QSeries is immutable")
 
-    @classmethod
-    def zero(cls, order: int, lead=0) -> "QSeries":
-        return cls([0] * (order + 1), lead, order)
-
-    @classmethod
-    def one(cls, order: int) -> "QSeries":
-        return cls([1], 0, order)
-
     def coeff(self, n: int) -> Fraction:
         """Coefficient of q^(lead + n)."""
         if n < 0:
@@ -133,60 +119,9 @@ class QSeries:
             raise IndexError(f"coefficient q^{n} beyond truncation order {self.order}")
         return self.coeffs[n]
 
-    def shift(self, exponent) -> "QSeries":
-        return QSeries(self.coeffs, self.lead + as_fraction(exponent), self.order)
-
     def scale(self, scalar) -> "QSeries":
         s = as_fraction(scalar)
         return QSeries([s * c for c in self.coeffs], self.lead, self.order)
-
-    def _aligned(self, other: "QSeries"):
-        """(low, high, offset) with low.lead + offset = high.lead."""
-        delta = other.lead - self.lead
-        if delta.denominator != 1:
-            raise ValueError(
-                f"cannot combine series with incompatible leads {self.lead} and {other.lead}"
-            )
-        d = delta.numerator
-        if d >= 0:
-            return self, other, d
-        return other, self, -d
-
-    def __add__(self, other):
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        low, high, offset = self._aligned(other)
-        order = min(low.order, high.order + offset)
-        out = []
-        for n in range(order + 1):
-            c = low.coeffs[n]
-            if n - offset >= 0:
-                c += high.coeffs[n - offset]
-            out.append(c)
-        return QSeries(out, low.lead, order)
-
-    def __neg__(self):
-        return QSeries([-c for c in self.coeffs], self.lead, self.order)
-
-    def __sub__(self, other):
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        order = min(self.order, other.order)
-        out = [Fraction(0)] * (order + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0 or i > order:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if i + j > order:
-                    break
-                if b:
-                    out[i + j] += a * b
-        return QSeries(out, self.lead + other.lead, order)
 
     def __eq__(self, other):
         if not isinstance(other, QSeries):
@@ -225,10 +160,3 @@ class QSeries:
             bits.append(f"{render_fraction(c)}*q^{e}" if e else render_fraction(c))
         body = " + ".join(bits) if bits else "0"
         return f"QSeries({body} + O(q^{self.lead + self.order + 1}))"
-
-
-def phi_series(order: int) -> QSeries:
-    """Euler generating function of partition counts, truncated."""
-    if order < 0:
-        raise ValueError("negative truncation order")
-    return QSeries([num_partitions(n) for n in range(order + 1)], 0, order)

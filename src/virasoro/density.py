@@ -31,7 +31,12 @@ def density_apply(k: int, w: DensityVector, lam, mu) -> DensityVector:
     return w.apply_linear(lambda n: {n + k: -(lam * k + mu + n)})
 
 
-@lru_cache(maxsize=None)
+# Entries kept by singular_element, one per spin j; the acceptance gate
+# fills it to 9.
+SINGULAR_CACHE_SIZE = 1 << 5
+
+
+@lru_cache(maxsize=SINGULAR_CACHE_SIZE)
 def singular_element(j) -> PBWVector:
     """P_d for M(1, j^2): the curve singular element at t = 1, with
     rational coefficients and L_{-1}^d coefficient 1."""

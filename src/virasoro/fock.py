@@ -39,13 +39,12 @@ approximation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
 from typing import NamedTuple
 
-from .combinat import QSeries, num_partitions, partitions_of
+from .combinat import num_partitions, partitions_of
 from .oscillator import exp_series, sugawara
 from .scalars import SparseVector, accumulate, as_fraction
 
@@ -405,7 +404,6 @@ class FockBasis:
         states.sort(key=lambda s: (s.energy, s.sector, s.lam))
         self.emax = emax
         self.states = states
-        self.index = {s: i for i, s in enumerate(states)}
 
     def __iter__(self):
         return iter(self.states)
@@ -487,18 +485,19 @@ def H_apply(n: int, vec: PairVector) -> PairVector:
     return b_apply(n, vec).scale(Fraction(1, 2))
 
 
+def _b_state(n: int, st: PairState, sign: int = -1):
+    """a_n^(1) + sign * a_n^(2) on one pair state as (state, coefficient)
+    pairs: the difference boson b_n by default, 2 K(n) with sign 1.  The
+    bosons are even, so the second factor takes no Koszul sign."""
+    left, right = st
+    out = [(_tuple_new(PairState, (new, right)), c) for new, c in _boson_state(n, left)]
+    out += [(_tuple_new(PairState, (left, new)), sign * c) for new, c in _boson_state(n, right)]
+    return out
+
+
 def K_apply(n: int, vec: PairVector) -> PairVector:
-    """K(n) = (a_n^(1) + a_n^(2)) / 2; the bosons are even, so the second
-    factor takes no Koszul sign."""
-
-    def image(st):
-        left, right = st
-        for new, c in _boson_state(n, left):
-            yield PairState(new, right), c
-        for new, c in _boson_state(n, right):
-            yield PairState(left, new), c
-
-    return vec.apply_linear(image).scale(Fraction(1, 2))
+    """K(n) = (a_n^(1) + a_n^(2)) / 2."""
+    return vec.apply_linear(lambda st: _b_state(n, st, 1)).scale(Fraction(1, 2))
 
 
 def psi_mode(m: int, n: int, vec: PairVector) -> PairVector:
@@ -518,15 +517,6 @@ def psi_mode(m: int, n: int, vec: PairVector) -> PairVector:
                     yield PairState(ls, rs), sign * lc * rc
 
     return vec.apply_linear(image)
-
-
-def _b_state(n: int, st: PairState):
-    """b_n on one pair state as (state, coefficient) pairs; the bosons are
-    even, so the second factor takes no Koszul sign."""
-    left, right = st
-    out = [(_tuple_new(PairState, (new, right)), c) for new, c in _boson_state(n, left)]
-    out += [(_tuple_new(PairState, (left, new)), -c) for new, c in _boson_state(n, right)]
-    return out
 
 
 def b_apply(n: int, vec: PairVector) -> PairVector:
@@ -617,42 +607,8 @@ class PairBasis:
 
 
 # ----------------------------------------------------------------------
-# closed character forms
+# the theta decomposition of the two-factor trace
 # ----------------------------------------------------------------------
-
-
-def level1_character_closed(j, zeta_band: int, n_max: int) -> dict:
-    """X_j(zeta, q) = sum_{n in j+Z} zeta^{2n} q^{n^2} phi(q), as a map
-    from zeta-exponent (2n) to the q-series of that band, truncated."""
-    j = as_fraction(j)
-    out = {}
-    two_n = -2 * zeta_band + (0 if j == 0 else 1)
-    while two_n <= 2 * zeta_band:
-        n = Fraction(two_n, 2)
-        lead = n * n
-        if lead <= n_max:
-            coeffs = [num_partitions(t) for t in range(int(n_max - lead) + 1)]
-            out[two_n] = QSeries(coeffs, lead, int(n_max - lead))
-        two_n += 2
-    return out
-
-
-def multiplicity_character_closed(j, order: int) -> QSeries:
-    """Psi_j(q) = sum_{m in j+Z} q^{m^2} phi(q) as q^{j^2} times an
-    integer-graded series (m^2 - j^2 is always an integer)."""
-    j = as_fraction(j)
-    lead = j * j
-    coeffs = [Fraction(0)] * (order + 1)
-    m = j
-    while True:
-        offset = m * m - lead
-        if offset > order:
-            break
-        mult = 1 if m == 0 else 2
-        for t in range(order - int(offset) + 1):
-            coeffs[int(offset) + t] += mult * num_partitions(t)
-        m += 1
-    return QSeries(coeffs, lead, order)
 
 
 def two_factor_trace(emax) -> dict:
@@ -664,78 +620,6 @@ def two_factor_trace(emax) -> dict:
         key = (st.left.charge - st.right.charge, st.energy)
         out[key] = out.get(key, 0) + 1
     return out
-
-
-@dataclass(frozen=True)
-class ModeMatrix:
-    """Basis-indexed matrix of an operator with its declared grading.
-
-    Entries map (target index, source index) -> coefficient; images that
-    land outside the enumerated basis are tallied in `overflow`, so a
-    comparison window that is too small is visible rather than silent.
-    A declared shift of None means the operator is not uniformly graded
-    in that quantity (the shift U moves energy by a sector-dependent
-    amount).
-    """
-
-    label: str
-    denergy: object  # Fraction or None
-    dcharge: object  # int or None
-    entries: tuple
-    overflow: int
-
-    def grading_consistent(self, basis: "FockBasis") -> bool:
-        for (i, j), _ in self.entries:
-            src, dst = basis.states[j], basis.states[i]
-            if self.denergy is not None and dst.energy - src.energy != self.denergy:
-                return False
-            if self.dcharge is not None and dst.charge - src.charge != self.dcharge:
-                return False
-        return True
-
-
-def assemble_mode_matrix(label, op, basis: "FockBasis", denergy, dcharge) -> ModeMatrix:
-    entries = {}
-    overflow = 0
-    for j, st in enumerate(basis.states):
-        image = op(FockVector.basis(st))
-        for ts, c in image.terms.items():
-            i = basis.index.get(ts)
-            if i is None:
-                overflow += 1
-            else:
-                entries[(i, j)] = c
-    if denergy is not None:
-        denergy = as_fraction(denergy)
-    return ModeMatrix(label, denergy, dcharge, tuple(sorted(entries.items())), overflow)
-
-
-def bilinear(label: str, n: int, basis: "FockBasis") -> ModeMatrix:
-    """Mode matrix of a fermion-bilinear operator on the given basis."""
-    if label == "a":
-        return assemble_mode_matrix(f"a_{n}", lambda v: boson_apply(n, v), basis, -n, 0)
-    if label == "L'":
-        return assemble_mode_matrix(f"L'_{n}", lambda v: lprime_apply(n, v), basis, -n, 0)
-    if label == "L":
-        return assemble_mode_matrix(f"L_{n}", lambda v: sugawara_apply(n, v), basis, -n, 0)
-    raise ValueError(f"unknown bilinear label {label!r}")
-
-
-def shift_U(power: int, basis: "FockBasis") -> ModeMatrix:
-    """The wedge shift U^power as a mode matrix (charge drops by power)."""
-    return assemble_mode_matrix(
-        f"U^{power}", lambda v: shift_apply(power, v), basis, None, -power
-    )
-
-
-def vertex_mode_matrix(m: int, n: int, basis: "FockBasis") -> ModeMatrix:
-    return assemble_mode_matrix(
-        f"Phi_{m}({n})",
-        lambda v: vertex_mode(m, n, v),
-        basis,
-        Fraction(m * m, 2) - n,
-        m,
-    )
 
 
 def two_factor_trace_closed(zeta_exp: int, energy) -> int:

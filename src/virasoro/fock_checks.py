@@ -47,7 +47,6 @@ from .fock import (
     two_factor_trace_closed,
     vacuum,
     vertex_mode,
-    vertex_mode_matrix,
     vertex_mode_range,
 )
 
@@ -187,13 +186,20 @@ def check_exchange(emax):
 
 
 def check_adjoint(emax):
-    """Phi_m(n)^T = Phi_{-m}(m^2 - n) as matrices on the truncated basis."""
+    """Phi_m(n)^T = Phi_{-m}(m^2 - n) as matrices on the truncated basis,
+    each a map (target, source) -> coefficient over the images that stay
+    inside the basis."""
     basis = FockBasis(emax)
+    inside = set(basis)
+
+    def matrix(m, n):
+        return {(ts, st): c for st in basis
+                for ts, c in vertex_mode(m, n, FockVector.basis(st)).terms.items() if ts in inside}
+
     for m in (1, -1, 2):
         for n in range(-3, 4):
-            a = dict(vertex_mode_matrix(m, n, basis).entries)
-            b = vertex_mode_matrix(-m, m * m - n, basis).entries
-            yield (m, n), a, {(j, i): c for (i, j), c in b}
+            a, b = matrix(m, n), matrix(-m, m * m - n)
+            yield (m, n), a, {(j, i): c for (i, j), c in b.items()}
 
 
 def check_example2(emax):

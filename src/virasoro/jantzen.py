@@ -27,9 +27,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .combinat import QSeries, num_partitions, partitions_of
-from .linalg import _cleared, _echelon, bareiss_det, nullspace, sum_entries
+from .linalg import bareiss_det, nullspace, row_basis, sum_entries
 from .scalars import UniPoly, UsageError, as_fraction, order_at_zero
-from .singular import discrete_chain_levels
+from .singular import c1_chain_levels, discrete_chain_levels
 from .verma import (
     PBWVector,
     VermaParams,
@@ -120,10 +120,7 @@ def coefficient_matrices(family: MatrixFamily):
 
 def _first_block_span(kernel, n: int):
     """Basis of the projection of kernel vectors onto the v_0 block."""
-    projected = [vec[:n] for vec in kernel if any(x != 0 for x in vec[:n])]
-    rows = [_cleared(vec) for vec in projected]
-    pivots, d = _echelon(rows, 0, reduced=True)
-    return tuple(tuple(Fraction(x, d) for x in rows[i]) for i in range(len(pivots)))
+    return tuple(row_basis(vec[:n] for vec in kernel))
 
 
 def jantzen_filtration(family: MatrixFamily, det=None) -> Filtration:
@@ -241,31 +238,26 @@ def _check_kac_label(m: int, r: int, s: int) -> None:
         raise UsageError(f"(r, s) = ({r}, {s}) lies outside the Kac table 1 <= r < m, 1 <= s <= m")
 
 
+def _phi_times_levels(levels, n_max: int) -> list:
+    """Coefficients of phi(q) * sum_{level} q^level up to q^n_max."""
+    coeffs = [0] * (n_max + 1)
+    for lvl in levels:
+        for n in range(lvl, n_max + 1):
+            coeffs[n] += num_partitions(n - lvl)
+    return coeffs
+
+
 def c1_character_sum_closed(j, n_max: int) -> QSeries:
-    """phi(q) * sum_{r>=1} q^{r(r+2j)} truncated, lead j^2."""
+    """phi(q) * sum_{r>=1} q^{r(r+2j)} truncated, lead j^2; the r-th
+    level is at least r, so r <= n_max covers the window."""
     j = _c1_spin(j)
     _check_order(n_max)
-    coeffs = []
-    for n in range(n_max + 1):
-        total = 0
-        rr = 1
-        while True:
-            lvl = rr * (rr + 2 * j)
-            if lvl > n:
-                break
-            if lvl.denominator == 1:
-                total += num_partitions(n - int(lvl))
-            rr += 1
-        coeffs.append(total)
-    return QSeries(coeffs, j * j, n_max)
+    return QSeries(_phi_times_levels(c1_chain_levels(j, n_max), n_max), j * j, n_max)
 
 
 def discrete_character_sum_closed(m: int, r: int, s: int, n_max: int) -> QSeries:
     _check_order(n_max)
-    coeffs = [0] * (n_max + 1)
-    for lvl in discrete_chain_levels(m, r, s, n_max):
-        for n in range(lvl, n_max + 1):
-            coeffs[n] += num_partitions(n - lvl)
+    coeffs = _phi_times_levels(discrete_chain_levels(m, r, s, n_max), n_max)
     return QSeries(coeffs, h_pq(r, s, m), n_max)
 
 

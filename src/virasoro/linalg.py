@@ -294,6 +294,14 @@ def rank(matrix) -> int:
     return len(_echelon(rows, 0, reduced=False)[0])
 
 
+def row_basis(vectors) -> list:
+    """The reduced row echelon basis of the span of some rational vectors:
+    `_echelon` over Z leaves d times it in the first rows."""
+    rows = [_cleared(vec) for vec in vectors]
+    pivots, d = _echelon(rows, 0, reduced=True)
+    return [tuple(Fraction(x, d) for x in rows[i]) for i in range(len(pivots))]
+
+
 def nullspace(matrix, ncols=None):
     """Basis of the right kernel over Q, or over Q(t) when any entry is a
     RatFunc; one vector per free column f, with a 1 there.

@@ -232,7 +232,12 @@ def singular_kernel_osc(params: OscParams, level: int) -> list:
     return out
 
 
-@lru_cache(maxsize=None)
+# Entries kept by c_coefficient, one per n; the acceptance gate fills it
+# to 11.
+C_CACHE_SIZE = 1 << 8
+
+
+@lru_cache(maxsize=C_CACHE_SIZE)
 def c_coefficient(n: int) -> PolyState:
     """c_n in exp(sum_{n>0} x_n z^n / n) = sum c_n z^n; c_n = 0 for n < 0."""
     if n < 0:

@@ -7,6 +7,10 @@ from virasoro.acceptance import CRITERIA
 
 RUNTIME_TARGETS = {
     "kac-ratio": 6.0,      # levels 1..6 fully symbolic
+    "gomes": 1.0,          # one level-2 determinant at c = 0
+    "density-poly": 5.0,   # direct, product and determinant a_d for j <= 4
+    "goldstone": 2.0,      # oscillator kernels at energies up to 9
+    "binomial": 3.0,       # pairings and binomial determinants, |f| <= 6
     "characters": 2.0,     # rank oracle to level 9
     "discrete-characters": 12.0,  # rank oracle, 19 modules to level 10
     "fock": 60.0,          # identity suite at E_max = 7, pair space at 4

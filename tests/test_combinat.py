@@ -6,10 +6,8 @@ import pytest
 from virasoro.combinat import (
     QSeries,
     num_partitions,
-    parse_partition,
     partition_key,
     partitions_of,
-    phi_series,
     transpose,
 )
 
@@ -43,13 +41,6 @@ def test_counts_match_enumeration_up_to_30():
         assert num_partitions(n) == len(partitions_of(n))
 
 
-def test_phi_series_examples():
-    phi = phi_series(5)
-    assert list(phi.coeffs) == [1, 1, 2, 3, 5, 7]
-    assert phi_series(0).coeffs == (Fraction(1),)
-    assert phi.coeff(4) == len(partitions_of(4))
-
-
 def test_transpose_examples():
     assert transpose((3, 3)) == (2, 2, 2)
     assert transpose(()) == ()
@@ -67,26 +58,11 @@ def test_transpose_involution():
 def test_partition_keys():
     assert partition_key((3, 1)) == "[3,1]"
     assert partition_key(()) == "[]"
-    assert parse_partition("[3,1]") == (3, 1)
-    assert parse_partition("[]") == ()
-    with pytest.raises(ValueError):
-        parse_partition("[1,3]")
 
 
-def test_qseries_truncation_min_rule():
-    a = QSeries([1, 1, 1, 1], 0, 3)
-    b = QSeries([1, 2, 3, 4, 5, 6], 0, 5)
-    assert (a + b).order == 3
-    assert (a * b).order == 3
-    # (1-q) * phi(4) = 1 + 0q + q^2 + q^3 + 2q^4
-    one_minus_q = QSeries([1, -1, 0, 0, 0], 0, 4)
-    prod = one_minus_q * phi_series(4)
-    assert list(prod.coeffs) == [1, 0, 1, 1, 2]
-
-
-def test_qseries_shift_and_beyond_order():
-    s = phi_series(3).shift(Fraction(1, 4))
-    assert s.lead == Fraction(1, 4)
+def test_qseries_beyond_order():
+    s = QSeries([1, 1, 2, 3], Fraction(1, 4), 3)
+    assert s.coeff(3) == 3
     with pytest.raises(IndexError):
         s.coeff(4)
 

@@ -24,11 +24,9 @@ from virasoro.fock import (
     apply_e_star,
     boson_apply,
     fermion_apply,
-    level1_character_closed,
     lowering_coeff_apply,
     lprime_apply,
     lprime_zero_bilinear,
-    multiplicity_character_closed,
     psi_mode,
     raising_coeff_apply,
     shift_apply,
@@ -131,12 +129,16 @@ def test_maya_key_round_trip():
 
 
 def test_operator_tables_are_bounded():
-    from virasoro import fock, verma
+    from virasoro import combinat, density, fock, oscillator, verma
 
-    for table in (fock._boson_state, fock._lprime_state, fock._vertex_modes, fock._psi_b_modes,
-                  verma._left_mul_monomial):
+    for table in (fock._boson_state, fock._lprime_state, fock._vertex_modes, fock._psi_b_modes):
         assert table.cache_info().maxsize is not None, table.__name__
-    assert verma._left_mul_monomial.cache_info().maxsize == verma.LEFT_CACHE_SIZE
+    for table, size in ((verma._left_mul_monomial, verma.LEFT_CACHE_SIZE),
+                        (combinat.partitions_of, combinat.PARTITION_CACHE_SIZE),
+                        (combinat.num_partitions, combinat.PARTITION_CACHE_SIZE),
+                        (density.singular_element, density.SINGULAR_CACHE_SIZE),
+                        (oscillator.c_coefficient, oscillator.C_CACHE_SIZE)):
+        assert table.cache_info().maxsize == size, table.__name__
 
 
 def test_car_relations():
@@ -283,27 +285,6 @@ def test_theta_decomposition_to_order_two():
         assert count == two_factor_trace_closed(zx, en), (zx, en)
 
 
-def test_level1_character_coefficients():
-    # q^1 band structure of the integer-spin character: 1 + zeta^2 + zeta^-2
-    x0 = level1_character_closed(0, 2, 4)
-    got = {band: series.coeff(int(1 - series.lead)) for band, series in x0.items() if series.lead <= 1}
-    assert got == {-2: 1, 0: 1, 2: 1}
-    # q^{1/4} coefficient of the half-integer-spin character: zeta + 1/zeta
-    xh = level1_character_closed(HALF, 2, 4)
-    got = {band: series.coeff(0) for band, series in xh.items() if series.lead == Fraction(1, 4)}
-    assert got == {-1: 1, 1: 1}
-
-
-def test_multiplicity_character():
-    psi0 = multiplicity_character_closed(0, 6)
-    # 1 + 2q + ... : m = 0 once, m = +-1 twice from q^1
-    assert psi0.coeff(0) == 1
-    assert psi0.coeff(1) == 1 + 2
-    psih = multiplicity_character_closed(HALF, 6)
-    assert psih.lead == Fraction(1, 4)
-    assert psih.coeff(0) == 2
-
-
 def test_suite_runner_smoke():
     reports = run_suites(2, names=["car", "grading"], pair_emax=2)
     assert all(r["ok"] for r in reports)
@@ -345,25 +326,24 @@ def test_suites_look_up_operators_when_they_run(monkeypatch):
     assert want and got == want and not report["ok"]
 
 
-def test_mode_matrix_assembly_and_grading():
-    from virasoro.fock import FockBasis, bilinear, shift_U, vertex_mode_matrix
+def test_adjoint_suite_sees_a_changed_mode(monkeypatch):
+    real = fock_checks.vertex_mode
 
-    basis = FockBasis(3)
-    for mm in (
-        bilinear("a", 1, basis),
-        bilinear("a", -2, basis),
-        bilinear("L'", 2, basis),
-        bilinear("L", -1, basis),
-        vertex_mode_matrix(1, 0, basis),
-        vertex_mode_matrix(-1, 2, basis),
-        shift_U(1, basis),
-        shift_U(-2, basis),
-    ):
-        assert mm.grading_consistent(basis), mm.label
-    # L and L' assemble to the same matrix
-    assert bilinear("L", 1, basis).entries == bilinear("L'", 1, basis).entries
-    with pytest.raises(ValueError):
-        bilinear("nope", 0, basis)
+    def doubled(m, n, v):
+        got = real(m, n, v)
+        return got.scale(2) if (m, n) == (1, 0) else got
+
+    monkeypatch.setattr(fock_checks, "vertex_mode", doubled)
+    report = SUITES["adjoint"](2)
+    # Phi_1(0) is compared with Phi_{-1}(1)^T under both keys
+    assert report["checked"] == 21 and set(report["mismatches"]) == {(1, 0), (-1, 1)}
+
+
+def test_shift_moves_each_state_to_one_state():
+    for st in FockBasis(3):
+        for p in (-2, -1, 1, 2):
+            (image, coeff), = shift_apply(p, FockVector.basis(st)).terms.items()
+            assert coeff == 1 and image.charge == st.charge - p and image.lam == st.lam, (st, p)
 
 
 def test_pair_space_suites():
