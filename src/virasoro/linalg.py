@@ -13,7 +13,7 @@ remainder-checked (`_step`):
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 from .scalars import BiPoly, RatFunc, UniPoly
 
@@ -269,13 +269,16 @@ def _echelon(m, depth, reduced):
 
 
 def _cleared(row, var=None):
-    """The row times the lcm of its denominators.  Rationals become ints;
-    with `var`, entries in Q(var) become Z[var] coefficient arrays, scaled
-    by the polynomial lcm of the RatFunc denominators and then by the lcm
-    of the coefficient denominators."""
+    """The row times the lcm of its denominators.  Rationals become ints,
+    divided by their gcd (a positive scale of a row keeps the reduced row
+    echelon form); with `var`, entries in Q(var) become Z[var] coefficient
+    arrays, scaled by the polynomial lcm of the RatFunc denominators and
+    then by the lcm of the coefficient denominators."""
     if var is None:
         den = _row_scale(row)
-        return [x.numerator * (den // x.denominator) for x in row]
+        row = [x.numerator * (den // x.denominator) for x in row]
+        g = gcd(*row)
+        return [x // g for x in row] if g > 1 else row
     big = UniPoly.const(1, var)
     for x in row:
         if isinstance(x, RatFunc) and x.den != big:

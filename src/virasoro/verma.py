@@ -11,8 +11,10 @@ Conventions fixed here and used everywhere else:
   order of :func:`virasoro.combinat.partitions_of`.
 
 The parameters (c, h) may be rationals, rational functions of a curve
-parameter, or the symbolic coordinates of Q[c,h]; all the action and
-Gram-matrix code below is generic over that choice.
+parameter, or the symbolic coordinates of Q[c,h].  The action is one
+(c, h)-free table of integer triples (a, b, e), the coefficient a + b h
++ e c/2; apply_L evaluates them in the ring of (c, h), the rank oracle
+as the integers S (a + b h + e c/2) (see `irreducible_dims`).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .combinat import num_partitions, partition_key, partitions_of
 from .linalg import bareiss_det, rank
@@ -48,8 +51,7 @@ class VermaParams:
 
     @classmethod
     def symbolic(cls) -> "VermaParams":
-        c, h = BiPoly.gens()
-        return cls(c, h)
+        return cls(*BiPoly.gens())
 
     def is_rational(self) -> bool:
         return isinstance(self.c, (int, Fraction)) and isinstance(self.h, (int, Fraction))
@@ -79,9 +81,8 @@ class PBWVector(SparseVector):
     def __repr__(self):
         if not self.terms:
             return "PBWVector(0)"
-        bits = []
-        for part in sorted(self.terms, reverse=True):
-            bits.append(f"{partition_key(part)}: {render_scalar(self.terms[part])}")
+        bits = (f"{partition_key(p)}: {render_scalar(self.terms[p])}"
+                for p in sorted(self.terms, reverse=True))
         return "PBWVector({" + ", ".join(bits) + "})"
 
     def to_json(self) -> dict:
@@ -90,10 +91,6 @@ class PBWVector(SparseVector):
             "level": self.level(),
             "terms": {partition_key(p): render_scalar(self.terms[p]) for p in parts},
         }
-
-
-def central_term(k: int):
-    return Fraction(k**3 - k, 12)
 
 
 def pbw_left_multiply(p: int, v: PBWVector) -> PBWVector:
@@ -137,47 +134,60 @@ def pbw_operator_apply(op: PBWVector, v: PBWVector) -> PBWVector:
     return PBWVector(out)
 
 
-@lru_cache(maxsize=4)
-def _action_table(params: VermaParams) -> dict:
-    """{(k, part): L_k applied to the monomial} at `params`; a long process
-    that visits many (c, h) keeps only the four most recently used."""
-    return {}
+# Entries kept by the action table _action, which does not depend on
+# (c, h); the rank oracle fills it to 987 at level 10, 2,307 at level 12.
+ACTION_CACHE_SIZE = 1 << 12
 
 
-def apply_L(k: int, v: PBWVector, params: VermaParams) -> PBWVector:
-    """Exact action of L_k on a PBW vector of M(c, h)."""
-    table = _action_table(params)
-    return v.apply_linear(lambda part: _apply_monomial(k, part, params, table).terms)
-
-
-def _apply_monomial(k: int, part: tuple, params: VermaParams, table: dict) -> PBWVector:
+@lru_cache(maxsize=ACTION_CACHE_SIZE)
+def _action(k: int, part: tuple) -> dict:
+    """L_k L_{-part} xi as {nu: (a, b, e)}: the coefficient of L_{-nu} xi
+    is a + b h + e c/2 with integers a, b, e at every (c, h).  At most one
+    positive mode is absorbed, and its central term (k^3-k)/12 c is
+    ((k^3-k)/6) c/2."""
+    if k < 0:
+        return {nu: (x.numerator, 0, 0) for nu, x in _left_mul_monomial(-k, part).terms.items()}
     if k == 0:
-        return PBWVector.monomial(part, params.h + sum(part))
-    if k < 0 and (not part or -k >= part[0]):
-        return PBWVector.monomial((-k,) + part)
-    key = (k, part)
-    hit = table.get(key)
-    if hit is not None:
-        return hit
+        return {part: (sum(part), 1, 0)}
     out = {}  # k > 0 annihilates the lowest-weight vector
     if part:
         head, rest = part[0], part[1:]
         # L_k L_{-head} = L_{-head} L_k + (k + head) L_{k-head} + delta central
-        for q, c in _apply_monomial(k, rest, params, table).terms.items():
-            accumulate(out, _left_mul_monomial(head, q).terms, c)
-        m = k - head
-        if m == 0:
-            bracket = {rest: (params.h + sum(rest)) * Fraction(2 * k)}
-        else:
-            bracket = accumulate(
-                {}, _apply_monomial(m, rest, params, table).terms, Fraction(k + head)
-            )
+        terms = [(nu, x.numerator, t) for q, t in _action(k, rest).items()
+                 for nu, x in _left_mul_monomial(head, q).terms.items()]
         if k == head:
-            accumulate(bracket, {rest: params.c * central_term(k)})
-        accumulate(out, bracket)
-    result = PBWVector(out)
-    table[key] = result
-    return result
+            terms.append((rest, 1, (2 * k * sum(rest), 2 * k, (k**3 - k) // 6)))
+        else:
+            terms += [(nu, k + head, t) for nu, t in _action(k - head, rest).items()]
+        for nu, x, (a, b, e) in terms:
+            a0, b0, e0 = out.get(nu, (0, 0, 0))
+            out[nu] = (a0 + x * a, b0 + x * b, e0 + x * e)
+    return {nu: t for nu, t in out.items() if any(t)}
+
+
+@lru_cache(maxsize=4)
+def _action_table(params: VermaParams) -> dict:
+    """{(k, part): image} memo of _action evaluated at `params`; a long
+    process that visits many (c, h) keeps only the four most recently used."""
+    return {}
+
+
+def apply_L(k: int, v: PBWVector, params: VermaParams) -> PBWVector:
+    """Exact action of L_k on a PBW vector of M(c, h): each triple of
+    _action as a + b h + e c/2, a Fraction when b = e = 0 (as the PBW
+    reordering leaves it)."""
+    table = _action_table(params)
+
+    def image(part):
+        hit = table.get((k, part))
+        if hit is None:
+            hit = table[k, part] = {
+                nu: x for nu, (a, b, e) in _action(k, part).items()
+                if (x := Fraction(a) + (b and params.h * b) + (e and params.c * Fraction(e, 2)))
+            }
+        return hit
+
+    return v.apply_linear(image)
 
 
 @dataclass(frozen=True)
@@ -212,45 +222,52 @@ def shapovalov_pair(left_part, w: PBWVector, params: VermaParams):
     return w.coeff(())
 
 
-def gram_matrices(max_level: int, params: VermaParams) -> list:
-    """The Gram matrices of levels 0..max_level, each from the lower ones.
+def _gram_recursion(max_level: int, images, lift) -> list:
+    """The entry tables of lift^n G_n, n = 0..max_level, each from the
+    lower ones.  With lambda' the partition lambda without its first part k,
 
-    With lambda' the partition lambda without its first part lambda_1,
+        G_n[lambda, mu] = sum_nu [nu](L_k L_{-mu} xi) G_{n-k}[lambda', nu],
 
-        G_n[lambda, mu] = sum_nu [nu](L_{lambda_1} L_{-mu} xi) G_{n-lambda_1}[lambda', nu],
-
-    so a column mu applies L_k once per distinct first part k of its rows,
-    and rows of the lower matrices replace the apply_L chains of
-    shapovalov_pair.  Only the upper triangle is computed.  Entries equal
-    shapovalov_pair's, type included: a zero entry is Fraction(0).
+    where `images(k, mu)`, {nu: lift [nu](L_k L_{-mu} xi)}, is scaled by
+    lift^(k-1) once per column mu and distinct k of its rows.  Only the
+    upper triangle is computed; a zero entry is lift ** 0 - lift ** 0.
     """
     if max_level < 0:
         raise UsageError("negative level")
-    grams = [GramMatrix(0, ((),), ((Fraction(1),),), params)]
+    one = lift ** 0
+    zero = one - one
+    tables = [((one,),)]
     index = [{(): 0}]
     for n in range(1, max_level + 1):
         basis = partitions_of(n)
-        size = len(basis)
-        entries = [[None] * size for _ in range(size)]
+        entries = [[None] * len(basis) for _ in basis]
         for j, mu in enumerate(basis):
-            images = {}
+            column = {}
             for i in range(j + 1):
                 lam = basis[i]
                 k = lam[0]
-                image = images.get(k)
+                image = column.get(k)
                 if image is None:
-                    image = images[k] = apply_L(k, PBWVector.monomial(mu), params).terms
+                    image = images(k, mu)
+                    if k > 1 and lift != 1:
+                        power = lift ** (k - 1)
+                        image = {nu: power * a for nu, a in image.items()}
+                    column[k] = image
                 where = index[n - k]
-                lower = grams[n - k].entries[where[lam[1:]]]
-                total = Fraction(0)
-                for nu, a in image.items():
-                    total = total + a * lower[where[nu]]
-                if not total:
-                    total = Fraction(0)
-                entries[i][j] = entries[j][i] = total
-        grams.append(GramMatrix(n, basis, tuple(map(tuple, entries)), params))
+                lower = tables[n - k][where[lam[1:]]]
+                total = sum([a * lower[where[nu]] for nu, a in image.items()], zero)
+                entries[i][j] = entries[j][i] = total if total else zero
+        tables.append(tuple(map(tuple, entries)))
         index.append({part: i for i, part in enumerate(basis)})
-    return grams
+    return tables
+
+
+def gram_matrices(max_level: int, params: VermaParams) -> list:
+    """The Gram matrices of levels 0..max_level: `_gram_recursion` on the
+    images of apply_L.  Entries equal shapovalov_pair's, type included."""
+    tables = _gram_recursion(
+        max_level, lambda k, mu: apply_L(k, PBWVector.monomial(mu), params).terms, Fraction(1))
+    return [GramMatrix(n, partitions_of(n), t, params) for n, t in enumerate(tables)]
 
 
 def gram_matrix(level: int, params: VermaParams) -> GramMatrix:
@@ -260,8 +277,7 @@ def gram_matrix(level: int, params: VermaParams) -> GramMatrix:
 
 def kac_det_direct(level: int, params: VermaParams):
     """Determinant of the level Gram matrix, fraction-free."""
-    g = gram_matrix(level, params)
-    return bareiss_det(g.rows())
+    return bareiss_det(gram_matrix(level, params).rows())
 
 
 def phi_rr(r: int) -> BiPoly:
@@ -291,25 +307,19 @@ def kac_det_product_sym(level: int) -> BiPoly:
         raise UsageError("product form defined for level >= 1")
     result = BiPoly.const(1)
     for r in range(1, level + 1):
-        for s in range(1, r + 1):
-            if r * s > level:
-                continue
+        for s in range(1, min(r, level // r) + 1):
             result = result * phi_rs(r, s) ** num_partitions(level - r * s)
     return result
 
 
 def kac_det_product(level: int, params: VermaParams):
     """Product form evaluated at the given parameters."""
-    sym = kac_det_product_sym(level)
-    return sym.specialize(params.c, params.h)
+    return kac_det_product_sym(level).specialize(params.c, params.h)
 
 
 def kac_det_ratio(level: int):
     """direct / product at fully symbolic (c, h); a constant polynomial."""
-    direct = kac_det_direct(level, VermaParams.symbolic())
-    product = kac_det_product_sym(level)
-    quotient = direct.exact_div(product)
-    return quotient
+    return kac_det_direct(level, VermaParams.symbolic()).exact_div(kac_det_product_sym(level))
 
 
 def h_pq(p: int, q: int, m: int) -> Fraction:
@@ -335,22 +345,27 @@ def h_pq_curve(p: int, q: int, var: str = "t") -> RatFunc:
 
     Validated symbolically at construction.
     """
-    t = UniPoly.gen(var)
-    num = (
-        t * t * Fraction(p * p - 1, 4)
-        + t * Fraction(-(p * q - 1), 2)
-        + Fraction(q * q - 1, 4)
-    )
-    h = RatFunc(num, t)
-    residue = phi_rs(p, q).specialize(c_curve(var), h)
-    if not residue.is_zero():
+    num = UniPoly([Fraction(q * q - 1, 4), Fraction(1 - p * q, 2), Fraction(p * p - 1, 4)], var)
+    h = RatFunc(num, UniPoly.gen(var))
+    if not phi_rs(p, q).specialize(c_curve(var), h).is_zero():
         raise AssertionError(f"curve weight for ({p},{q}) fails its defining equation")
     return h
 
 
 def irreducible_dims(params: VermaParams, max_level: int) -> list:
-    """dim L(c,h)(n) for n = 0..max_level: the Q-rank of each Gram matrix,
-    all levels from one gram_matrices call, each rank in integers."""
+    """dim L(c,h)(n) for n = 0..max_level: the Q-rank of each Gram matrix.
+
+    With S = lcm(2 den c, den h), S (a + b h + e c/2) is an integer for
+    every triple of `_action`, so `_gram_recursion` with lift S runs in
+    ints and yields S^n G_n, whose integer `rank` is the exact Q-rank of
+    G_n: a nonzero scale keeps the rank."""
     if not params.is_rational():
         raise ValueError("the rank oracle needs rational (c, h)")
-    return [rank(g.rows()) for g in gram_matrices(max_level, params)]
+    c, h = as_fraction(params.c), as_fraction(params.h)
+    lift = lcm(2 * c.denominator, h.denominator)
+    sh, sc = (lift * h).numerator, (lift * c / 2).numerator
+
+    def images(k, mu):
+        return {nu: lift * a + sh * b + sc * e for nu, (a, b, e) in _action(k, mu).items()}
+
+    return [rank(rows) for rows in _gram_recursion(max_level, images, lift)]

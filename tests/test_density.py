@@ -105,8 +105,8 @@ def test_appc_determinant_matches_direct():
 def test_evaluate_ad_rejects_inhomogeneous_support():
     # a non-normalised operator that moves v_0 to the wrong depth
     bad = PBWVector({(1,): 1, (2, 1): 1})
-    with pytest.raises(ValueError):
-        bad.level()
+    with pytest.raises(ValueError, match="inhomogeneous"):
+        evaluate_ad(bad, Fraction(1), Fraction(0))
 
 
 def test_primary_obstruction():

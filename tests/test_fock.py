@@ -134,6 +134,7 @@ def test_operator_tables_are_bounded():
     for table in (fock._boson_state, fock._lprime_state, fock._vertex_modes, fock._psi_b_modes):
         assert table.cache_info().maxsize is not None, table.__name__
     for table, size in ((verma._left_mul_monomial, verma.LEFT_CACHE_SIZE),
+                        (verma._action, verma.ACTION_CACHE_SIZE),
                         (combinat.partitions_of, combinat.PARTITION_CACHE_SIZE),
                         (combinat.num_partitions, combinat.PARTITION_CACHE_SIZE),
                         (density.singular_element, density.SINGULAR_CACHE_SIZE),

@@ -4,11 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+from virasoro import linalg
 from virasoro.combinat import num_partitions, partitions_of
-from virasoro.scalars import BiPoly
+from virasoro.jantzen import discrete_path
+from virasoro.scalars import BiPoly, accumulate
 from virasoro.verma import (
     PBWVector,
     VermaParams,
+    _left_mul_monomial,
     apply_L,
     c_curve,
     central_charge,
@@ -137,6 +140,93 @@ def test_action_cache_keeps_few_params():
     assert verma._action_table.cache_info().hits == info.hits + 1
     verma._action_table(VermaParams.rational(15, Fraction(1, 17)))
     assert verma._action_table.cache_info().misses == info.misses + 1
+    # the (c, h)-free table _action is shared: a second point reuses it
+    apply_L(3, PBWVector.monomial((2, 2, 1)), VermaParams.rational(7, Fraction(2, 3)))
+    first = verma._action.cache_info()
+    apply_L(3, PBWVector.monomial((2, 2, 1)), VermaParams.rational(-5, Fraction(9, 4)))
+    second = verma._action.cache_info()
+    assert second.misses == first.misses and second.hits > first.hits
+
+
+def _apply_monomial(k, part, params, table):
+    """L_k on one PBW monomial by the commutator recursion in the ring of
+    (c, h): an independent route to apply_L, which evaluates the integer
+    triples of _action."""
+    if k == 0:
+        return PBWVector.monomial(part, params.h + sum(part))
+    if k < 0 and (not part or -k >= part[0]):
+        return PBWVector.monomial((-k,) + part)
+    key = (k, part)
+    if key in table:
+        return table[key]
+    out = {}  # k > 0 annihilates the lowest-weight vector
+    if part:
+        head, rest = part[0], part[1:]
+        # L_k L_{-head} = L_{-head} L_k + (k + head) L_{k-head} + delta central
+        for q, c in _apply_monomial(k, rest, params, table).terms.items():
+            accumulate(out, _left_mul_monomial(head, q).terms, c)
+        m = k - head
+        if m == 0:
+            bracket = {rest: (params.h + sum(rest)) * Fraction(2 * k)}
+        else:
+            bracket = accumulate(
+                {}, _apply_monomial(m, rest, params, table).terms, Fraction(k + head)
+            )
+        if k == head:
+            accumulate(bracket, {rest: params.c * Fraction(k**3 - k, 12)})
+        accumulate(out, bracket)
+    table[key] = PBWVector(out)
+    return table[key]
+
+
+def _oracle_params():
+    rng = random.Random(41)
+    path, _ = discrete_path(3, 2, 2)
+    yield "symbolic", SYM
+    yield "jantzen Q[x]", VermaParams(*path)
+    yield "curve Q(t)", VermaParams(c_curve(), h_pq_curve(3, 2))
+    yield "c=h=0", VermaParams.rational(0, 0)
+    for _ in range(4):
+        c, h = (Fraction(rng.randint(-60, 60), rng.randint(1, 97)) for _ in range(2))
+        yield f"c={c} h={h}", VermaParams.rational(c, h)
+
+
+def test_apply_L_matches_ring_recursion():
+    """The evaluated triples of _action against the ring recursion, entry
+    and type, for k in -3..7 on every monomial up to level 7."""
+    for name, params in _oracle_params():
+        table = {}
+        for level in range(8):
+            for part in partitions_of(level):
+                for k in range(-3, 8):
+                    got = apply_L(k, PBWVector.monomial(part), params)
+                    want = _apply_monomial(k, part, params, table)
+                    assert got == want, (name, k, part)
+                    assert {nu: type(x) for nu, x in got.terms.items()} == {
+                        nu: type(x) for nu, x in want.terms.items()
+                    }, (name, k, part)
+
+
+def _kac_modules():
+    for m in (3, 4, 5, 6):
+        for r in range(1, m):
+            for s in range(1, m + 1):
+                if (m - r, m + 1 - s) >= (r, s):
+                    yield VermaParams.rational(central_charge(m), h_pq(r, s, m))
+
+
+def test_irreducible_dims_match_fraction_route():
+    """The S^n-scaled integer recursion against the ranks of the Fraction
+    Gram matrices, at seeded (c, h) and at all 34 Kac-table modules."""
+    rng = random.Random(43)
+    points = [VermaParams.rational(Fraction(rng.randint(-90, 90), rng.randint(1, 97)),
+                                   Fraction(rng.randint(-90, 90), rng.randint(1, 97)))
+              for _ in range(8)]
+    modules = list(_kac_modules())
+    assert len(modules) == 34
+    for params in points + modules:
+        want = [linalg.rank(g.rows()) for g in gram_matrices(8, params)]
+        assert irreducible_dims(params, 8) == want, params
 
 
 def test_kac_det_examples():
