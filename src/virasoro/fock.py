@@ -20,6 +20,10 @@ The sector vacuum Omega_k has energy k^2 / 2; the boson charge a_0 acts
 on sector k as -k (particles below zero count +1, holes at or above zero
 count -1).  Energy of (k, lam) is k^2/2 + |lam|.
 
+The operators with a 1/2 in them are carried doubled, so their
+coefficients stay integers: 2L'_k (`lprime2_apply`), 2L_k
+(`sugawara2_apply`), b = 2H (`b_apply`) and 2K = a^(1) + a^(2) (`K2_apply`).
+
 The shift U raises every wedge index, so U Omega_k = Omega_{k+1},
 U e_i U* = e_{i+1}, U a_0 U* = a_0 + 1; on the stored key it only moves
 the sector.
@@ -41,7 +45,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial
 from typing import NamedTuple
 
 from .combinat import num_partitions, partitions_of
@@ -49,8 +53,8 @@ from .oscillator import exp_series, sugawara
 from .scalars import SparseVector, accumulate, as_fraction
 
 # Entries kept by each per-state operator table (_boson_state,
-# _lprime_state, _vertex_modes); the acceptance window at emax 7 fills
-# them to 7,775, 4,389 and 1,186.
+# _lprime2_state, _vertex_modes, _exp_series_state); the acceptance
+# window at emax 7 fills them to 7,775, 4,389, 1,186 and 1,732.
 STATE_CACHE_SIZE = 1 << 14
 # The pair-space modes of psi_mode_b are kept for the few pair states
 # in use: a check asks for every mode of one state before the next.
@@ -195,24 +199,19 @@ class FockVector(SparseVector):
         return "FockVector(" + " + ".join(bits) + ")"
 
 
-def _lift(fn):
-    """Extend a basis-state map returning (sign, state) | None to vectors."""
+def fermion_apply(kind: str, n: int, vec: FockVector) -> FockVector:
+    """e_n (kind "e") or e_n* (kind "e*") on a vector."""
+    op = {"e": apply_e, "e*": apply_e_star}.get(kind)
+    if op is None:
+        raise ValueError(f"unknown fermion operator {kind!r}")
 
     def image(st):
-        got = fn(st)
+        got = op(n, st)
         if got is not None:
             sign, new = got
             yield new, sign
 
-    return lambda vec: vec.apply_linear(image)
-
-
-def fermion_apply(kind: str, n: int, vec: FockVector) -> FockVector:
-    if kind == "e":
-        return _lift(lambda st: apply_e(n, st))(vec)
-    if kind == "e*":
-        return _lift(lambda st: apply_e_star(n, st))(vec)
-    raise ValueError(f"unknown fermion operator {kind!r}")
+    return vec.apply_linear(image)
 
 
 def _hops(n: int, st: FermionState):
@@ -246,40 +245,33 @@ def boson_apply(n: int, vec: FockVector) -> FockVector:
 
 
 @lru_cache(maxsize=STATE_CACHE_SIZE)
-def _lprime_state(k: int, st: FermionState) -> tuple:
+def _lprime2_state(k: int, st: FermionState) -> tuple:
     if k == 0:
-        return ((st, st.energy),)
-    shift = Fraction(1, 2) + Fraction(k, 2)
+        return ((st, st.sector * st.sector + 2 * _level(st)),)
     return tuple(accumulate(
-        {}, ((new, -(q + shift) * sign) for q, sign, new in _hops(k, st))
+        {}, ((new, -(2 * q + 1 + k) * sign) for q, sign, new in _hops(k, st))
     ).items())
 
 
-def lprime_apply(k: int, vec: FockVector) -> FockVector:
-    """Fermion-bilinear Virasoro: L'_k = sum_{p-q=k} -(q + 1/2 + k/2) e_p e_q*;
-    L'_0 is the energy operator."""
-    return vec.apply_linear(lambda st: _lprime_state(k, st))
+def lprime2_apply(k: int, vec: FockVector) -> FockVector:
+    """2L'_k = sum_{p-q=k} -(2q + 1 + k) e_p e_q*, twice the fermion-bilinear
+    Virasoro operator; 2L'_0 = k^2 + 2|lam| is twice the energy."""
+    return vec.apply_linear(lambda st: _lprime2_state(k, st))
 
 
-def lprime_zero_bilinear(st: FermionState) -> Fraction:
-    """Energy of a state from the normal-ordered bilinear sum (for tests):
-    particles at i < 0 contribute -i - 1/2, holes at i >= 0 contribute
-    i + 1/2."""
-    occupied_neg = [i for i in st.occupied_prefix() if i < 0]
-    occupied_neg += list(range(min(st.tail_start, 0), 0))
-    total = Fraction(0)
-    for i in occupied_neg:
-        total += -i - Fraction(1, 2)
-    occ = set(st.occupied_prefix())
-    for i in range(0, max(st.tail_start, 0)):
-        if i not in occ:
-            total += i + Fraction(1, 2)
-    return total
+def lprime2_zero_bilinear(st: FermionState) -> int:
+    """Twice the energy of a state from the normal-ordered bilinear sum
+    (for tests): particles at i < 0 contribute -2i - 1, holes at i >= 0
+    contribute 2i + 1."""
+    occ = st.occupied_prefix()
+    occupied_neg = [i for i in occ if i < 0] + list(range(min(st.tail_start, 0), 0))
+    holes = set(range(max(st.tail_start, 0))) - set(occ)
+    return sum(-2 * i - 1 for i in occupied_neg) + sum(2 * i + 1 for i in holes)
 
 
-def sugawara_apply(k: int, vec: FockVector) -> FockVector:
-    """Boson-bilinear Virasoro: L_k = (1/2) sum_{r+s=k} :a_r a_s:."""
-    return sugawara(k, vec, boson_apply, Fraction(1, 2), _level)
+def sugawara2_apply(k: int, vec: FockVector) -> FockVector:
+    """2L_k = sum_{r+s=k} :a_r a_s:, twice the boson-bilinear Virasoro operator."""
+    return sugawara(k, vec, boson_apply, 1, _level)
 
 
 def shift_apply(power: int, vec: FockVector) -> FockVector:
@@ -296,25 +288,32 @@ def _quotient(p: int, den: int):
     return Fraction(p, den) if r else q
 
 
-def _exp_coeff(table, step: int, c: int, terms: dict, order: int) -> dict:
-    """S_order v for a vector v with rational coefficients (see exp_series)."""
+@lru_cache(maxsize=STATE_CACHE_SIZE)
+def _exp_series_state(step: int, c: int, st: FermionState) -> list:
+    """[P_0, P_1, ...] of the boson exp_series on st, grown by _exp_coeff_apply."""
+    return [{st: 1}]
+
+
+def _exp_coeff_apply(step: int, c: int, order: int, vec: FockVector) -> FockVector:
+    """S_order vec, from each source state's integer P_order = order! S_order."""
     if order < 0:
         raise ValueError(f"negative series order {order}")
-    den = lcm(*(v.denominator for v in terms.values()))
-    ints = {st: v.numerator * (den // v.denominator) for st, v in terms.items()}
-    scale = den * factorial(order)
-    top = exp_series(table, step, c, ints, order)[order]
-    return {st: _quotient(p, scale) for st, p in top.items()}
+    num = {}
+    for st, coeff in vec.terms.items():
+        series = exp_series(_boson_state, step, c, _exp_series_state(step, c, st), order)
+        accumulate(num, series[order], coeff)
+    den = factorial(order)
+    return FockVector._wrap({st: _quotient(p, den) for st, p in num.items()})
 
 
 def raising_coeff_apply(u: int, m: int, vec: FockVector) -> FockVector:
     """z^u coefficient of E_-^m(z) = exp(m sum_{n>0} z^n a_{-n}/n)."""
-    return FockVector(_exp_coeff(_boson_state, -1, m, vec.terms, u))
+    return _exp_coeff_apply(-1, m, u, vec)
 
 
 def lowering_coeff_apply(d: int, m: int, vec: FockVector) -> FockVector:
     """z^{-d} coefficient of E_+^m(z) = exp(-m sum_{n>0} z^{-n} a_n/n)."""
-    return FockVector(_exp_coeff(_boson_state, 1, -m, vec.terms, d))
+    return _exp_coeff_apply(1, -m, d, vec)
 
 
 def _exp_product_modes(table, m: int, st, depth: int, u0s) -> list:
@@ -325,9 +324,9 @@ def _exp_product_modes(table, m: int, st, depth: int, u0s) -> list:
     stops there, and every u0 is at least -depth.  The modes share one
     lowering series and one raising series per lowered term.  Unshifted:
     the caller applies its own U^{-m}."""
-    lowered = exp_series(table, 1, -m, {st: 1}, depth)
+    lowered = exp_series(table, 1, -m, [{st: 1}], depth)
     u0_max = max(u0s)
-    raised = [exp_series(table, -1, m, low, u0_max + d) if low and u0_max + d >= 0 else None
+    raised = [exp_series(table, -1, m, [low], u0_max + d) if low and u0_max + d >= 0 else None
               for d, low in enumerate(lowered)]
     out = []
     for u0 in u0s:
@@ -481,13 +480,9 @@ def F_apply(n: int, vec: PairVector) -> PairVector:
     return pair_bilinear_apply(n, vec, (2, 1))
 
 
-def H_apply(n: int, vec: PairVector) -> PairVector:
-    return b_apply(n, vec).scale(Fraction(1, 2))
-
-
 def _b_state(n: int, st: PairState, sign: int = -1):
     """a_n^(1) + sign * a_n^(2) on one pair state as (state, coefficient)
-    pairs: the difference boson b_n by default, 2 K(n) with sign 1.  The
+    pairs: the difference boson b_n = 2H(n) by default, 2K(n) with sign 1.  The
     bosons are even, so the second factor takes no Koszul sign."""
     left, right = st
     out = [(_tuple_new(PairState, (new, right)), c) for new, c in _boson_state(n, left)]
@@ -495,9 +490,9 @@ def _b_state(n: int, st: PairState, sign: int = -1):
     return out
 
 
-def K_apply(n: int, vec: PairVector) -> PairVector:
-    """K(n) = (a_n^(1) + a_n^(2)) / 2."""
-    return vec.apply_linear(lambda st: _b_state(n, st, 1)).scale(Fraction(1, 2))
+def K2_apply(n: int, vec: PairVector) -> PairVector:
+    """Twice the sum current: 2K(n) = a_n^(1) + a_n^(2)."""
+    return vec.apply_linear(lambda st: _b_state(n, st, 1))
 
 
 def psi_mode(m: int, n: int, vec: PairVector) -> PairVector:
@@ -520,7 +515,7 @@ def psi_mode(m: int, n: int, vec: PairVector) -> PairVector:
 
 
 def b_apply(n: int, vec: PairVector) -> PairVector:
-    """Difference boson b_n = a_n^(1) - a_n^(2); [b_m, b_n] = 2m delta."""
+    """Difference boson b_n = a_n^(1) - a_n^(2) = 2H(n); [b_m, b_n] = 2m delta."""
     return vec.apply_linear(lambda st: _b_state(n, st))
 
 
@@ -574,7 +569,7 @@ def V_apply(vec: PairVector, power: int = 1) -> PairVector:
     The sign makes V_apply(_, k) and V_apply(_, -k) exact inverses and
     gives the clean conjugation laws V E(n) V^{-1} = E(n+2),
     V F(n) V^{-1} = F(n-2).  V lowers the wedge label of the right
-    factor, so it raises H(0) = (a_0^(1) - a_0^(2))/2 by `power`.
+    factor, so it raises b_0 = a_0^(1) - a_0^(2) by 2 * `power`.
     """
     k = power
     sigma = -1 if (k * (k - 1) // 2) % 2 else 1

@@ -27,22 +27,22 @@ from .fock import (
     FermionState,
     FockBasis,
     FockVector,
-    H_apply,
-    K_apply,
+    K2_apply,
     PairBasis,
     PairVector,
     V_apply,
+    b_apply,
     b_sugawara_apply,
     boson_apply,
     fermion_apply,
     lowering_coeff_apply,
-    lprime_apply,
-    lprime_zero_bilinear,
+    lprime2_apply,
+    lprime2_zero_bilinear,
     psi_mode,
     psi_mode_b,
     raising_coeff_apply,
     shift_apply,
-    sugawara_apply,
+    sugawara2_apply,
     two_factor_trace,
     two_factor_trace_closed,
     vacuum,
@@ -92,24 +92,25 @@ def check_boson(emax):
 
 
 def check_virasoro(emax):
-    """L' = L (fermion vs boson bilinears), the c = 1 bracket, and the
-    energy operator as a normal-ordered bilinear."""
+    """2L' = 2L (fermion vs boson bilinears), [2L'_m, 2L'_n] = 2(m-n) 2L'_{m+n}
+    + delta_{m+n,0} (m^3-m)/3, and twice the energy k^2 + 2|lam| as a
+    normal-ordered bilinear."""
     for st in FockBasis(emax):
         v = FockVector.basis(st)
-        yield ("energy", st), lprime_zero_bilinear(st), st.energy
+        yield ("energy", st), lprime2_zero_bilinear(st), st.sector**2 + 2 * sum(st.lam)
         for k in range(-2, 3):
-            yield ("L'=L", st, k), lprime_apply(k, v), sugawara_apply(k, v)
+            yield ("L'=L", st, k), lprime2_apply(k, v), sugawara2_apply(k, v)
         for m, n in itertools.product(range(-2, 3), repeat=2):
-            lhs = lprime_apply(m, lprime_apply(n, v)) - lprime_apply(n, lprime_apply(m, v))
-            rhs = lprime_apply(m + n, v).scale(m - n)
+            lhs = lprime2_apply(m, lprime2_apply(n, v)) - lprime2_apply(n, lprime2_apply(m, v))
+            rhs = lprime2_apply(m + n, v).scale(2 * (m - n))
             if m + n == 0:
-                rhs = rhs + v.scale(Fraction(m**3 - m, 12))
+                rhs = rhs + v.scale((m**3 - m) // 3)
             yield ("bracket", st, m, n), lhs, rhs
 
 
 def check_shift(emax):
     """U e_i U* = e_{i+1}, U a_n U* = a_n + delta,
-    U L_k U* = L_k + a_k + delta/2; U Omega_k = Omega_{k+1}."""
+    U 2L'_k U* = 2L'_k + 2a_k + delta; U Omega_k = Omega_{k+1}."""
     yield ("vacuum",), shift_apply(1, FockVector.basis(vacuum(0))), FockVector.basis(vacuum(1))
     for st in FockBasis(emax):
         v = FockVector.basis(st)
@@ -121,10 +122,10 @@ def check_shift(emax):
             rhs = boson_apply(n, v) + (v if n == 0 else FockVector.zero())
             yield ("UaU", st, n), lhs, rhs
         for k in range(-2, 3):
-            lhs = shift_apply(1, lprime_apply(k, shift_apply(-1, v)))
-            rhs = lprime_apply(k, v) + boson_apply(k, v)
+            lhs = shift_apply(1, lprime2_apply(k, shift_apply(-1, v)))
+            rhs = lprime2_apply(k, v) + boson_apply(k, v).scale(2)
             if k == 0:
-                rhs = rhs + v.scale(Fraction(1, 2))
+                rhs = rhs + v
             yield ("ULU", st, k), lhs, rhs
 
 
@@ -149,17 +150,17 @@ def check_vacuum_anchor(emax):
 
 
 def check_fubini_veneziano(emax):
-    """[L_k, Phi_m(n)] = (-(n+k) + (m^2/2)(k+1)) Phi_m(n+k), mode by mode."""
+    """[2L'_k, Phi_m(n)] = (-2(n+k) + m^2 (k+1)) Phi_m(n+k), mode by mode."""
     for st in FockBasis(emax):
         v = FockVector.basis(st)
         for m in (1, 2, -1):
             hi = vertex_mode_range(m, st)
             for k in range(-2, 3):
                 for n in range(-3, hi + abs(k) + 1):
-                    lhs = lprime_apply(k, vertex_mode(m, n, v)) - vertex_mode(
-                        m, n, lprime_apply(k, v)
+                    lhs = lprime2_apply(k, vertex_mode(m, n, v)) - vertex_mode(
+                        m, n, lprime2_apply(k, v)
                     )
-                    coeff = Fraction(-(n + k)) + Fraction(m * m * (k + 1), 2)
+                    coeff = -2 * (n + k) + m * m * (k + 1)
                     yield (st, m, k, n), lhs, vertex_mode(m, n + k, v).scale(coeff)
 
 
@@ -175,9 +176,9 @@ def check_exchange(emax):
                 rhs = FockVector.zero()
                 for i in range(min(a, b) + 1):
                     if e >= 0:
-                        coeff = Fraction((-1) ** i * comb(e, i))
+                        coeff = (-1) ** i * comb(e, i)
                     else:
-                        coeff = Fraction(comb(-e + i - 1, i))
+                        coeff = comb(-e + i - 1, i)
                     if coeff:
                         rhs = rhs + raising_coeff_apply(
                             b - i, mp, lowering_coeff_apply(a - i, m, v)
@@ -207,7 +208,7 @@ def check_example2(emax):
 
     The minus sign on the F side is forced: with Example 1 fixing the
     single-factor vertex operators and the level-one bracket
-    [E(m), F(n)] = 2 H(m+n) + m delta Tr fixing the bilinears, the two
+    [E(m), F(n)] = b(m+n) + m delta fixing the bilinears, the two
     graded products Psi_{+-1} cannot both match bare (the shift V and
     its inverse differ by a sign on vacua), so one dictionary entry
     carries -1.
@@ -222,20 +223,21 @@ def check_example2(emax):
 
 
 def check_level_one_brackets(emax):
-    """[X(m), Y(n)] = [X,Y](m+n) + m delta Tr(XY) on the pair space,
-    plus [H(m), K(n)] = 0 and the V conjugation laws."""
+    """[E(m), F(n)] = b(m+n) + m delta_{m+n,0}, [b(m), E(n)] = 2E(m+n) and
+    [b(m), 2K(n)] = 0 on the pair space, in the integral normalisation
+    b = 2H, 2K = a^(1) + a^(2); plus the V conjugation laws."""
     for st in PairBasis(emax):
         v = PairVector({st: 1})
         for m, n in itertools.product(range(-2, 3), repeat=2):
             lhs = E_apply(m, F_apply(n, v)) - F_apply(n, E_apply(m, v))
-            rhs = H_apply(m + n, v).scale(2)
+            rhs = b_apply(m + n, v)
             if m + n == 0:
                 rhs = rhs + v.scale(m)
             yield ("EF", st, m, n), lhs, rhs
-            lhs = H_apply(m, E_apply(n, v)) - E_apply(n, H_apply(m, v))
-            yield ("HE", st, m, n), lhs, E_apply(m + n, v)
-            lhs = H_apply(m, K_apply(n, v)) - K_apply(n, H_apply(m, v))
-            yield ("HK", st, m, n), lhs, PairVector.zero()
+            lhs = b_apply(m, E_apply(n, v)) - E_apply(n, b_apply(m, v))
+            yield ("bE", st, m, n), lhs, E_apply(m + n, v).scale(2)
+            lhs = b_apply(m, K2_apply(n, v)) - K2_apply(n, b_apply(m, v))
+            yield ("bK", st, m, n), lhs, PairVector.zero()
         for n in range(-2, 3):
             yield ("VEV", st, n), V_apply(E_apply(n, V_apply(v, -1)), 1), E_apply(n + 2, v)
             yield ("VFV", st, n), V_apply(F_apply(n, V_apply(v, -1)), 1), F_apply(n - 2, v)
@@ -281,7 +283,7 @@ def check_grading(emax):
     declared = []
     for n in range(-2, 3):
         declared.append((f"a_{n}", lambda v, n=n: boson_apply(n, v), -n, 0))
-        declared.append((f"L'_{n}", lambda v, n=n: lprime_apply(n, v), -n, 0))
+        declared.append((f"2L'_{n}", lambda v, n=n: lprime2_apply(n, v), -n, 0))
         declared.append(
             (f"e_{n}", lambda v, n=n: fermion_apply("e", n, v), -(n + Fraction(1, 2)), 1)
         )

@@ -165,20 +165,20 @@ def virasoro_apply(k: int, state: PolyState, params: OscParams) -> PolyState:
                     Fraction(1, 2) / params.kappa, _weighted_degree)
 
 
-def exp_series(table, step: int, c: int, terms: dict, order: int) -> list:
-    """[P_0, ..., P_order] with P_u = u! S_u v, where
+def exp_series(table, step: int, c: int, series: list, order: int) -> list:
+    """Extend `series` = [P_0, ...] in place to [P_0, ..., P_order] and
+    return it, where P_u = u! S_u v and
     sum_u S_u z^u = exp(c sum_{n>0} z^n X_n / n).
 
     X_n is the operator `table(step * n, state)` (an iterable of
-    (state, coefficient) pairs) and v is the state dict `terms`.  The X_n
+    (state, coefficient) pairs) and v = P_0 is a state dict.  The X_n
     commute, so Newton's identity u S_u = c sum_{n=1..u} X_n S_{u-n}
     (Macdonald, Symmetric Functions, I.2) gives each coefficient from the
     lower ones exactly, with no sum over partitions.  In the scaled form
     P_u = c sum_{n=1..u} (u-1)!/(u-n)! X_n P_{u-n} it stays in the
     integers when c, v and the X_n are integral.
     """
-    series = [terms]
-    for u in range(1, order + 1):
+    for u in range(len(series), order + 1):
         acc = {}
         weight = c                       # c (u-1)!/(u-n)!
         for n in range(1, u + 1):
@@ -242,7 +242,7 @@ def c_coefficient(n: int) -> PolyState:
     """c_n in exp(sum_{n>0} x_n z^n / n) = sum c_n z^n; c_n = 0 for n < 0."""
     if n < 0:
         return PolyState.zero()
-    top = exp_series(_times_x, 1, 1, {(): 1}, n)[n]
+    top = exp_series(_times_x, 1, 1, [{(): 1}], n)[n]
     return PolyState._wrap({exps: Fraction(p, factorial(n)) for exps, p in top.items()})
 
 

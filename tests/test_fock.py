@@ -4,7 +4,7 @@ import pickle
 import random
 from collections import Counter
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, lcm, prod
 
 import pytest
 
@@ -15,30 +15,33 @@ from virasoro.fock import (
     FermionState,
     FockBasis,
     FockVector,
-    H_apply,
-    K_apply,
+    K2_apply,
     PairBasis,
+    PairState,
     PairVector,
     V_apply,
     apply_e,
     apply_e_star,
+    b_apply,
     boson_apply,
     fermion_apply,
     lowering_coeff_apply,
-    lprime_apply,
-    lprime_zero_bilinear,
+    lprime2_apply,
+    lprime2_zero_bilinear,
     psi_mode,
     raising_coeff_apply,
     shift_apply,
-    sugawara_apply,
+    sugawara2_apply,
     two_factor_trace,
     two_factor_trace_closed,
     vacuum,
     vertex_mode,
     vertex_mode_range,
 )
-from virasoro import fock_checks
+from virasoro import fock, fock_checks
 from virasoro.fock_checks import SUITES, run_suites
+from virasoro.oscillator import exp_series
+from virasoro.scalars import SparseVector
 
 HALF = Fraction(1, 2)
 
@@ -62,7 +65,7 @@ def test_state_bookkeeping_roundtrip():
         assert occ == sorted(occ)
         assert all(occ[i] < occ[i + 1] for i in range(len(occ) - 1))
         assert st.energy == Fraction(st.sector**2, 2) + sum(st.lam)
-        assert lprime_zero_bilinear(st) == st.energy
+        assert lprime2_zero_bilinear(st) == 2 * st.energy
 
 
 def _occupied_from_partition(st):
@@ -129,10 +132,12 @@ def test_maya_key_round_trip():
 
 
 def test_operator_tables_are_bounded():
-    from virasoro import combinat, density, fock, oscillator, verma
+    from virasoro import combinat, density, oscillator, verma
 
-    for table in (fock._boson_state, fock._lprime_state, fock._vertex_modes, fock._psi_b_modes):
-        assert table.cache_info().maxsize is not None, table.__name__
+    for table in (fock._boson_state, fock._lprime2_state, fock._vertex_modes,
+                  fock._exp_series_state):
+        assert table.cache_info().maxsize == fock.STATE_CACHE_SIZE, table.__name__
+    assert fock._psi_b_modes.cache_info().maxsize == fock.PAIR_CACHE_SIZE
     for table, size in ((verma._left_mul_monomial, verma.LEFT_CACHE_SIZE),
                         (verma._action, verma.ACTION_CACHE_SIZE),
                         (combinat.partitions_of, combinat.PARTITION_CACHE_SIZE),
@@ -172,7 +177,7 @@ def test_boson_bracket_and_charge():
 def test_lprime_eigenvalues_on_vacua():
     for k in range(-3, 4):
         v = FockVector.basis(vacuum(k))
-        assert lprime_apply(0, v) == v.scale(Fraction(k * k, 2))
+        assert lprime2_apply(0, v) == v.scale(k * k)  # 2 L'_0 = 2 (k^2 / 2)
 
 
 def test_fermion_boson_virasoro_agree():
@@ -181,7 +186,7 @@ def test_fermion_boson_virasoro_agree():
     for st in rng.sample(basis.states, 8):
         v = FockVector.basis(st)
         for k in range(-2, 3):
-            assert lprime_apply(k, v) == sugawara_apply(k, v), (st, k)
+            assert lprime2_apply(k, v) == sugawara2_apply(k, v), (st, k)
 
 
 def test_shift_relations():
@@ -191,9 +196,9 @@ def test_shift_relations():
         v = FockVector.basis(st)
         got = shift_apply(1, boson_apply(0, shift_apply(-1, v))) - boson_apply(0, v)
         assert got == v  # U a_0 U* = a_0 + 1
-        got = shift_apply(1, lprime_apply(0, shift_apply(-1, v)))
-        want = lprime_apply(0, v) + boson_apply(0, v) + v.scale(HALF)
-        assert got == want  # U L_0 U* = L_0 + a_0 + 1/2
+        got = shift_apply(1, lprime2_apply(0, shift_apply(-1, v)))
+        want = lprime2_apply(0, v) + boson_apply(0, v).scale(2) + v
+        assert got == want  # U 2L_0 U* = 2L_0 + 2a_0 + 1
 
 
 def test_example1_modes():
@@ -232,10 +237,10 @@ def test_fubini_veneziano_sample():
         for m, k in ((1, 1), (2, -1), (-1, 2)):
             hi = vertex_mode_range(m, st)
             for n in range(-3, hi + abs(k) + 1):
-                lhs = lprime_apply(k, vertex_mode(m, n, v)) - vertex_mode(
-                    m, n, lprime_apply(k, v)
+                lhs = lprime2_apply(k, vertex_mode(m, n, v)) - vertex_mode(
+                    m, n, lprime2_apply(k, v)
                 )
-                coeff = Fraction(-(n + k)) + Fraction(m * m * (k + 1), 2)
+                coeff = -2 * (n + k) + m * m * (k + 1)
                 assert lhs == vertex_mode(m, n + k, v).scale(coeff), (st, m, k, n)
 
 
@@ -254,9 +259,9 @@ def test_level_one_bracket():
     for st in list(pb)[:20]:
         v = PairVector({st: Fraction(1)})
         lhs = E_apply(1, F_apply(-1, v)) - F_apply(-1, E_apply(1, v))
-        assert lhs == H_apply(0, v).scale(2) + v
+        assert lhs == b_apply(0, v) + v  # 2H(0) = b(0)
         for m, n in itertools.product((-1, 0, 1), repeat=2):
-            hk = H_apply(m, K_apply(n, v)) - K_apply(n, H_apply(m, v))
+            hk = b_apply(m, K2_apply(n, v)) - K2_apply(n, b_apply(m, v))
             assert hk.is_zero()
 
 
@@ -314,8 +319,8 @@ def test_run_counts_every_comparison_and_keeps_differing_keys():
 
 
 def test_suites_look_up_operators_when_they_run(monkeypatch):
-    real = fock_checks.lprime_apply
-    monkeypatch.setattr(fock_checks, "lprime_apply", lambda k, v: real(k, v).scale(2))
+    real = fock_checks.lprime2_apply
+    monkeypatch.setattr(fock_checks, "lprime2_apply", lambda k, v: real(k, v).scale(2))
     report = SUITES["virasoro"](2)
     got = {key for key in report["mismatches"] if key[0] == "L'=L"}
     want = {
@@ -390,7 +395,7 @@ def test_b_sugawara_bracket():
 def test_b_sugawara_zero_mode_written_out():
     """L_0 = (q1 - q2)^2 / 4 + (1/2) sum_{n>0} b_{-n} b_n, where
     b_0 = q1 - q2 is the difference of the boson charges."""
-    from virasoro.fock import b_apply, b_sugawara_apply
+    from virasoro.fock import b_sugawara_apply
 
     for st in PairBasis(3):
         v = PairVector({st: Fraction(1)})
@@ -414,6 +419,16 @@ def _partition_exp_coeff(apply_mode, c, vec, order):
     return total
 
 
+def _exp_coeff(table, step, c, terms, order):
+    """S_order v for a vector v with rational coefficients, from one
+    Newton series on the whole vector cleared of denominators: the
+    reference for the per-state series behind raising_coeff_apply."""
+    den = lcm(*(v.denominator for v in terms.values()))
+    ints = {st: v.numerator * (den // v.denominator) for st, v in terms.items()}
+    top = exp_series(table, step, c, [ints], order)[order]
+    return {st: Fraction(p, den * factorial(order)) for st, p in top.items()}
+
+
 def test_exponential_coefficients_match_partition_sum():
     for st in FockBasis(3):
         v = FockVector.basis(st)
@@ -426,7 +441,7 @@ def test_exponential_coefficients_match_partition_sum():
 
 
 def test_b_exponential_matches_partition_sum():
-    from virasoro.fock import _b_state, _exp_coeff, b_apply
+    from virasoro.fock import _b_state
 
     for st in PairBasis(2):
         v = PairVector({st: Fraction(1)})
@@ -438,3 +453,74 @@ def test_b_exponential_matches_partition_sum():
                 want = _partition_exp_coeff(lambda p, w: b_apply(p, w), -m, v, order)
                 got = _exp_coeff(_b_state, 1, -m, v.terms, order)
                 assert PairVector(got) == want, (st, m, order)
+
+
+def test_per_state_series_match_whole_vector_route():
+    rng = random.Random(14)
+    states = FockBasis(4).states
+    for _ in range(12):
+        v = FockVector({st: Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                        for st in rng.sample(states, 4)})
+        for m in (1, -1, 2, -2, 3):
+            for u in range(6):
+                want = _exp_coeff(fock._boson_state, -1, m, v.terms, u)
+                assert raising_coeff_apply(u, m, v) == FockVector(want), (v, m, u)
+                want = _exp_coeff(fock._boson_state, 1, -m, v.terms, u)
+                assert lowering_coeff_apply(u, m, v) == FockVector(want), (v, m, u)
+    # a negative order would index the cached series from its end
+    with pytest.raises(ValueError):
+        raising_coeff_apply(-1, 1, FockVector.basis(vacuum(0)))
+
+
+def _lprime_from_fermions(k, st):
+    """L'_k = sum_{p-q=k} -(q + 1/2 + k/2) e_p e_q* on a basis state, with
+    its half-integer coefficients, one fermion pair at a time; L'_0 is the
+    energy.  The reference for the doubled table."""
+    v = FockVector.basis(st)
+    if k == 0:
+        return v.scale(st.energy)
+    total = FockVector.zero()
+    # e_q* needs q occupied, and e_{q+k} then needs q + k below the tail
+    for q in range(min(st.occupied_prefix(), default=st.tail_start), st.tail_start + abs(k)):
+        hop = fermion_apply("e", q + k, fermion_apply("e*", q, v))
+        total = total + hop.scale(-(q + HALF + Fraction(k, 2)))
+    return total
+
+
+def _pair_current_halved(n, st, sign):
+    """(a_n^(1) + sign * a_n^(2)) / 2 on a pair state from the
+    single-factor boson: H(n) for sign -1, K(n) for sign 1."""
+    terms = {}
+    for s, c in boson_apply(n, FockVector.basis(st.left)).terms.items():
+        terms[PairState(s, st.right)] = c * HALF
+    for s, c in boson_apply(n, FockVector.basis(st.right)).terms.items():
+        key = PairState(st.left, s)
+        terms[key] = terms.get(key, 0) + sign * c * HALF
+    return PairVector(terms)
+
+
+def test_doubled_operators_are_twice_the_half_integer_ones():
+    for st in FockBasis(4):
+        v = FockVector.basis(st)
+        for k in range(-3, 4):
+            assert lprime2_apply(k, v) == _lprime_from_fermions(k, st).scale(2), (st, k)
+    for st in PairBasis(3):
+        v = PairVector({st: 1})
+        for n in range(-3, 4):
+            assert b_apply(n, v) == _pair_current_halved(n, st, -1).scale(2), (st, n)
+            assert K2_apply(n, v) == _pair_current_halved(n, st, 1).scale(2), (st, n)
+
+
+def _coefficients(side):
+    return list(side.terms.values()) if isinstance(side, SparseVector) else [side]
+
+
+@pytest.mark.parametrize("suite", ["check_fubini_veneziano", "check_level_one_brackets",
+                                   "check_virasoro", "check_shift", "check_exchange"])
+def test_integral_suites_compare_integers(suite):
+    seen = 0
+    for key, lhs, rhs in getattr(fock_checks, suite)(2):
+        for c in _coefficients(lhs) + _coefficients(rhs):
+            assert type(c) is int, (key, c)
+            seen += 1
+    assert seen
