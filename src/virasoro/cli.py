@@ -10,6 +10,11 @@ without a traceback, and the command still exits with its own code.
 
 The optional VIRASORO_OUT_DIR environment variable sets the directory
 for --out files given as bare names.
+
+Each `cmd_*` imports the modules it runs when it runs, and calls them
+through the module (`verma.gram_matrix`, not a name bound at import), so
+a command loads only its own part of the package and the functions stay
+patchable by module attribute.
 """
 
 from __future__ import annotations
@@ -22,10 +27,6 @@ import re
 import sys
 from fractions import Fraction
 
-from . import density, jantzen, oscillator, singular, verma
-from .acceptance import CRITERIA, run_acceptance
-from .combinat import QSeries
-from .fock_checks import SUITES, run_suites
 from .scalars import BiPoly, UniPoly, UsageError, as_fraction, render_scalar
 
 
@@ -108,6 +109,7 @@ def _render_text(report, indent=0) -> str:
 
 
 def cmd_gram(args) -> int:
+    from . import verma
     params = verma.VermaParams(args.c, args.h)
     g = verma.gram_matrix(args.level, params)
     _emit({"subcommand": "gram", **g.to_json()}, args)
@@ -115,6 +117,7 @@ def cmd_gram(args) -> int:
 
 
 def cmd_kacdet(args) -> int:
+    from . import verma
     params = verma.VermaParams(args.c, args.h)
     report = {"subcommand": "kacdet", "level": args.level, "mode": args.mode}
     if args.mode == "direct":
@@ -133,6 +136,7 @@ def cmd_kacdet(args) -> int:
 
 
 def cmd_singvec(args) -> int:
+    from . import singular, verma
     report = {"subcommand": "singvec", "method": args.method}
     if args.method == "kernel":
         if args.c is None or args.h is None or args.level is None:
@@ -170,6 +174,7 @@ def cmd_singvec(args) -> int:
 
 
 def cmd_ffpoly(args) -> int:
+    from . import density
     mu = UniPoly.gen("mu") if args.mu is None else args.mu
     routes = {}
     direct = density.ad_direct(args.j, args.lam, mu)
@@ -217,6 +222,7 @@ def _sqrt_fraction(x: Fraction):
 
 
 def cmd_jantzen(args) -> int:
+    from . import combinat, jantzen, verma
     if args.case == "c1":
         if args.j is None:
             raise UsageError("jantzen --case c1 needs --j")
@@ -247,7 +253,7 @@ def cmd_jantzen(args) -> int:
         levels[level] = {
             "dims": list(filt.dims), "det_order": order, "identity": order == depth_sums[-1]
         }
-    computed = QSeries(depth_sums, lead, args.n)
+    computed = combinat.QSeries(depth_sums, lead, args.n)
     verdict = computed == closed and all(v["identity"] for v in levels.values())
     report = {
         "subcommand": "jantzen",
@@ -263,6 +269,7 @@ def cmd_jantzen(args) -> int:
 
 
 def cmd_character(args) -> int:
+    from . import jantzen, verma
     if args.c1 and args.j is None:
         raise UsageError("character --c1 needs --j")
     if args.discrete and None in (args.m, args.r, args.s):
@@ -287,6 +294,7 @@ def cmd_character(args) -> int:
 
 
 def cmd_goldstone(args) -> int:
+    from . import oscillator
     sector = args.sector
     if args.j is not None and (args.k - args.j).denominator > 1:
         raise UsageError("the charge k must lie in j + Z")
@@ -319,6 +327,7 @@ def cmd_goldstone(args) -> int:
 
 
 def cmd_binomdet(args) -> int:
+    from . import oscillator
     f = args.f
     values = {"determinant": oscillator.binom_det(f, args.mu)}
     compare = args.compare.split(",") if args.compare else []
@@ -344,15 +353,17 @@ def cmd_binomdet(args) -> int:
 
 
 def cmd_fock_check(args) -> int:
+    from . import fock_checks
     names = args.suite.split(",") if args.suite and args.suite != "all" else None
     if args.emax < 2 or args.pair_emax < 2:
         raise UsageError(
             "truncation window too small: the character checks reach order q^2, "
             "so --emax and --pair-emax must be at least 2"
         )
-    if names and not set(names) <= set(SUITES):
-        raise UsageError(f"unknown suites: {sorted(set(names) - set(SUITES))}")
-    reports = run_suites(args.emax, names=names, pair_emax=args.pair_emax)
+    unknown = sorted(set(names or ()) - set(fock_checks.SUITES))
+    if unknown:
+        raise UsageError(f"unknown suites: {unknown}; valid: {', '.join(fock_checks.SUITES)}")
+    reports = fock_checks.run_suites(args.emax, names=names, pair_emax=args.pair_emax)
     ok = all(r["ok"] for r in reports)
     report = {
         "subcommand": "fock-check",
@@ -373,11 +384,12 @@ def cmd_fock_check(args) -> int:
 
 
 def cmd_acceptance(args) -> int:
+    from . import acceptance
     names = None if args.suite == "all" else args.suite.split(",")
-    known = {key for key, _, _ in CRITERIA}
+    known = {key for key, _, _ in acceptance.CRITERIA}
     if names and not set(names) <= known:
         raise UsageError(f"unknown criteria: {sorted(set(names) - known)}")
-    ok, rows = run_acceptance(
+    ok, rows = acceptance.run_acceptance(
         names=names, level_cap=args.level_cap, seed=args.seed, emax=args.emax,
         pair_emax=args.pair_emax,
     )
@@ -482,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emax", type=_parse_fraction, default=Fraction(6))
     p.add_argument("--pair-emax", type=_parse_fraction, default=Fraction(4))
     p.add_argument("--suite", default="all",
-                   help="comma list of: " + ",".join(SUITES))
+                   help="comma list of suite names, or 'all'")
     _common(p)
     p.set_defaults(fn=cmd_fock_check)
 

@@ -23,8 +23,8 @@ it), so the weight path (1, x) is used instead; reports flag the switch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .combinat import QSeries, num_partitions, partitions_of
 from .linalg import bareiss_det, nullspace, row_basis, sum_entries
@@ -44,8 +44,7 @@ class DegenerateFamilyError(ValueError):
     """The family determinant vanishes identically; no filtration exists."""
 
 
-@dataclass(frozen=True)
-class MatrixFamily:
+class MatrixFamily(NamedTuple):
     level: int
     entries: tuple  # tuple of tuples of UniPoly in x
     provenance: str
@@ -58,8 +57,7 @@ class MatrixFamily:
         return len(self.entries)
 
 
-@dataclass(frozen=True)
-class Filtration:
+class Filtration(NamedTuple):
     dims: tuple   # dim V^(0), dim V^(1), ... down to the first zero
     bases: tuple  # rational basis vectors of each V^(i), i >= 1
 

@@ -24,19 +24,18 @@ Newton's identity (which also gives c_n, with X_n = x_n).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
 from math import factorial
+from typing import NamedTuple
 
 from .combinat import as_signature, partitions_of, transpose
 from .linalg import det_expansion, nullspace
 from .scalars import SparseVector, UniPoly, UsageError, accumulate, as_fraction, render_scalar
 
 
-@dataclass(frozen=True)
-class OscParams:
+class OscParams(NamedTuple):
     """Mode normalisation kappa and b_0 eigenvalue mu_0 on the vacuum."""
 
     kappa: Fraction

@@ -15,8 +15,8 @@ and then the vector is unique up to scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .combinat import partitions_of
 from .linalg import nullspace
@@ -33,8 +33,7 @@ from .verma import (
 )
 
 
-@dataclass(frozen=True)
-class SingularVector:
+class SingularVector(NamedTuple):
     vector: PBWVector
     level: int
     params: VermaParams

@@ -19,10 +19,10 @@ as the integers S (a + b h + e c/2) (see `irreducible_dims`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from typing import NamedTuple
 
 from .combinat import num_partitions, partition_key, partitions_of
 from .linalg import bareiss_det, rank
@@ -38,8 +38,7 @@ from .scalars import (
 )
 
 
-@dataclass(frozen=True)
-class VermaParams:
+class VermaParams(NamedTuple):
     """Central charge and lowest weight, drawn from a common ring."""
 
     c: object
@@ -190,8 +189,7 @@ def apply_L(k: int, v: PBWVector, params: VermaParams) -> PBWVector:
     return v.apply_linear(image)
 
 
-@dataclass(frozen=True)
-class GramMatrix:
+class GramMatrix(NamedTuple):
     level: int
     basis: tuple
     entries: tuple  # tuple of tuples, Shapovalov pairings

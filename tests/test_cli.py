@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -157,8 +158,10 @@ def test_fock_check_subset(capsys):
 
 
 def test_fock_check_unknown_suite(capsys):
-    code, _ = run_cli(["fock-check", "--suite", "nope"], capsys)
-    assert code == 2
+    from virasoro.fock_checks import SUITES
+
+    assert main(["fock-check", "--suite", "nope"]) == 2
+    assert capsys.readouterr().err.rstrip().endswith("valid: " + ", ".join(SUITES))
 
 
 def test_acceptance_subset(capsys):
@@ -171,11 +174,11 @@ def test_acceptance_subset(capsys):
 def test_acceptance_time_columns_line_up(monkeypatch, capsys):
     """The name column fits the longest criterion name, so the time
     column starts at one offset on every line."""
-    from virasoro import cli
+    from virasoro import acceptance
 
     rows = [{"criterion": key, "title": title, "ok": True, "details": {}, "elapsed": 0.5}
-            for key, title, _ in cli.CRITERIA]
-    monkeypatch.setattr(cli, "run_acceptance", lambda **_: (True, rows))
+            for key, title, _ in acceptance.CRITERIA]
+    monkeypatch.setattr(acceptance, "run_acceptance", lambda **_: (True, rows))
     code, out = run_cli(["acceptance"], capsys)
     lines = out.splitlines()
     assert code == 0 and len(lines) == len(rows)
@@ -382,3 +385,37 @@ def test_readme_example_succeeds(example, capsys):
     assert main(argv) == 0
     golden = GOLDEN / (re.sub(r"[^A-Za-z0-9]+", "_", example).strip("_") + ".json")
     assert capsys.readouterr().out == golden.read_text()
+
+
+_IMPORT_PROBE = """import json, sys
+from virasoro import cli
+code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+print(json.dumps([code, sorted(sys.modules)]))"""
+_SUITE_MODULES = {
+    "acceptance": {"virasoro.acceptance", "virasoro.fock_checks"},
+    "fock-check": {"virasoro.fock_checks"},
+}
+
+
+@pytest.mark.parametrize("example", [""] + _readme_examples() + [
+    "kacdet --level 2 --mode ratio",
+    "fock-check --emax 2 --pair-emax 2 --suite car",
+    "acceptance --suite gomes",
+], ids=lambda e: e or "import virasoro.cli")
+def test_command_imports_only_what_it_runs(example):
+    """A fresh process loads no `dataclasses`, and the identity suites
+    only for the subcommands that run them; a bare `import virasoro.cli`
+    loads only the package, the CLI and the scalars it parses into."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, *shlex.split(example)],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120,
+    )
+    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0, proc.stderr
+    assert "dataclasses" not in modules
+    loaded = {m for m in modules if m.split(".")[0] == "virasoro"}
+    if not example:
+        assert loaded == {"virasoro", "virasoro.cli", "virasoro.scalars"}
+    suites = loaded & {"virasoro.acceptance", "virasoro.fock_checks"}
+    assert suites == _SUITE_MODULES.get(example.split(" ")[0], set()), sorted(loaded)
