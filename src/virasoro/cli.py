@@ -386,9 +386,10 @@ def cmd_fock_check(args) -> int:
 def cmd_acceptance(args) -> int:
     from . import acceptance
     names = None if args.suite == "all" else args.suite.split(",")
-    known = {key for key, _, _ in acceptance.CRITERIA}
-    if names and not set(names) <= known:
-        raise UsageError(f"unknown criteria: {sorted(set(names) - known)}")
+    known = [key for key, _, _ in acceptance.CRITERIA]
+    unknown = sorted(set(names or ()) - set(known))
+    if unknown:
+        raise UsageError(f"unknown criteria: {unknown}; valid: {', '.join(known)}")
     ok, rows = acceptance.run_acceptance(
         names=names, level_cap=args.level_cap, seed=args.seed, emax=args.emax,
         pair_emax=args.pair_emax,

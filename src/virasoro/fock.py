@@ -53,12 +53,10 @@ from .oscillator import exp_series, sugawara
 from .scalars import SparseVector, accumulate, as_fraction
 
 # Entries kept by each per-state operator table (_boson_state,
-# _lprime2_state, _vertex_modes, _exp_series_state); the acceptance
-# window at emax 7 fills them to 7,775, 4,389, 1,186 and 1,732.
+# _lprime2_state, _vertex_modes, _exp_series_state, the last holding
+# single and pair states); the acceptance window at emax 7, pair-emax 4
+# fills them to 7,775, 4,389, 1,186 and 4,071.
 STATE_CACHE_SIZE = 1 << 14
-# The pair-space modes of psi_mode_b are kept for the few pair states
-# in use: a check asks for every mode of one state before the next.
-PAIR_CACHE_SIZE = 1 << 6
 
 _tuple_new = tuple.__new__
 
@@ -289,9 +287,14 @@ def _quotient(p: int, den: int):
 
 
 @lru_cache(maxsize=STATE_CACHE_SIZE)
-def _exp_series_state(step: int, c: int, st: FermionState) -> list:
-    """[P_0, P_1, ...] of the boson exp_series on st, grown by _exp_coeff_apply."""
-    return [{st: 1}]
+def _exp_series_state(table, step: int, c: int, st) -> list:
+    """[P_0, P_1, ...] of exp_series on the basis state st, grown by _series."""
+    return [((st, 1),)]
+
+
+def _series(table, step: int, c: int, st, order: int) -> tuple:
+    """P_order = order! S_order on st, as (state, coefficient) pairs."""
+    return exp_series(table, step, c, _exp_series_state(table, step, c, st), order)[order]
 
 
 def _exp_coeff_apply(step: int, c: int, order: int, vec: FockVector) -> FockVector:
@@ -300,8 +303,7 @@ def _exp_coeff_apply(step: int, c: int, order: int, vec: FockVector) -> FockVect
         raise ValueError(f"negative series order {order}")
     num = {}
     for st, coeff in vec.terms.items():
-        series = exp_series(_boson_state, step, c, _exp_series_state(step, c, st), order)
-        accumulate(num, series[order], coeff)
+        accumulate(num, _series(_boson_state, step, c, st, order), coeff)
     den = factorial(order)
     return FockVector._wrap({st: _quotient(p, den) for st, p in num.items()})
 
@@ -316,49 +318,24 @@ def lowering_coeff_apply(d: int, m: int, vec: FockVector) -> FockVector:
     return _exp_coeff_apply(1, -m, d, vec)
 
 
-def _exp_product_modes(table, m: int, st, depth: int, u0s) -> list:
-    """For each u0 of `u0s`, sum_{d >= 0} [z^{u0+d}] exp(m sum z^n X_{-n}/n)
-    [z^{-d}] exp(-m sum z^{-n} X_n/n) applied to the basis state `st`,
-    for commuting X_n with integer coefficients that lower the excitation
-    by n; `depth` bounds the excitation of `st`, so the lowering series
-    stops there, and every u0 is at least -depth.  The modes share one
-    lowering series and one raising series per lowered term.  Unshifted:
-    the caller applies its own U^{-m}."""
-    lowered = exp_series(table, 1, -m, [{st: 1}], depth)
-    u0_max = max(u0s)
-    raised = [exp_series(table, -1, m, [low], u0_max + d) if low and u0_max + d >= 0 else None
-              for d, low in enumerate(lowered)]
-    out = []
-    for u0 in u0s:
-        top = u0 + depth
-        num = {}                         # numerators over top! depth!
-        for d, series in enumerate(raised):
-            u = u0 + d
-            if u < 0 or series is None:
-                continue
-            weight = factorial(top) // factorial(u) * (factorial(depth) // factorial(d))
-            accumulate(num, series[u], weight)
-        den = factorial(top) * factorial(depth)
-        out.append({new: _quotient(p, den) for new, p in num.items()})
-    return out
-
-
-def _grow_modes(modes: dict, n: int, table, m: int, st, depth: int, u0: int, term) -> tuple:
-    """Mode n of the vertex operator whose z^{-k} mode on `st` is
-    _exp_product_modes(table, m, st, depth, [u0 - k]), each term mapped by
-    `term(state, coefficient)`, as a tuple of (state, coefficient) pairs.
-
-    `modes` holds the modes computed so far, a contiguous range ending at
-    the top mode u0 + depth (the higher ones vanish).  A mode below that
-    range is computed in one batch with every mode up to the range, so
-    they share one pair of exponential series."""
+def _exp_product_mode(table, m: int, st, depth: int, u0: int) -> dict:
+    """sum_{d >= 0} [z^{u0+d}] exp(m sum z^n X_{-n}/n) [z^{-d}]
+    exp(-m sum z^{-n} X_n/n) applied to the basis state `st`, for
+    commuting X_n = table(n, .) with integer coefficients that lower the
+    excitation by n; `depth` bounds the excitation of `st`, so the
+    lowering series stops there.  Unshifted: the caller applies its own
+    U^{-m}."""
     top = u0 + depth
-    if n > top:
-        return ()
-    ns = range(n, top + 1 - len(modes))
-    for k, raw in zip(ns, _exp_product_modes(table, m, st, depth, [u0 - k for k in ns])):
-        modes[k] = tuple(term(s, c) for s, c in raw.items())
-    return modes[n]
+    if top < 0:
+        return {}
+    num = {}                             # numerators over top! depth!
+    for d in range(max(0, -u0), depth + 1):
+        u = u0 + d
+        weight = factorial(top) // factorial(u) * (factorial(depth) // factorial(d))
+        for low, c in _series(table, 1, -m, st, d):
+            accumulate(num, _series(table, -1, m, low, u), weight * c)
+    den = factorial(top) * factorial(depth)
+    return {new: _quotient(p, den) for new, p in num.items()}
 
 
 @lru_cache(maxsize=STATE_CACHE_SIZE)
@@ -371,8 +348,8 @@ def _vertex_mode_state(m: int, n: int, st: FermionState) -> tuple:
     modes = _vertex_modes(m, st)
     got = modes.get(n)
     if got is None:
-        got = _grow_modes(modes, n, _boson_state, m, st, _level(st), -m * st.charge,
-                          lambda s, c: (_shifted(s, -m), c))
+        raw = _exp_product_mode(_boson_state, m, st, _level(st), -m * st.charge - n)
+        got = modes[n] = tuple((_shifted(s, -m), c) for s, c in raw.items())
     return got
 
 
@@ -532,27 +509,16 @@ def psi_mode_b(m: int, n: int, vec: PairVector) -> PairVector:
     vertex operators."""
 
     def image(st):
-        modes = _psi_b_modes(m, st)
-        got = modes.get(n)
-        if got is None:
-            left, right = st
-            sign = -1 if m % 2 and left.parity else 1
-            # the b modes preserve both factor charges, so total lowering
-            # is bounded by the excitation above the fixed sector pair
-            got = _grow_modes(
-                modes, n, _b_state, m, st, _level(left) + _level(right),
-                -m * (left.charge - right.charge),
-                lambda s, c: (PairState(_shifted(s.left, -m), _shifted(s.right, m)), sign * c),
-            )
-        return got
+        left, right = st
+        sign = -1 if m % 2 and left.parity else 1
+        # the b modes preserve both factor charges, so total lowering
+        # is bounded by the excitation above the fixed sector pair
+        raw = _exp_product_mode(_b_state, m, st, _level(left) + _level(right),
+                                -m * (left.charge - right.charge) - n)
+        return [(PairState(_shifted(s.left, -m), _shifted(s.right, m)), sign * c)
+                for s, c in raw.items()]
 
     return vec.apply_linear(image)
-
-
-@lru_cache(maxsize=PAIR_CACHE_SIZE)
-def _psi_b_modes(m: int, st: PairState) -> dict:
-    """n -> psi_mode_b(m, n) on the pair state st, filled by psi_mode_b."""
-    return {}
 
 
 def b_sugawara_apply(k: int, vec: PairVector) -> PairVector:

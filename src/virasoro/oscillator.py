@@ -170,7 +170,8 @@ def exp_series(table, step: int, c: int, series: list, order: int) -> list:
     sum_u S_u z^u = exp(c sum_{n>0} z^n X_n / n).
 
     X_n is the operator `table(step * n, state)` (an iterable of
-    (state, coefficient) pairs) and v = P_0 is a state dict.  The X_n
+    (state, coefficient) pairs), v = P_0 is a tuple of (state,
+    coefficient) pairs, and so is each P_u appended.  The X_n
     commute, so Newton's identity u S_u = c sum_{n=1..u} X_n S_{u-n}
     (Macdonald, Symmetric Functions, I.2) gives each coefficient from the
     lower ones exactly, with no sum over partitions.  In the scaled form
@@ -181,10 +182,10 @@ def exp_series(table, step: int, c: int, series: list, order: int) -> list:
         acc = {}
         weight = c                       # c (u-1)!/(u-n)!
         for n in range(1, u + 1):
-            for st, coeff in series[u - n].items():
+            for st, coeff in series[u - n]:
                 accumulate(acc, table(step * n, st), weight * coeff)
             weight *= u - n
-        series.append(acc)
+        series.append(tuple(acc.items()))
     return series
 
 
@@ -241,8 +242,8 @@ def c_coefficient(n: int) -> PolyState:
     """c_n in exp(sum_{n>0} x_n z^n / n) = sum c_n z^n; c_n = 0 for n < 0."""
     if n < 0:
         return PolyState.zero()
-    top = exp_series(_times_x, 1, 1, [{(): 1}], n)[n]
-    return PolyState._wrap({exps: Fraction(p, factorial(n)) for exps, p in top.items()})
+    top = exp_series(_times_x, 1, 1, [(((), 1),)], n)[n]
+    return PolyState._wrap({exps: Fraction(p, factorial(n)) for exps, p in top})
 
 
 def c_coefficients(n_max: int) -> list:

@@ -13,7 +13,7 @@ RUNTIME_TARGETS = {
     "binomial": 3.0,       # pairings and binomial determinants, |f| <= 6
     "characters": 2.0,     # rank oracle to level 9
     "discrete-characters": 12.0,  # rank oracle, 34 modules to level 10
-    "fock": 60.0,          # identity suite at E_max = 7, pair space at 4
+    "fock": 30.0,          # identity suite at E_max = 7, pair space at 4
     "singular-triple": 25.0,  # curve vectors to level 9 over Q(t)
     "jantzen": 10.0,       # five Gram families, levels 1..6
     "character-sums": 10.0,  # five filtration character sums to q^6

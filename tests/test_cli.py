@@ -186,8 +186,11 @@ def test_acceptance_time_columns_line_up(monkeypatch, capsys):
 
 
 def test_acceptance_unknown_criterion(capsys):
-    code, _ = run_cli(["acceptance", "--suite", "nonsense"], capsys)
-    assert code == 2
+    from virasoro.acceptance import CRITERIA
+
+    assert main(["acceptance", "--suite", "nonsense"]) == 2
+    valid = ", ".join(key for key, _, _ in CRITERIA)
+    assert capsys.readouterr().err.rstrip().endswith("valid: " + valid)
 
 
 def test_usage_error_exit_code():

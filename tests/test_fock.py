@@ -137,7 +137,6 @@ def test_operator_tables_are_bounded():
     for table in (fock._boson_state, fock._lprime2_state, fock._vertex_modes,
                   fock._exp_series_state):
         assert table.cache_info().maxsize == fock.STATE_CACHE_SIZE, table.__name__
-    assert fock._psi_b_modes.cache_info().maxsize == fock.PAIR_CACHE_SIZE
     for table, size in ((verma._left_mul_monomial, verma.LEFT_CACHE_SIZE),
                         (verma._action, verma.ACTION_CACHE_SIZE),
                         (combinat.partitions_of, combinat.PARTITION_CACHE_SIZE),
@@ -219,6 +218,24 @@ def test_vertex_vacuum_anchor():
             lowest = vertex_mode(m, -q * m, vq)
             assert lowest == FockVector.basis(FermionState(-(q + m), ()))
             assert vertex_mode(m, -q * m + 1, vq).is_zero()
+
+
+def test_vertex_modes_match_exponential_product():
+    # Phi_m(n) = U^{-m} sum_d [z^{d-n-mq}] E_-^m [z^{-d}] E_+^m on charge q,
+    # from the single-exponential coefficients, one mode at a time
+    compared = 0
+    for st in FockBasis(4):
+        v = FockVector.basis(st)
+        for m in (1, -1, 2, -2, 3):
+            for n in range(-3, vertex_mode_range(m, st) + 2):
+                want = FockVector.zero()
+                for d in range(sum(st.lam) + 1):
+                    u = d - n - m * st.charge
+                    if u >= 0:
+                        want = want + raising_coeff_apply(u, m, lowering_coeff_apply(d, m, v))
+                assert vertex_mode(m, n, v) == shift_apply(-m, want), (st, m, n)
+                compared += 1
+    assert compared == 1211
 
 
 def test_fubini_veneziano_m0_trivial():
@@ -425,8 +442,8 @@ def _exp_coeff(table, step, c, terms, order):
     reference for the per-state series behind raising_coeff_apply."""
     den = lcm(*(v.denominator for v in terms.values()))
     ints = {st: v.numerator * (den // v.denominator) for st, v in terms.items()}
-    top = exp_series(table, step, c, [ints], order)[order]
-    return {st: Fraction(p, den * factorial(order)) for st, p in top.items()}
+    top = exp_series(table, step, c, [tuple(ints.items())], order)[order]
+    return {st: Fraction(p, den * factorial(order)) for st, p in top}
 
 
 def test_exponential_coefficients_match_partition_sum():
