@@ -66,6 +66,13 @@ def _parse_signature(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
+def _check_names(what: str, names, valid) -> None:
+    """A comma-list entry outside `valid` is a usage error naming `valid`."""
+    unknown = sorted(set(names) - set(valid))
+    if unknown:
+        raise UsageError(f"unknown {what}: {unknown}; valid: {', '.join(valid)}")
+
+
 def _emit(report: dict, args, text=None) -> None:
     """Print the report (JSON under --json, else `text` or a rendering of
     the report) and write the same to the --out file."""
@@ -176,9 +183,10 @@ def cmd_singvec(args) -> int:
 def cmd_ffpoly(args) -> int:
     from . import density
     mu = UniPoly.gen("mu") if args.mu is None else args.mu
+    compare = args.compare.split(",") if args.compare else ["direct"]
+    _check_names("routes", compare, ("direct", "product", "determinant"))
     routes = {}
     direct = density.ad_direct(args.j, args.lam, mu)
-    compare = args.compare.split(",") if args.compare else ["direct"]
     routes["direct"] = direct
     if "product" in compare:
         p = _sqrt_fraction(args.lam)
@@ -329,8 +337,9 @@ def cmd_goldstone(args) -> int:
 def cmd_binomdet(args) -> int:
     from . import oscillator
     f = args.f
-    values = {"determinant": oscillator.binom_det(f, args.mu)}
     compare = args.compare.split(",") if args.compare else []
+    _check_names("routes", compare, ("determinant", "product", "pairing"))
+    values = {"determinant": oscillator.binom_det(f, args.mu)}
     if "product" in compare:
         width, depth = (f[0] if f else 0), len(f)
         if any(row != width for row in f) or width < depth:
@@ -360,9 +369,7 @@ def cmd_fock_check(args) -> int:
             "truncation window too small: the character checks reach order q^2, "
             "so --emax and --pair-emax must be at least 2"
         )
-    unknown = sorted(set(names or ()) - set(fock_checks.SUITES))
-    if unknown:
-        raise UsageError(f"unknown suites: {unknown}; valid: {', '.join(fock_checks.SUITES)}")
+    _check_names("suites", names or (), fock_checks.SUITES)
     reports = fock_checks.run_suites(args.emax, names=names, pair_emax=args.pair_emax)
     ok = all(r["ok"] for r in reports)
     report = {
@@ -387,9 +394,7 @@ def cmd_acceptance(args) -> int:
     from . import acceptance
     names = None if args.suite == "all" else args.suite.split(",")
     known = [key for key, _, _ in acceptance.CRITERIA]
-    unknown = sorted(set(names or ()) - set(known))
-    if unknown:
-        raise UsageError(f"unknown criteria: {unknown}; valid: {', '.join(known)}")
+    _check_names("criteria", names or (), known)
     ok, rows = acceptance.run_acceptance(
         names=names, level_cap=args.level_cap, seed=args.seed, emax=args.emax,
         pair_emax=args.pair_emax,

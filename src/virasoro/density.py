@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .linalg import det_expansion, identity, mat_mul
+from .linalg import det_expansion
 from .scalars import BiPoly, SparseVector, as_fraction
 from .singular import SpinModule, bdiz_singular, specialize_curve_vector
 from .verma import PBWVector
@@ -133,17 +133,11 @@ def appc_determinant(j, p, mu):
     mat = [[zero_entry for _ in range(dim)] for _ in range(dim)]
     for i in range(dim - 1):
         mat[i][i + 1] = mat[i][i + 1] - 1  # the -F superdiagonal
-    e_pow = identity(dim)
-    sign = 1
     for m in range(two_j + 1):
-        for row in range(dim):
-            for col in range(dim):
-                g = e_pow[row][col]
-                if g:
-                    diag = col + lam * (m + 1) - mu
-                    mat[row][col] = mat[row][col] + Fraction(sign) * g * diag
-        e_pow = mat_mul(spin.matrix_E(), e_pow)
-        sign = -sign
+        # (-E)^m is (-1)^m e_power_factor(col, m) at (col + m, col), else 0
+        for col in range(dim - m):
+            g = (-1) ** m * spin.e_power_factor(col, m)
+            mat[col + m][col] = mat[col + m][col] + g * (col + lam * (m + 1) - mu)
     return det_expansion(mat)
 
 

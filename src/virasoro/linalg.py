@@ -1,13 +1,15 @@
 """Exact linear algebra over the coefficient tower.
 
-Two regimes, both fraction-free (Bareiss): each row's denominators are
-cleared and the elimination runs on integers or integer coefficient
-arrays, where every division by the previous pivot is exact and
-remainder-checked (`_step`):
+One fraction-free (Bareiss) elimination loop, `_echelon`, answers every
+question: each row's denominators are cleared and the loop runs on ints
+(depth 0), on Z[x] or Z[t] coefficient arrays (depth 1) or on Z[c][h]
+arrays (depth 2), where every division by the previous pivot is exact
+and remainder-checked.  It counts its row swaps, and on a symmetric
+matrix the forward pass updates only the upper half and mirrors it.
 
-* determinants over Q, Q[x] or Q[c,h], on Z, Z[x] or Z[c][h];
-* one Gauss-Jordan (`_echelon`) over Z or Z[t] for the rank, kernels
-  and reduced rows of a matrix over Q or Q(t).
+* `bareiss_det`: determinants over Q, Q[x] or Q[c,h], one forward pass;
+* `rank`, `row_basis`, `nullspace`: the forward pass or the full
+  Gauss-Jordan over Z or Z[t], for matrices over Q or Q(t).
 """
 
 from __future__ import annotations
@@ -24,56 +26,34 @@ def bareiss_det(matrix):
     Entries may be Fraction/int, UniPoly or BiPoly; rational entries of a
     polynomial matrix are constants of its ring.  Each row is scaled by
     the lcm of its coefficient denominators (a symmetric matrix by one
-    lcm for all rows), every entry becomes an integer coefficient array
-    (see `_array`), and the elimination runs in Z, Z[x] or Z[c][h].
-    Every division is by the previous pivot, exact, and checked: a
-    nonzero remainder raises ArithmeticError.  The result is divided by
-    the product of the row scales, in the entries' ring.
+    lcm for all rows, which keeps it symmetric), every entry becomes an
+    int or an integer coefficient array (see `_array`), and the forward
+    `_echelon` runs once in Z, Z[x] or Z[c][h].  Every division is by the
+    previous pivot, exact, and checked: a nonzero remainder raises
+    ArithmeticError.  With n pivots the determinant is the sign of the
+    row swaps times the last pivot, divided by the product of the row
+    scales in the entries' ring; with fewer it is the ring's zero.
     """
     n = len(matrix)
     if n == 0:
         return Fraction(1)
     kind, var = _ring_of(matrix)
-    depth = 2 if kind is BiPoly else 1
+    depth = (Fraction, UniPoly, BiPoly).index(kind)
     arrays = [[_array(x, depth) for x in row] for row in matrix]
-    dens = [_row_scale([y for a in row for y in _leaves(a, depth)]) for row in arrays]
-    # Every entry of step k is a bordered minor det M[0..k-1 + i; 0..k-1 + j],
-    # so a symmetric matrix stays symmetric until a row swap and only
-    # j >= i is computed; one scale for all rows keeps it symmetric.
+    dens = [_row_scale(_leaves(row, depth + 1)) for row in arrays]
     sym = all(arrays[i][j] == arrays[j][i] for i in range(n) for j in range(i))
     if sym:
         dens = [lcm(*dens)] * n
-    m = [[_scaled(a, den, depth) for a in row] for row, den in zip(arrays, dens)]
-    scale = prod(dens)
-    prev = None
-    for k in range(n - 1):
-        if not m[k][k]:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    scale, sym = -scale, False
-                    break
-            else:
-                return _entry([], kind, var, 1)
-        top = m[k]
-        pivot = top[k]
-        for i in range(k + 1, n):
-            row = m[i]
-            a = row[k]
-            for j in range(i if sym else k + 1, n):
-                row[j] = _step(pivot, row[j], a, top[j], prev, depth)
-                if sym:
-                    m[j][i] = row[j]
-            row[k] = []
-        prev = pivot
-    return _entry(m[n - 1][n - 1], kind, var, scale)
+    m = [_scaled(row, den, depth + 1) for row, den in zip(arrays, dens)]
+    pivots, d, sign = _echelon(m, depth, reduced=False, sym=sym)
+    return _entry(d if len(pivots) == n else _array(0, depth), kind, var, sign * prod(dens))
 
 
 # Integer coefficient arrays.  An element of Z[x] is the list of its
 # coefficients from x^0 up; an element of Z[c][h] is the list over h of
 # its coefficients in Z[c] (the layout of BiPoly.exact_div).  Arrays
 # carry no trailing zeros, so zero is [] and the leading entry is last;
-# a rational matrix runs in Z[x] with constant entries.
+# a rational matrix runs on plain ints (depth 0).
 
 
 def _ring_of(matrix):
@@ -99,7 +79,7 @@ def _ring_of(matrix):
 
 
 def _array(x, depth):
-    """The coefficient array of an entry, over Q."""
+    """The coefficient array of an entry over Q; at depth 0, the entry."""
     if isinstance(x, UniPoly):
         return list(x.coeffs)
     if isinstance(x, BiPoly):
@@ -110,7 +90,7 @@ def _array(x, depth):
             row.extend([0] * (i + 1 - len(row)))
             row[i] = v
         return rows
-    if not x:
+    if depth and not x:
         return []
     for _ in range(depth):
         x = [x]
@@ -128,9 +108,9 @@ def _scaled(a, den, depth):
 
 
 def _entry(a, kind, var, scale):
-    """The array `a` divided by `scale`, as an element of `kind`."""
+    """The int or array `a` divided by `scale`, as an element of `kind`."""
     if kind is Fraction:
-        return Fraction(a[0] if a else 0, scale)
+        return Fraction(a, scale)
     if kind is UniPoly:
         return UniPoly([Fraction(x, scale) for x in a], var)
     return BiPoly({(i, j): Fraction(x, scale)
@@ -171,9 +151,9 @@ def _addmul(acc, a, b, depth, neg=False):
 
 
 def _step(p, x, q, y, prev, depth):
-    """(p x - q y) / prev on coefficient arrays: the update of
-    `bareiss_det` and of `_echelon` over Z[t] (over Z, `_echelon` inlines
-    it).  The division is exact and checked; prev None stands for 1."""
+    """(p x - q y) / prev on coefficient arrays: the update of `_echelon`
+    at depths 1 and 2 (at depth 0 it is inline).  The division is exact
+    and checked; prev None stands for 1."""
     num = _addmul([], x, p, depth)
     if q:
         _addmul(num, q, y, depth, neg=True)
@@ -230,29 +210,39 @@ def det_expansion(matrix):
     return total
 
 
-def _echelon(m, depth, reduced):
+def _echelon(m, depth, reduced, sym=False):
     """Fraction-free elimination of the rows `m` in place over Z (depth 0,
-    ints) or Z[t] (depth 1, coefficient arrays); returns (pivot columns,
-    last pivot d).  Forward elimination leaves the Bareiss row echelon
-    form; `reduced` also clears above each pivot (Gauss-Jordan), so rows
-    0..r-1 end as d times the reduced row echelon form.  Each entry stays
-    a minor of the input, so every division by the previous pivot is
-    exact, and a nonzero remainder raises ArithmeticError."""
+    ints), Z[x] or Z[t] (depth 1) or Z[c][h] (depth 2, coefficient
+    arrays); returns (pivot columns, last pivot d, sign of the row swaps).
+
+    Forward elimination leaves the Bareiss row echelon form; `reduced`
+    also clears above each pivot (Gauss-Jordan), so rows 0..r-1 end as d
+    times the reduced row echelon form.  Each entry stays a minor of the
+    input, so every division by the previous pivot is exact, and a
+    nonzero remainder raises ArithmeticError.  With `sym` (a symmetric
+    square matrix, forward only) every entry below the pivot row is a
+    bordered minor, symmetric in its row and column, so row i updates
+    only columns j >= i and mirrors them, until the first row swap or
+    skipped column."""
     ncols = len(m[0]) if m else 0
-    pivots = []
+    pivots, sign = [], 1
     prev, zero = (None, []) if depth else (1, 0)
     for col in range(ncols):
         r = len(pivots)
         i = next((i for i in range(r, len(m)) if m[i][col]), None)
         if i is None:
+            sym = False
             continue
-        m[r], m[i] = m[i], m[r]
+        if i != r:
+            m[r], m[i] = m[i], m[r]
+            sign, sym = -sign, False
         top, p = m[r], m[r][col]
         for i in [*range(r if reduced else 0), *range(r + 1, len(m))]:
             row, q = m[i], m[i][col]
-            # rows below are zero left of col; rows above rescale every
-            # column, free ones included
-            cols = range(col + 1, ncols) if i > r else range(ncols)
+            # rows above rescale every column, free ones included; rows
+            # below are zero left of col, and a symmetric one copies the
+            # columns left of its index from the rows above it
+            cols = range(ncols) if i < r else range(i if sym else col + 1, ncols)
             if depth:
                 for j in cols:
                     row[j] = _step(p, row[j], q, top[j], prev, depth)
@@ -262,10 +252,13 @@ def _echelon(m, depth, reduced):
                     if rem:
                         raise ArithmeticError("inexact division in fraction-free elimination")
                     row[j] = x
+            if sym:
+                for j in cols:
+                    m[j][i] = row[j]
             row[col] = zero
         pivots.append(col)
         prev = p
-    return pivots, prev
+    return pivots, prev, sign
 
 
 def _cleared(row, var=None):
@@ -301,7 +294,7 @@ def row_basis(vectors) -> list:
     """The reduced row echelon basis of the span of some rational vectors:
     `_echelon` over Z leaves d times it in the first rows."""
     rows = [_cleared(vec) for vec in vectors]
-    pivots, d = _echelon(rows, 0, reduced=True)
+    pivots, d, _ = _echelon(rows, 0, reduced=True)
     return [tuple(Fraction(x, d) for x in rows[i]) for i in range(len(pivots))]
 
 
@@ -318,7 +311,7 @@ def nullspace(matrix, ncols=None):
     cols = len(matrix[0]) if matrix else ncols or 0
     var = next((x.var for row in matrix for x in row if isinstance(x, RatFunc)), None)
     m = [_cleared(row, var) for row in matrix]
-    pivots, d = _echelon(m, 0 if var is None else 1, reduced=True)
+    pivots, d, _ = _echelon(m, 0 if var is None else 1, reduced=True)
     one = Fraction(1) if var is None else RatFunc.const(1, var)
     basis = []
     for fc in sorted(set(range(cols)) - set(pivots)):
@@ -340,22 +333,3 @@ def sum_entries(row, vector):
     if total is None:
         return Fraction(0)
     return total
-
-
-def identity(n, one=None):
-    one = Fraction(1) if one is None else one
-    zero = one * 0
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a, b):
-    n, k = len(a), len(b)
-    cols = len(b[0]) if k else 0
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(cols):
-            row.append(sum_entries(a[i], [b[t][j] for t in range(k)]))
-        out.append(row)
-    return out
-

@@ -316,8 +316,10 @@ def kac_det_product(level: int, params: VermaParams):
 
 
 def kac_det_ratio(level: int):
-    """direct / product at fully symbolic (c, h); a constant polynomial."""
-    return kac_det_direct(level, VermaParams.symbolic()).exact_div(kac_det_product_sym(level))
+    """direct / product at fully symbolic (c, h); a constant polynomial.
+    The product form comes first, so level 0 is a usage error."""
+    product = kac_det_product_sym(level)
+    return kac_det_direct(level, VermaParams.symbolic()).exact_div(product)
 
 
 def h_pq(p: int, q: int, m: int) -> Fraction:

@@ -327,6 +327,9 @@ def test_acceptance_json_stdout_is_pure_json(tmp_path, capsys):
     ["singvec", "--method", "kernel", "--c", "1", "--h", "0", "--level", "-1"],
     ["acceptance", "--level-cap", "0"],
     ["acceptance", "--level-cap", "-1"],
+    ["kacdet", "--level", "0", "--mode", "ratio"],
+    ["ffpoly", "--j", "1", "--lambda", "1", "--compare", "direct,prodcut"],
+    ["binomdet", "--f", "3,3", "--mu", "2", "--compare", "pairng"],
 ], ids=" ".join)
 def test_library_rejects_bad_input_as_usage_error(argv, capsys):
     assert main(argv) == 2

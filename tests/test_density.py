@@ -93,7 +93,7 @@ def test_mu_top_coefficient():
 def test_appc_determinant_matches_direct():
     for two_j in (0, 1, 2, 3):
         j = Fraction(two_j, 2)
-        for p in (0, 1):
+        for p in (0, 1, 2, HALF):
             assert appc_determinant(j, p, MU) == ad_direct(j, p * p, MU)
     # sampled points away from the symbolic check
     for mu in (Fraction(0), Fraction(1), Fraction(7, 3)):

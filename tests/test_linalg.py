@@ -286,6 +286,9 @@ def test_bareiss_zero_leading_pivot_swaps_rows_with_sign():
     # symmetric, with a zero pivot only after the first step
     m = [[1, 1, 2], [1, 1, x], [2, x, Fraction(1, 3)]]
     assert bareiss_det(m) == _bareiss_fraction(m) == det_expansion(m)
+    # rational and symmetric, with a zero pivot only after the first step
+    m = [[1, 1, 2], [1, 1, 3], [2, 3, Fraction(1, 3)]]
+    assert bareiss_det(m) == _bareiss_fraction(m) == det_expansion(m)
     c, h = BiPoly.gens()
     m = [[BiPoly.const(0), h], [c, Fraction(7, 2)]]
     assert bareiss_det(m) == -c * h
@@ -302,6 +305,37 @@ def test_bareiss_singular_gives_zero_of_the_ring():
         assert not det and det == _bareiss_fraction(m) == 0
     assert type(bareiss_det([[0, x], [0, x + 1]])) is UniPoly
     assert type(bareiss_det([[0, h], [0, c]])) is BiPoly
+    # rational and symmetric: the second column has no pivot
+    half = Fraction(1, 2)
+    det = bareiss_det([[half, 1, 3 * half], [1, 2, 3], [3 * half, 3, 7]])
+    assert type(det) is Fraction and det == 0
+
+
+def test_every_determinant_runs_on_echelon(monkeypatch):
+    """`bareiss_det` has no elimination loop of its own: each determinant
+    is one forward `_echelon` pass, at the depth of the entries' ring,
+    symmetric or not, with or without row swaps."""
+    calls = []
+    real = linalg._echelon
+
+    def counted(m, depth, reduced, sym=False):
+        calls.append((depth, reduced, sym))
+        return real(m, depth, reduced, sym)
+
+    monkeypatch.setattr(linalg, "_echelon", counted)
+    x = UniPoly.gen("x")
+    c, h = BiPoly.gens()
+    cases = (
+        ([[Fraction(1, 2), 3], [Fraction(-2, 3), 5]], 0, False),  # rational
+        ([[x, 1], [x + 1, x * x]], 1, False),                     # Z[x]
+        ([[c, h], [1, c * h]], 2, False),                         # Z[c][h]
+        ([[2, 1], [1, Fraction(1, 3)]], 0, True),                 # symmetric
+        ([[0, 1, 2], [3, 4, 5], [6, 7, 9]], 0, False),            # swapped
+    )
+    for m, depth, sym in cases:
+        calls.clear()
+        assert bareiss_det(m) == det_expansion(m)
+        assert calls == [(depth, False, sym)], m
 
 
 def test_bareiss_mixed_denominators_and_constants():

@@ -50,6 +50,16 @@ def test_spin_module_relations():
         from math import factorial
 
         assert spin.e_power_factor(0, two_j) == Fraction(factorial(two_j)) ** 2
+        # E^m is the one subdiagonal m below the diagonal, with entries
+        # e_power_factor(col, m)
+        power = [[int(i == j) for j in range(dim)] for i in range(dim)]
+        for m in range(dim + 1):
+            for i in range(dim):
+                for j in range(dim):
+                    want = spin.e_power_factor(j, m) if i == j + m else 0
+                    assert power[i][j] == want
+            power = [[sum(E[i][k] * power[k][j] for k in range(dim)) for j in range(dim)]
+                     for i in range(dim)]
 
 
 def test_bdiz_small_spins():
