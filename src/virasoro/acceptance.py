@@ -104,10 +104,76 @@ def criterion_singular_triple(**_):
                       else singular.curve_params_at(t_val, rs=(r, s)))
             vec = singular.specialize_curve_vector(curve, t_val)
             found = singular.singular_kernel(params, r * s)
-            if len(found) != 1 or found[0].vector != vec:
+            if len(found) != 1 or found[0] != vec:
                 return False, {**where, "stage": f"kernel at t={t_val}"}
             if not singular.check_singular(vec, params)[0]:
                 return False, {**where, "stage": f"singularity at t={t_val}"}
+    return True, details
+
+
+def _probe_chains(ops):
+    """The chains the ladder laws are checked on, lifted to Q(t): xi in the
+    lowest spin slot; xi + 2 L_{-1} xi in the highest; and L_{-2} xi in the
+    lowest with L_{-1}^2 xi in the highest."""
+    vec, top = verma.PBWVector, ops.spin.dim - 1
+    fills = ({0: vec.vacuum()}, {top: vec({(1,): Fraction(2), (): Fraction(1)})},
+             {0: vec.monomial((2,)), top: vec.monomial((1, 1))})
+    return [ops.lift([fill.get(i, vec.zero()) for i in range(top + 1)]) for fill in fills]
+
+
+@_timed
+def criterion_singular_chain(**_):
+    """The spin-chain structure behind the BDIZ vectors and the singular
+    chains it predicts: the ladder operators' Witt brackets at a constant
+    (c, h) and their ladder law at c(t); the c = 1 products of degree-(2i+1)
+    singular elements, equal to the kernel-solved chain and singular; the
+    norm orders 1 < 2 of the c = 1, j = 1/2 chain along its c-path; and
+    the m = 3 (1, 1) chain at levels 1 and 6."""
+    t = RatFunc.gen("t")
+    witt = verma.VermaParams(RatFunc.const(Fraction(7, 3), "t"), RatFunc.const(Fraction(5, 2), "t"))
+    cases = [(two_j, witt, p, q) for two_j in (1, 2) for p in range(3) for q in range(3)]
+    cases += [(two_j, verma.VermaParams(verma.c_curve(), h), p, -1)
+              for two_j, h in ((1, verma.h_pq_curve(2, 1)), (2, verma.h_pq_curve(3, 1)),
+                               (3, RatFunc.const(Fraction(5, 2), "t")))
+              for p in range(4)]
+    for two_j, params, p, q in cases:
+        ops = singular.SpinChainOps(two_j, params)
+        for n, chain in enumerate(_probe_chains(ops)):
+            if q >= 0:  # [ladder(p), ladder(q)] = (p - q) ladder(p + q)
+                want = ops.scale(ops.ladder(p + q, chain), RatFunc.const(p - q, "t"))
+            else:  # [ladder(p), ladder(-1)] = sum_k (p+1+k) (-t)^k E^k ladder(p-1-k)
+                want = ops.zero()
+                for k in range(p + two_j + 2):
+                    term = ops.ladder(p - 1 - k, chain)
+                    for _ in range(k):
+                        term = ops.E(term)
+                    want = ops.add(want, ops.scale(term, (-t) ** k * (p + 1 + k)))
+            if ops.bracket(p, q, chain) != want:
+                return False, {"stage": "ladder bracket", "2j": two_j, "chain": n, "p": p, "q": q}
+    details = {"brackets": 3 * len(cases), "c1 products": {}}
+    for j in (Fraction(0), Fraction(1, 2)):
+        params = verma.VermaParams.rational(1, j * j)
+        chain = singular.singular_chain("c1", 2, j=j)
+        for depth, kernel in enumerate(chain, 1):
+            vec = singular.chain_product_vector(j, depth)
+            level = vec.level()
+            lead = vec.coeff((1,) * level)
+            if not lead or vec.scale(1 / lead) != kernel or not singular.check_singular(vec, params)[0]:
+                return False, {"stage": "c1 product", "j": str(j), "depth": depth}
+            details["c1 products"][f"j={j} depth {depth}"] = level
+    # chain now holds the c = 1, j = 1/2 vectors at levels 2 and 6
+    path, label = jantzen.c1_path(Fraction(1, 2))
+    orders = [jantzen.norm_vanishing_order(vec, jantzen.gram_family(path, vec.level(), label))
+              for vec in chain]
+    if orders != [1, 2]:
+        return False, {"stage": "norm orders", "orders": orders}
+    details["norm orders"] = orders
+    params = verma.VermaParams.rational(verma.central_charge(3), verma.h_pq(1, 1, 3))
+    chain = singular.singular_chain("discrete", 2, m=3, r=1, s=1, max_level=8)
+    levels = [vec.level() for vec in chain]
+    if levels != [1, 6] or not all(singular.check_singular(vec, params)[0] for vec in chain):
+        return False, {"stage": "m=3 (1,1) chain", "levels": levels}
+    details["m=3 (1,1) levels"] = levels
     return True, details
 
 
@@ -293,6 +359,8 @@ CRITERIA = (
     ("kac-ratio", "Kac determinant direct/product ratio is constant", criterion_kac_ratio),
     ("gomes", "level-2 determinant at c=0 is 4h^2(8h-5)", criterion_gomes),
     ("singular-triple", "three singular-vector routes agree", criterion_singular_triple),
+    ("singular-chain", "spin-chain ladder laws and the c = 1 singular chain",
+     criterion_singular_chain),
     ("density-poly", "density polynomial: direct = products = determinant", criterion_density_polynomial),
     ("jantzen", "determinant order = filtration dimension sum", criterion_jantzen_identity),
     ("character-sums", "filtration character sums match closed forms", criterion_character_sums),
@@ -308,9 +376,10 @@ CRITERIA = (
 def run_acceptance(names=None, level_cap=6, seed=20260809, emax=7, pair_emax=4):
     """Run the selected criteria; returns (all_ok, list of result rows).
     A level cap below 1 is a UsageError: kac-ratio and jantzen would
-    check nothing."""
+    check nothing.  So is a Fock window below `fock_checks.check_window`."""
     if level_cap < 1:
         raise UsageError(f"the level cap must be at least 1, got {level_cap}")
+    fock_checks.check_window(emax, pair_emax)
     wanted = set(names) if names else None
     rows = []
     all_ok = True

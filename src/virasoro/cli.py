@@ -132,6 +132,9 @@ def cmd_kacdet(args) -> int:
     elif args.mode == "product":
         report["value"] = render_scalar(verma.kac_det_product(args.level, params))
     else:
+        if (args.c, args.h) != BiPoly.gens():
+            raise UsageError("kacdet --mode ratio is the symbolic ratio over Q[c,h]; "
+                             "it takes no --c or --h")
         ratio = verma.kac_det_ratio(args.level)
         report["value"] = render_scalar(ratio)
         report["constant"] = ratio.is_constant()
@@ -154,20 +157,17 @@ def cmd_singvec(args) -> int:
         report["vectors"] = [v.to_json() for v in found]
     else:
         if args.method == "bdiz":
-            if args.j is None:
-                raise UsageError("singvec --method bdiz needs --j")
+            if args.j is None or args.rs is not None:
+                raise UsageError("singvec --method bdiz needs --j and takes no --rs")
             vec = singular.bdiz_singular(args.j)
         else:
-            if args.rs is None:
-                raise UsageError("singvec --method curve needs --rs")
+            if args.rs is None or args.j is not None:
+                raise UsageError("singvec --method curve needs --rs and takes no --j")
             vec = singular.curve_singular(*args.rs)
         if args.at is not None:
             try:
                 vec = singular.specialize_curve_vector(vec, args.at)
-                if args.j is not None:
-                    params = singular.curve_params_at(args.at, j=args.j)
-                else:
-                    params = singular.curve_params_at(args.at, rs=args.rs)
+                params = singular.curve_params_at(args.at, j=args.j, rs=args.rs)
             except ZeroDivisionError:
                 raise UsageError(f"t = {args.at} is a pole of c(t) = 13 - 6t - 6/t "
                                  "or of the vector's coefficients") from None
@@ -177,7 +177,7 @@ def cmd_singvec(args) -> int:
             report["h"] = render_scalar(params.h)
         report.update(vec.to_json())
     _emit(report, args)
-    return 0
+    return 0 if report.get("singular", True) else 1
 
 
 def cmd_ffpoly(args) -> int:
@@ -364,11 +364,6 @@ def cmd_binomdet(args) -> int:
 def cmd_fock_check(args) -> int:
     from . import fock_checks
     names = args.suite.split(",") if args.suite and args.suite != "all" else None
-    if args.emax < 2 or args.pair_emax < 2:
-        raise UsageError(
-            "truncation window too small: the character checks reach order q^2, "
-            "so --emax and --pair-emax must be at least 2"
-        )
     _check_names("suites", names or (), fock_checks.SUITES)
     reports = fock_checks.run_suites(args.emax, names=names, pair_emax=args.pair_emax)
     ok = all(r["ok"] for r in reports)

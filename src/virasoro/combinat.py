@@ -90,9 +90,8 @@ class QSeries:
     """Truncated power series q^lead * (c_0 + c_1 q + ... + c_order q^order).
 
     The leading exponent may be any rational (characters carry q^h).  The
-    truncation order is the number of known coefficients past the lead;
-    equality compares the coefficients both series know, and asking for
-    a coefficient beyond the order raises.
+    truncation order is the number of known coefficients past the lead,
+    and equality compares the coefficients both series know.
     """
 
     __slots__ = ("lead", "coeffs", "order")
@@ -110,14 +109,6 @@ class QSeries:
 
     def __setattr__(self, name, value):
         raise AttributeError("QSeries is immutable")
-
-    def coeff(self, n: int) -> Fraction:
-        """Coefficient of q^(lead + n)."""
-        if n < 0:
-            return Fraction(0)
-        if n > self.order:
-            raise IndexError(f"coefficient q^{n} beyond truncation order {self.order}")
-        return self.coeffs[n]
 
     def scale(self, scalar) -> "QSeries":
         s = as_fraction(scalar)

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .linalg import det_expansion
-from .scalars import BiPoly, SparseVector, as_fraction
+from .scalars import SparseVector, as_fraction
 from .singular import SpinModule, bdiz_singular, specialize_curve_vector
 from .verma import PBWVector
 
@@ -139,16 +139,3 @@ def appc_determinant(j, p, mu):
             g = (-1) ** m * spin.e_power_factor(col, m)
             mat[col + m][col] = mat[col + m][col] + g * (col + lam * (m + 1) - mu)
     return det_expansion(mat)
-
-
-def primary_obstruction(j, lam, h):
-    """a_d(1 - lambda, h - j^2); nonzero rules out a normalised primary
-    field of that type from the (1, j^2) module to the (1, h) module."""
-    j = as_fraction(j)
-    return ad_direct(j, 1 - lam, h - j * j)
-
-
-def ad_symbolic(j) -> BiPoly:
-    """a_d as an element of Q[lambda, mu]."""
-    lam, mu = BiPoly.gens(("lam", "mu"))
-    return ad_direct(j, lam, mu)

@@ -401,10 +401,6 @@ class PairState(NamedTuple):
     def energy(self) -> Fraction:
         return self.left.energy + self.right.energy
 
-    @property
-    def parity(self) -> int:
-        return (self.left.parity + self.right.parity) & 1
-
 
 class PairVector(SparseVector):
     """Finite rational linear combination of two-factor states."""

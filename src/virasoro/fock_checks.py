@@ -49,6 +49,7 @@ from .fock import (
     vertex_mode,
     vertex_mode_range,
 )
+from .scalars import UsageError
 
 
 def _run(name, comparisons) -> dict:
@@ -331,13 +332,25 @@ SUITES = {
 }
 
 
+def check_window(emax, pair_emax) -> None:
+    """A UsageError unless both window bounds reach the q^2 order that the
+    character checks read."""
+    if emax < 2 or pair_emax < 2:
+        raise UsageError(
+            "truncation window too small: the character checks reach order q^2, "
+            "so --emax and --pair-emax must be at least 2"
+        )
+
+
 def run_suites(emax, names=None, pair_emax=None) -> list:
     """Run the named suites (all by default) and return their reports.
 
-    The pair-space suites run at `pair_emax`, which defaults to `emax`.
+    The pair-space suites run at `pair_emax`, which defaults to `emax`;
+    a window below `check_window`'s is a UsageError.
     """
     names = list(names) if names else list(SUITES)
     pair_emax = pair_emax if pair_emax is not None else emax
+    check_window(emax, pair_emax)
     reports = []
     for name in names:
         if name not in SUITES:

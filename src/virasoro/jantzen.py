@@ -27,17 +27,10 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .combinat import QSeries, num_partitions, partitions_of
-from .linalg import bareiss_det, nullspace, row_basis, sum_entries
-from .scalars import UniPoly, UsageError, as_fraction, order_at_zero
+from .linalg import bareiss_det, nullspace, sum_entries
+from .scalars import UniPoly, UsageError, as_fraction
 from .singular import c1_chain_levels, discrete_chain_levels
-from .verma import (
-    PBWVector,
-    VermaParams,
-    central_charge,
-    gram_matrices,
-    h_pq,
-    pbw_left_multiply,
-)
+from .verma import PBWVector, VermaParams, central_charge, gram_matrices, h_pq
 
 
 class DegenerateFamilyError(ValueError):
@@ -58,8 +51,7 @@ class MatrixFamily(NamedTuple):
 
 
 class Filtration(NamedTuple):
-    dims: tuple   # dim V^(0), dim V^(1), ... down to the first zero
-    bases: tuple  # rational basis vectors of each V^(i), i >= 1
+    dims: tuple  # dim V^(0), dim V^(1), ... down to the first zero
 
     def depth_sum(self) -> int:
         return sum(self.dims[1:])
@@ -116,11 +108,6 @@ def coefficient_matrices(family: MatrixFamily):
     return mats
 
 
-def _first_block_span(kernel, n: int):
-    """Basis of the projection of kernel vectors onto the v_0 block."""
-    return tuple(row_basis(vec[:n] for vec in kernel))
-
-
 def jantzen_filtration(family: MatrixFamily, det=None) -> Filtration:
     """Section-based filtration from the growing kernels K_m; `det` is
     det A(x) when the caller has already computed it.
@@ -141,9 +128,8 @@ def jantzen_filtration(family: MatrixFamily, det=None) -> Filtration:
     n = family.dim
     zero = Fraction(0)
     dims = [n]
-    bases = []
     kernel = []  # basis of K_m, each vector the blocks v_0 .. v_{m-1} in a row
-    for m in range(order_at_zero(det) + 1):
+    for m in range(det.order_at_zero() + 1):
         # the new block row A_0 v_m + sum_{j<m} A_{m-j} w_j = 0, with w
         # written in the K_m basis: one column per basis vector, then A_0
         residues = []
@@ -164,10 +150,9 @@ def jantzen_filtration(family: MatrixFamily, det=None) -> Filtration:
         if len(grown) == len(kernel):
             break
         dims.append(len(grown) - len(kernel))
-        bases.append(_first_block_span(grown, n))
         kernel = grown
     dims.append(0)
-    return Filtration(tuple(dims), tuple(bases))
+    return Filtration(tuple(dims))
 
 
 def det_order_filtration(family: MatrixFamily):
@@ -175,7 +160,7 @@ def det_order_filtration(family: MatrixFamily):
     the order and the filtration dims are computed independently, so the
     caller can assert order == filtration.depth_sum()."""
     det = bareiss_det(family.rows())
-    return order_at_zero(det), jantzen_filtration(family, det)
+    return det.order_at_zero(), jantzen_filtration(family, det)
 
 
 def level_filtrations(path, label: str, n_max: int) -> list:
@@ -189,14 +174,6 @@ def det_order_identity(family: MatrixFamily):
     """(order of x=0 in det A(x), sum of filtration dims)."""
     order, filt = det_order_filtration(family)
     return order, filt.depth_sum()
-
-
-def lowering_matrix(k: int, level: int):
-    """Matrix of L_{-k} from level to level + k; independent of (c, h)."""
-    source = partitions_of(level)
-    target = partitions_of(level + k)
-    cols = [pbw_left_multiply(k, PBWVector.monomial(p)) for p in source]
-    return [[col.coeff(t) for col in cols] for t in target]
 
 
 def filtration_character_sum(case: str, n_max: int, *, j=None, m=None, r=None, s=None) -> QSeries:
@@ -268,7 +245,7 @@ def norm_vanishing_order(vector: PBWVector, family: MatrixFamily) -> int:
         if coords[i] == 0:
             continue
         norm = norm + coords[i] * sum_entries(row, coords)
-    order = order_at_zero(norm)
+    order = norm.order_at_zero()
     if order is None:
         raise ValueError("the norm vanishes identically along the family")
     return order

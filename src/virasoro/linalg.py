@@ -8,8 +8,8 @@ and remainder-checked.  It counts its row swaps, and on a symmetric
 matrix the forward pass updates only the upper half and mirrors it.
 
 * `bareiss_det`: determinants over Q, Q[x] or Q[c,h], one forward pass;
-* `rank`, `row_basis`, `nullspace`: the forward pass or the full
-  Gauss-Jordan over Z or Z[t], for matrices over Q or Q(t).
+* `rank`, `nullspace`: the forward pass or the full Gauss-Jordan over
+  Z or Z[t], for matrices over Q or Q(t).
 """
 
 from __future__ import annotations
@@ -288,14 +288,6 @@ def rank(matrix) -> int:
     cleared of their denominators (which keeps the rank)."""
     rows = [row for row in map(_cleared, matrix) if any(row)]
     return len(_echelon(rows, 0, reduced=False)[0])
-
-
-def row_basis(vectors) -> list:
-    """The reduced row echelon basis of the span of some rational vectors:
-    `_echelon` over Z leaves d times it in the first rows."""
-    rows = [_cleared(vec) for vec in vectors]
-    pivots, d, _ = _echelon(rows, 0, reduced=True)
-    return [tuple(Fraction(x, d) for x in rows[i]) for i in range(len(pivots))]
 
 
 def nullspace(matrix, ncols=None):

@@ -70,12 +70,6 @@ class PolyState(SparseVector):
     def one(cls) -> "PolyState":
         return cls({(): Fraction(1)})
 
-    @classmethod
-    def variable(cls, n: int, coeff=Fraction(1)) -> "PolyState":
-        exps = [0] * n
-        exps[n - 1] = 1
-        return cls({tuple(exps): coeff})
-
     def degree(self) -> int:
         """Weighted degree (energy above the sector minimum); homogeneous only."""
         degs = {_weighted_degree(k) for k in self.terms}
@@ -244,10 +238,6 @@ def c_coefficient(n: int) -> PolyState:
         return PolyState.zero()
     top = exp_series(_times_x, 1, 1, [(((), 1),)], n)[n]
     return PolyState._wrap({exps: Fraction(p, factorial(n)) for exps, p in top})
-
-
-def c_coefficients(n_max: int) -> list:
-    return [c_coefficient(n) for n in range(n_max + 1)]
 
 
 def jacobi_trudi(f) -> PolyState:

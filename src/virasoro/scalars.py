@@ -209,12 +209,9 @@ class UniPoly:
         return result
 
     def order_at_zero(self):
-        if self.is_zero():
-            return None
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                return i
-        return None
+        """Multiplicity of the root at the origin; None for the zero
+        polynomial, where it is undefined."""
+        return next((i for i, c in enumerate(self.coeffs) if c), None)
 
     def __eq__(self, other):
         if _is_rational(other):
@@ -359,12 +356,6 @@ class RatFunc:
             raise ZeroDivisionError("division by zero rational function")
         return RatFunc(self.num * o.den, self.den * o.num)
 
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
     def __pow__(self, n: int):
         if n < 0:
             return RatFunc(self.den ** (-n), self.num ** (-n))
@@ -375,12 +366,6 @@ class RatFunc:
         if den == 0:
             raise ZeroDivisionError(f"pole at {value}")
         return self.num(value) / den
-
-    def order_at_zero(self):
-        """Multiplicity of the root at the origin (negative for a pole)."""
-        if self.is_zero():
-            return None
-        return self.num.order_at_zero() - self.den.order_at_zero()
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -720,19 +705,6 @@ class SparseVector:
         if type(other) is not type(self):
             return NotImplemented
         return self.terms == other.terms
-
-
-def order_at_zero(f):
-    """Multiplicity of the root at the origin.
-
-    Returns None for the identically-zero input (the order is undefined
-    there, and callers must treat that case specially).
-    """
-    if isinstance(f, (UniPoly, RatFunc)):
-        return f.order_at_zero()
-    if _is_rational(f):
-        return None if f == 0 else 0
-    raise TypeError(f"order_at_zero undefined for {type(f).__name__}")
 
 
 def render_scalar(x) -> str:

@@ -16,7 +16,6 @@ and then the vector is unique up to scale.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
 
 from .combinat import partitions_of
 from .linalg import nullspace
@@ -30,16 +29,8 @@ from .verma import (
     h_pq,
     h_pq_curve,
     pbw_left_multiply,
+    pbw_operator_apply,
 )
-
-
-class SingularVector(NamedTuple):
-    vector: PBWVector
-    level: int
-    params: VermaParams
-
-    def to_json(self) -> dict:
-        return self.vector.to_json()
 
 
 def _linear_map_matrix(k: int, level: int, params: VermaParams):
@@ -56,7 +47,8 @@ def _linear_map_matrix(k: int, level: int, params: VermaParams):
 
 
 def singular_kernel(params: VermaParams, level: int) -> list:
-    """Basis of the joint kernel of L_1 and L_2 at the given level.
+    """Basis of the joint kernel of L_1 and L_2 at the given level, as
+    PBW vectors.
 
     Works over Q for rational parameters and over Q(t) for curve
     parameters; `linalg.nullspace` clears each row of the L_1, L_2 matrix
@@ -77,8 +69,7 @@ def singular_kernel(params: VermaParams, level: int) -> list:
         lead = vec[ones_index]
         if lead:
             vec = [x / lead for x in vec]
-        v = PBWVector({p: c for p, c in zip(basis, vec)})
-        out.append(SingularVector(v, level, params))
+        out.append(PBWVector({p: c for p, c in zip(basis, vec)}))
     return out
 
 
@@ -118,27 +109,6 @@ class SpinModule:
         for s in range(m):
             out *= self.e_step(i + s)
         return out
-
-    def matrix_E(self):
-        z = Fraction(0)
-        mat = [[z] * self.dim for _ in range(self.dim)]
-        for i in range(self.dim - 1):
-            mat[i + 1][i] = self.e_step(i)
-        return mat
-
-    def matrix_F(self):
-        z = Fraction(0)
-        mat = [[z] * self.dim for _ in range(self.dim)]
-        for i in range(1, self.dim):
-            mat[i - 1][i] = Fraction(1)
-        return mat
-
-    def matrix_H(self):
-        z = Fraction(0)
-        mat = [[z] * self.dim for _ in range(self.dim)]
-        for i in range(self.dim):
-            mat[i][i] = self.h_eigenvalue(i)
-        return mat
 
 
 def bdiz_singular(j, var: str = "t") -> PBWVector:
@@ -192,7 +162,7 @@ def curve_singular(r: int, s: int, var: str = "t") -> PBWVector:
         raise RuntimeError(
             f"kernel dimension {len(found)} at level {r * s} on the ({r},{s}) curve; expected 1"
         )
-    return found[0].vector
+    return found[0]
 
 
 def specialize_curve_vector(v: PBWVector, t_value) -> PBWVector:
@@ -249,10 +219,10 @@ class SpinChainOps:
 
         ladder(k) = L_k - (-E)^k t^{k-1} (t(H - (k+1)/2) + (3k+1)/4).
 
-    Verified bracket relations (tests): [ladder(p), ladder(q)] =
-    (p - q) ladder(p + q) for p, q >= 0 at any parameters, and whenever
-    the central charge is c(t) = 13 - 6t - 6/t (any weight) the
-    alternating ladder law
+    Bracket relations, checked by the `singular-chain` gate row:
+    [ladder(p), ladder(q)] = (p - q) ladder(p + q) for p, q >= 0 at any
+    parameters, and whenever the central charge is c(t) = 13 - 6t - 6/t
+    (any weight) the alternating ladder law
 
         [ladder(p), ladder(-1)]
             = sum_{q >= 0} (p + 1 + q) (-t)^q E^q ladder(p - 1 - q)
@@ -277,14 +247,8 @@ class SpinChainOps:
         return [x.scale(s) for x in a]
 
     def lift(self, chain):
-        def up(c):
-            if isinstance(c, Fraction):
-                return RatFunc.const(c, self.var)
-            if isinstance(c, UniPoly):
-                return RatFunc.from_poly(c)
-            return c
-
-        return [v.map_coeffs(up) for v in chain]
+        """A chain of vectors with rational coefficients, over Q(t)."""
+        return [v.map_coeffs(lambda c: RatFunc.const(c, self.var)) for v in chain]
 
     def E(self, chain):
         return [PBWVector.zero()] + [
@@ -341,10 +305,8 @@ def chain_product_vector(j, depth: int) -> PBWVector:
     the weights j, j+1, ..., j+depth-1 in succession.
 
     Equals (up to scale) the kernel-solved singular vector at that level;
-    the chain tests assert this.
+    the `singular-chain` gate row checks this.
     """
-    from .verma import pbw_operator_apply
-
     j = as_fraction(j)
     vec = PBWVector.vacuum()
     for i in range(depth):
@@ -355,7 +317,8 @@ def chain_product_vector(j, depth: int) -> PBWVector:
 
 def singular_chain(case: str, depth: int, *, j=None, m=None, r=None, s=None,
                    max_level: int | None = None) -> list:
-    """Kernel-solved singular vectors at the predicted chain levels.
+    """Kernel-solved singular vectors at the predicted chain levels, one
+    PBW vector per level.
 
     case "c1": levels k(k+2j) in M(1, j^2) for k = 1..depth.
     case "discrete": the first `depth` predicted levels of

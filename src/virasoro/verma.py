@@ -195,11 +195,6 @@ class GramMatrix(NamedTuple):
     entries: tuple  # tuple of tuples, Shapovalov pairings
     params: VermaParams
 
-    def entry(self, row_part, col_part):
-        i = self.basis.index(tuple(row_part))
-        j = self.basis.index(tuple(col_part))
-        return self.entries[i][j]
-
     def rows(self):
         return [list(r) for r in self.entries]
 
@@ -209,15 +204,6 @@ class GramMatrix(NamedTuple):
             "basis": [partition_key(p) for p in self.basis],
             "entries": [[render_scalar(x) for x in row] for row in self.entries],
         }
-
-
-def shapovalov_pair(left_part, w: PBWVector, params: VermaParams):
-    """<L_{-left} xi, w> computed by pushing the adjoints through w."""
-    for p in left_part:
-        w = apply_L(p, w, params)
-        if w.is_zero():
-            break
-    return w.coeff(())
 
 
 def _gram_recursion(max_level: int, images, lift) -> list:
@@ -262,7 +248,9 @@ def _gram_recursion(max_level: int, images, lift) -> list:
 
 def gram_matrices(max_level: int, params: VermaParams) -> list:
     """The Gram matrices of levels 0..max_level: `_gram_recursion` on the
-    images of apply_L.  Entries equal shapovalov_pair's, type included."""
+    images of apply_L.  Each entry, type included, is the pairing
+    <L_{-lambda} xi, L_{-mu} xi> got by pushing the adjoints L_k through
+    L_{-mu} xi one at a time."""
     tables = _gram_recursion(
         max_level, lambda k, mu: apply_L(k, PBWVector.monomial(mu), params).terms, Fraction(1))
     return [GramMatrix(n, partitions_of(n), t, params) for n, t in enumerate(tables)]

@@ -266,6 +266,16 @@ def test_fock_check_window_too_small(capsys):
     assert code == 2
 
 
+def test_singvec_not_singular_exits_1(monkeypatch, capsys):
+    from virasoro import singular
+
+    monkeypatch.setattr(singular, "check_singular", lambda v, params: (False, None))
+    code, out = run_cli(["singvec", "--method", "bdiz", "--j", "1/2", "--at", "1", "--json"],
+                        capsys)
+    assert code == 1
+    assert json.loads(out)["singular"] is False
+
+
 def test_singvec_pole_is_usage_error(capsys):
     code, _ = run_cli(
         ["singvec", "--method", "curve", "--rs", "2,1", "--at", "0", "--json"], capsys
@@ -330,6 +340,12 @@ def test_acceptance_json_stdout_is_pure_json(tmp_path, capsys):
     ["kacdet", "--level", "0", "--mode", "ratio"],
     ["ffpoly", "--j", "1", "--lambda", "1", "--compare", "direct,prodcut"],
     ["binomdet", "--f", "3,3", "--mu", "2", "--compare", "pairng"],
+    ["singvec", "--method", "curve", "--rs", "2,2", "--j", "1/2", "--at", "4/3", "--json"],
+    ["singvec", "--method", "bdiz", "--j", "1/2", "--rs", "2,2", "--at", "4/3", "--json"],
+    ["kacdet", "--level", "1", "--mode", "ratio", "--c", "1"],
+    ["kacdet", "--level", "1", "--mode", "ratio", "--h", "1/2"],
+    ["acceptance", "--suite", "fock", "--emax", "1", "--pair-emax", "1"],
+    ["acceptance", "--suite", "fock", "--emax", "0"],
 ], ids=" ".join)
 def test_library_rejects_bad_input_as_usage_error(argv, capsys):
     assert main(argv) == 2

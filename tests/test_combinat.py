@@ -61,10 +61,10 @@ def test_partition_keys():
 
 
 def test_qseries_beyond_order():
-    s = QSeries([1, 1, 2, 3], Fraction(1, 4), 3)
-    assert s.coeff(3) == 3
-    with pytest.raises(IndexError):
-        s.coeff(4)
+    # coefficients past the order are dropped, missing ones are zero
+    s = QSeries([1, 1, 2, 3, 5], Fraction(1, 4), 3)
+    assert s.coeffs == (1, 1, 2, 3) and s.order == 3
+    assert QSeries([1], 0, 2).coeffs == (1, 0, 0)
 
 
 def test_qseries_equality_alignment():

@@ -6,12 +6,10 @@ import pytest
 from virasoro.density import (
     DensityVector,
     ad_direct,
-    ad_symbolic,
     appc_determinant,
     density_apply,
     evaluate_ad,
     ff_product,
-    primary_obstruction,
     singular_element,
     spin_range,
 )
@@ -54,7 +52,7 @@ def test_singular_element_is_normalised():
 
 def test_ad_j0():
     lam, mu = BiPoly.gens(("lam", "mu"))
-    assert ad_symbolic(0) == lam - mu
+    assert ad_direct(0, lam, mu) == lam - mu
 
 
 def test_ad_half_cases():
@@ -86,7 +84,7 @@ def test_mu_top_coefficient():
     for two_j in (0, 1, 2, 3, 4):
         j = Fraction(two_j, 2)
         d = two_j + 1
-        sym = ad_symbolic(j)
+        sym = ad_direct(j, *BiPoly.gens(("lam", "mu")))
         assert sym.terms.get((0, d)) == Fraction(-1) ** d
 
 
@@ -110,7 +108,12 @@ def test_evaluate_ad_rejects_inhomogeneous_support():
 
 
 def test_primary_obstruction():
-    # generic target weight: no primary field, product of ((t-1)^2 - h)
+    # a_d(1 - lambda, h - j^2) is nonzero exactly when no normalised
+    # primary field of type lambda maps the (1, j^2) module to the (1, h)
+    # one; generic target weight: no primary field, product of ((t-1)^2 - h)
+    def primary_obstruction(j, lam, h):
+        return ad_direct(j, 1 - lam, h - j * j)
+
     h = UniPoly.gen("h")
     got = primary_obstruction(HALF, 0, h)
     expect = UniPoly.const(1, "h")

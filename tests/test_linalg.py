@@ -27,8 +27,8 @@ def rref(matrix):
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = m[r][col]
-        m[r] = [x / inv for x in m[r]]
+        inv = m[r][col] ** -1
+        m[r] = [x * inv for x in m[r]]
         for i in range(rows):
             if i != r and m[i][col]:
                 f = m[i][col]

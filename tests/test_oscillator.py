@@ -12,7 +12,6 @@ from virasoro.oscillator import (
     PolyState,
     binom_det,
     c_coefficient,
-    c_coefficients,
     goldstone_params,
     goldstone_signature,
     goldstone_vector,
@@ -28,13 +27,18 @@ from virasoro.scalars import UniPoly
 HALF = Fraction(1, 2)
 
 
+def _x(n: int) -> PolyState:
+    """The variable x_n as a polynomial state."""
+    return PolyState({(0,) * (n - 1) + (1,): Fraction(1)})
+
+
 def test_mode_action_examples():
     p = OscParams.single(Fraction(0))
-    x2 = PolyState.variable(2)
+    x2 = _x(2)
     assert virasoro_apply(0, x2, p) == x2.scale(2)
     mu = Fraction(7, 5)
     pm = OscParams.single(mu)
-    got = virasoro_apply(1, PolyState.variable(1), pm)
+    got = virasoro_apply(1, _x(1), pm)
     assert got == PolyState.one().scale(mu)
 
 
@@ -71,11 +75,10 @@ def test_level_basis_counts():
 
 def test_c_coefficients():
     assert c_coefficient(0) == PolyState.one()
-    assert c_coefficient(1) == PolyState.variable(1)
-    x1, x2 = PolyState.variable(1), PolyState.variable(2)
+    assert c_coefficient(1) == _x(1)
+    x1, x2 = _x(1), _x(2)
     assert c_coefficient(2) == (x1 * x1).scale(HALF).add_into(x2.scale(HALF))
     assert c_coefficient(-1).is_zero()
-    assert len(c_coefficients(3)) == 4
 
 
 def _partition_c_coefficient(n):
@@ -211,9 +214,9 @@ def test_pairing_vanishing_rule():
 
 def test_zero_mode_sugawara_and_raising_mode():
     p = OscParams.single(Fraction(0))
-    x2 = PolyState.variable(2)
+    x2 = _x(2)
     assert virasoro_apply(0, x2, p) == x2.scale(2)
-    assert mode_apply(-1, PolyState.one(), p) == PolyState.variable(1)
+    assert mode_apply(-1, PolyState.one(), p) == _x(1)
 
 
 def test_kernel_pattern_single_boson_normalisation():

@@ -1,0 +1,78 @@
+"""Every definition in the package has a caller outside the tests: each
+module-level function and class, and each non-dunder method of such a
+class, is named somewhere in the package outside its own body, or in the
+benchmark (perfbench/*.py).  An oracle that only the tests call belongs
+in tests/.  The guard is static, by name: a call trace of the CLI and
+the gate takes far longer than a unit test may."""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import virasoro
+
+PACKAGE = sorted(Path(virasoro.__file__).parent.glob("*.py"))
+BENCH = sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
+
+
+def _definitions(tree):
+    """(qualified name, node) of each module-level function and class and
+    of each non-dunder method of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield f"{node.name}.{item.name}", item
+
+
+def _names(tree) -> Counter:
+    """How often `tree` uses each name as a Name, an Attribute or an
+    import alias."""
+    found = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            found[node.asname or node.name.rsplit(".", 1)[-1]] += 1
+    return found
+
+
+def unreached(modules, outside=frozenset()) -> list:
+    """The definitions of `modules` ({module name: tree}) that no module
+    names outside their own body and that `outside` does not name."""
+    total = sum((_names(tree) for tree in modules.values()), Counter())
+    missing = []
+    for module, tree in modules.items():
+        for qualified, node in _definitions(tree):
+            name = qualified.rsplit(".", 1)[-1]
+            if name not in outside and total[name] == _names(node)[name]:
+                missing.append(f"{module}.{qualified}")
+    return missing
+
+
+def test_the_guard_sees_an_unused_function():
+    src = (
+        "def used():\n    return 1\n\n"
+        "def unused():\n    return used()\n\n"
+        "class Kept:\n"
+        "    def only_itself(self):\n        return self.only_itself()\n\n"
+        "    def __repr__(self):\n        return ''\n\n"
+        "Kept()\n"
+    )
+    assert unreached({"demo": ast.parse(src)}) == ["demo.unused", "demo.Kept.only_itself"]
+    assert unreached({"demo": ast.parse(src)}, outside={"unused"}) == ["demo.Kept.only_itself"]
+
+
+def test_every_definition_has_a_caller():
+    modules = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in PACKAGE}
+    bench = set()
+    for path in BENCH:
+        bench.update(_names(ast.parse(path.read_text(), filename=str(path))))
+    assert BENCH, "perfbench/*.py not found"
+    assert unreached(modules, bench) == []

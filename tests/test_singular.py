@@ -24,21 +24,31 @@ HALF = Fraction(1, 2)
 def test_kernel_examples():
     found = singular_kernel(VermaParams.rational(1, Fraction(1, 4)), 2)
     assert len(found) == 1
-    assert found[0].vector == PBWVector({(1, 1): 1, (2,): -1})
+    assert found[0] == PBWVector({(1, 1): 1, (2,): -1})
 
     found = singular_kernel(VermaParams.rational(1, 0), 1)
     assert len(found) == 1
-    assert found[0].vector == PBWVector.monomial((1,))
+    assert found[0] == PBWVector.monomial((1,))
 
     generic = VermaParams.rational(2, 5)
     for level in (1, 2, 3, 4):
         assert singular_kernel(generic, level) == []
 
 
+def _spin_matrices(spin):
+    """E, F and H of a SpinModule as matrices in the basis v_{-j}, ..., v_j:
+    E v_{-j+i} = e_step(i) v_{-j+i+1}, F v_{-j+i} = v_{-j+i-1}."""
+    dim = spin.dim
+    E = [[spin.e_step(j) if i == j + 1 else 0 for j in range(dim)] for i in range(dim)]
+    F = [[int(j == i + 1) for j in range(dim)] for i in range(dim)]
+    H = [[spin.h_eigenvalue(i) if i == j else 0 for j in range(dim)] for i in range(dim)]
+    return E, F, H
+
+
 def test_spin_module_relations():
     for two_j in (1, 2, 3, 4):
         spin = SpinModule(two_j)
-        E, F, H = spin.matrix_E(), spin.matrix_F(), spin.matrix_H()
+        E, F, H = _spin_matrices(spin)
         dim = two_j + 1
         for i in range(dim):
             for j in range(dim):
@@ -122,7 +132,7 @@ def test_curve_22_specialisation_matches_kernel():
     assert params == VermaParams.rational(Fraction(1, 2), Fraction(1, 16))
     sp = specialize_curve_vector(vec, point)
     found = singular_kernel(params, 4)
-    assert len(found) == 1 and found[0].vector == sp
+    assert len(found) == 1 and found[0] == sp
     assert check_singular(sp, params)[0]
 
 
@@ -189,17 +199,17 @@ def test_discrete_chain_levels_over_the_kac_table():
 
 def test_singular_chain_c1():
     chain = singular_chain("c1", 2, j=0)
-    assert [v.level for v in chain] == [1, 4]
-    for sv in chain:
-        assert check_singular(sv.vector, sv.params)[0]
+    assert [v.level() for v in chain] == [1, 4]
+    for v in chain:
+        assert check_singular(v, VermaParams.rational(1, 0))[0]
     assert singular_chain("c1", 0, j=0) == []
 
 
 def test_singular_chain_discrete():
     chain = singular_chain("discrete", 2, m=3, r=1, s=1, max_level=8)
-    assert [v.level for v in chain] == [1, 6]
-    for sv in chain:
-        assert check_singular(sv.vector, sv.params)[0]
+    assert [v.level() for v in chain] == [1, 6]
+    for v in chain:
+        assert check_singular(v, VermaParams.rational(Fraction(1, 2), 0))[0]
 
 
 def test_chain_product_matches_kernel_vectors():
@@ -213,61 +223,7 @@ def test_chain_product_matches_kernel_vectors():
             level = int((j + depth) ** 2 - j * j)
             assert vec.level() == level
             assert check_singular(vec, params)[0]
-            kernel = singular_kernel(params, level)[0].vector
+            kernel = singular_kernel(params, level)[0]
             lead = vec.coeff((1,) * level)
             assert lead != 0
             assert vec.scale(1 / lead) == kernel
-
-
-def _test_chains(ops):
-    chains = []
-    c1 = ops.zero()
-    c1[0] = PBWVector.vacuum()
-    chains.append(ops.lift(c1))
-    c2 = ops.zero()
-    c2[-1] = PBWVector({(1,): Fraction(2), (): Fraction(1)})
-    chains.append(ops.lift(c2))
-    c3 = ops.zero()
-    c3[0] = PBWVector.monomial((2,))
-    c3[-1] = PBWVector.monomial((1, 1))
-    chains.append(ops.lift(c3))
-    return chains
-
-
-def test_spin_chain_witt_brackets_any_parameters():
-    from virasoro.singular import SpinChainOps
-    from virasoro.scalars import RatFunc
-
-    params = VermaParams(RatFunc.const(Fraction(7, 3), "t"), RatFunc.const(Fraction(5, 2), "t"))
-    for two_j in (1, 2):
-        ops = SpinChainOps(two_j, params)
-        for chain in _test_chains(ops):
-            for p in range(0, 3):
-                for q in range(0, 3):
-                    got = ops.bracket(p, q, chain)
-                    want = ops.scale(ops.ladder(p + q, chain), RatFunc.const(p - q, "t"))
-                    assert all(x == y for x, y in zip(got, want)), (two_j, p, q)
-
-
-def test_spin_chain_ladder_law_at_curve_charge():
-    # [ladder(p), N] = sum_q (p+1+q) (-t)^q E^q ladder(p-1-q) whenever
-    # the central charge is c(t); the weight is free
-    from virasoro.singular import SpinChainOps
-    from virasoro.scalars import RatFunc
-    from virasoro.verma import c_curve, h_pq_curve
-
-    t = RatFunc.gen("t")
-    for two_j, weight in ((1, h_pq_curve(2, 1)), (2, h_pq_curve(3, 1)),
-                          (3, RatFunc.const(Fraction(5, 2), "t"))):
-        params = VermaParams(c_curve(), weight)
-        ops = SpinChainOps(two_j, params)
-        for chain in _test_chains(ops):
-            for p in range(0, 4):
-                got = ops.bracket(p, -1, chain)
-                want = ops.zero()
-                for q in range(0, p + two_j + 2):
-                    term = ops.ladder(p - 1 - q, chain)
-                    for _ in range(q):
-                        term = ops.E(term)
-                    want = ops.add(want, ops.scale(term, RatFunc.const(p + 1 + q, "t") * (-t) ** q))
-                assert all(x == y for x, y in zip(got, want)), (two_j, p)
