@@ -307,7 +307,7 @@ def criterion_goldstone(**_):
             m += 1
         # kernel dimensions across that charge sector
         params = oscillator.OscParams.charge_sector(k)
-        expected = {int(m * (m + 2 * k)) for m in range(1, 10) if (m * (m + 2 * k)).denominator == 1}
+        expected = set(singular.c1_chain_levels(k, 9))
         max_level = int(Fraction(9) - k * k) if k * k <= 9 else -1
         for level in range(1, max_level + 1):
             found = oscillator.singular_kernel_osc(params, level)

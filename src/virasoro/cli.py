@@ -73,6 +73,13 @@ def _check_names(what: str, names, valid) -> None:
         raise UsageError(f"unknown {what}: {unknown}; valid: {', '.join(valid)}")
 
 
+def _reject(args, command: str, names) -> None:
+    """A flag that `command` does not read is a usage error, not ignored."""
+    given = [f"--{name}" for name in names if getattr(args, name) is not None]
+    if given:
+        raise UsageError(f"{command} takes no {', '.join(given)}")
+
+
 def _emit(report: dict, args, text=None) -> None:
     """Print the report (JSON under --json, else `text` or a rendering of
     the report) and write the same to the --out file."""
@@ -149,6 +156,7 @@ def cmd_singvec(args) -> int:
     from . import singular, verma
     report = {"subcommand": "singvec", "method": args.method}
     if args.method == "kernel":
+        _reject(args, "singvec --method kernel", ("j", "rs", "at"))
         if args.c is None or args.h is None or args.level is None:
             raise UsageError("singvec --method kernel needs --c, --h and --level")
         params = verma.VermaParams.rational(args.c, args.h)
@@ -156,6 +164,7 @@ def cmd_singvec(args) -> int:
         report["count"] = len(found)
         report["vectors"] = [v.to_json() for v in found]
     else:
+        _reject(args, f"singvec --method {args.method}", ("c", "h", "level"))
         if args.method == "bdiz":
             if args.j is None or args.rs is not None:
                 raise UsageError("singvec --method bdiz needs --j and takes no --rs")
@@ -234,6 +243,7 @@ def cmd_jantzen(args) -> int:
     if args.case == "c1":
         if args.j is None:
             raise UsageError("jantzen --case c1 needs --j")
+        _reject(args, "jantzen --case c1", ("m", "r", "s"))
         j = args.j
         if args.path == "h" or (args.path == "auto" and j == 0):
             x = UniPoly.gen("x")
@@ -251,6 +261,9 @@ def cmd_jantzen(args) -> int:
     else:
         if args.m is None or args.r is None or args.s is None:
             raise UsageError("jantzen --case discrete needs --m, --r, --s")
+        _reject(args, "jantzen --case discrete", ("j",))
+        if args.path != "auto":
+            raise UsageError("jantzen --case discrete takes no --path")
         path, label = jantzen.discrete_path(args.m, args.r, args.s)
         lead = verma.h_pq(args.r, args.s, args.m)
         closed = jantzen.discrete_character_sum_closed(args.m, args.r, args.s, args.n)
@@ -283,9 +296,11 @@ def cmd_character(args) -> int:
     if args.discrete and None in (args.m, args.r, args.s):
         raise UsageError("character --discrete needs --m, --r, --s")
     if args.c1:
+        _reject(args, "character --c1", ("m", "r", "s"))
         series = jantzen.character_formula("c1", args.n, j=args.j)
         oracle_params = verma.VermaParams.rational(1, args.j * args.j)
     else:
+        _reject(args, "character --discrete", ("j",))
         series = jantzen.character_formula("discrete", args.n, m=args.m, r=args.r, s=args.s)
         oracle_params = verma.VermaParams.rational(
             verma.central_charge(args.m), verma.h_pq(args.r, args.s, args.m)

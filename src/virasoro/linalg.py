@@ -6,6 +6,8 @@ question: each row's denominators are cleared and the loop runs on ints
 arrays (depth 2), where every division by the previous pivot is exact
 and remainder-checked.  It counts its row swaps, and on a symmetric
 matrix the forward pass updates only the upper half and mirrors it.
+The arrays and their ring operations live in `scalars`; this module
+only eliminates.
 
 * `bareiss_det`: determinants over Q, Q[x] or Q[c,h], one forward pass;
 * `rank`, `nullspace`: the forward pass or the full Gauss-Jordan over
@@ -17,7 +19,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm, prod
 
-from .scalars import BiPoly, RatFunc, UniPoly
+from .scalars import (BiPoly, RatFunc, UniPoly, _addmul, _array, _div, _entry, _leaves,
+                      _row_scale, _scaled, _trim)
 
 
 def bareiss_det(matrix):
@@ -27,7 +30,7 @@ def bareiss_det(matrix):
     polynomial matrix are constants of its ring.  Each row is scaled by
     the lcm of its coefficient denominators (a symmetric matrix by one
     lcm for all rows, which keeps it symmetric), every entry becomes an
-    int or an integer coefficient array (see `_array`), and the forward
+    int or an integer coefficient array (`scalars._array`), and the forward
     `_echelon` runs once in Z, Z[x] or Z[c][h].  Every division is by the
     previous pivot, exact, and checked: a nonzero remainder raises
     ArithmeticError.  With n pivots the determinant is the sign of the
@@ -47,13 +50,6 @@ def bareiss_det(matrix):
     m = [_scaled(row, den, depth + 1) for row, den in zip(arrays, dens)]
     pivots, d, sign = _echelon(m, depth, reduced=False, sym=sym)
     return _entry(d if len(pivots) == n else _array(0, depth), kind, var, sign * prod(dens))
-
-
-# Integer coefficient arrays.  An element of Z[x] is the list of its
-# coefficients from x^0 up; an element of Z[c][h] is the list over h of
-# its coefficients in Z[c] (the layout of BiPoly.exact_div).  Arrays
-# carry no trailing zeros, so zero is [] and the leading entry is last;
-# a rational matrix runs on plain ints (depth 0).
 
 
 def _ring_of(matrix):
@@ -78,78 +74,6 @@ def _ring_of(matrix):
     return kind, var
 
 
-def _array(x, depth):
-    """The coefficient array of an entry over Q; at depth 0, the entry."""
-    if isinstance(x, UniPoly):
-        return list(x.coeffs)
-    if isinstance(x, BiPoly):
-        rows = []
-        for (i, j), v in x.terms.items():
-            rows.extend([] for _ in range(j + 1 - len(rows)))
-            row = rows[j]
-            row.extend([0] * (i + 1 - len(row)))
-            row[i] = v
-        return rows
-    if depth and not x:
-        return []
-    for _ in range(depth):
-        x = [x]
-    return x
-
-
-def _leaves(a, depth):
-    return a if depth == 1 else [y for x in a for y in _leaves(x, depth - 1)]
-
-
-def _scaled(a, den, depth):
-    if depth == 0:
-        return a.numerator * (den // a.denominator)
-    return [_scaled(x, den, depth - 1) for x in a]
-
-
-def _entry(a, kind, var, scale):
-    """The int or array `a` divided by `scale`, as an element of `kind`."""
-    if kind is Fraction:
-        return Fraction(a, scale)
-    if kind is UniPoly:
-        return UniPoly([Fraction(x, scale) for x in a], var)
-    return BiPoly({(i, j): Fraction(x, scale)
-                   for j, row in enumerate(a) for i, x in enumerate(row) if x}, var)
-
-
-def _trim(a, depth):
-    """Drop trailing zeros, at every depth, in place (an int at depth 0
-    is returned as it is)."""
-    if depth > 1:
-        for x in a:
-            _trim(x, depth - 1)
-    while depth and a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _addmul(acc, a, b, depth, neg=False):
-    """acc += a * b (acc -= a * b with `neg`) in place, growing `acc` as
-    needed; the caller trims the result."""
-    grow = len(a) + len(b) - 1 - len(acc)
-    if grow > 0:
-        acc.extend([0] * grow if depth == 1 else ([] for _ in range(grow)))
-    if depth == 1:
-        for i, x in enumerate(a):
-            if x:
-                if neg:
-                    x = -x
-                for j, y in enumerate(b):
-                    acc[i + j] += x * y
-    else:
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        _addmul(acc[i + j], x, y, depth - 1, neg)
-    return acc
-
-
 def _step(p, x, q, y, prev, depth):
     """(p x - q y) / prev on coefficient arrays: the update of `_echelon`
     at depths 1 and 2 (at depth 0 it is inline).  The division is exact
@@ -159,35 +83,6 @@ def _step(p, x, q, y, prev, depth):
         _addmul(num, q, y, depth, neg=True)
     _trim(num, depth)
     return num if prev is None else _div(num, prev, depth)
-
-
-def _div(a, b, depth):
-    """The exact quotient a / b by schoolbook long division, consuming
-    `a`; each leading coefficient is divided the same way down to
-    `divmod` on ints.  A nonzero remainder raises ArithmeticError."""
-    if depth == 0:
-        q, r = divmod(a, b)
-        if r:
-            raise ArithmeticError("inexact division in fraction-free elimination")
-        return q
-    *low, lead = b
-    zero = 0 if depth == 1 else []
-    quo = []
-    for k in range(len(a) - len(b), -1, -1):
-        q = _div(_trim(a.pop(), depth - 1), lead, depth - 1)
-        quo.append(q)
-        if q:  # a -= q x^k * low, which clears a below its old top term
-            _addmul(a, [zero] * k + [q], low, depth, neg=True)
-    if _trim(a, depth):
-        raise ArithmeticError("inexact division in fraction-free elimination")
-    quo.reverse()
-    return quo
-
-
-def _row_scale(values) -> int:
-    """The lcm of the denominators of a row of rationals: the least
-    positive integer that makes the scaled row integral."""
-    return lcm(*(x.denominator for x in values))
 
 
 def det_expansion(matrix):

@@ -8,14 +8,18 @@ anywhere; rationals are ``fractions.Fraction``.
 All values are immutable after construction and hashable, so they can be
 shared freely between threads and used as cache keys.
 
-The module also holds what every vector module shares: the sparse-vector
-base `SparseVector`, the in-place accumulator `accumulate`, and
-`UsageError` for arguments outside a computation's domain.
+The module also holds the integer coefficient arrays of Z[x], Z[t] and
+Z[c][h] with their ring operations (`_array` ... `_div`), on which
+`BiPoly.exact_div` and the elimination of `linalg` run; and what every
+vector module shares: the sparse-vector base `SparseVector`, the in-place
+accumulator `accumulate`, and `UsageError` for arguments outside a
+computation's domain.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class UsageError(ValueError):
@@ -44,14 +48,56 @@ def render_fraction(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-class UniPoly:
+class _Ring:
+    """What UniPoly, RatFunc and BiPoly share: immutability, subtraction,
+    `repr`, non-negative integer powers and a hash cached from the
+    class's `_key` (a constant is keyed by its value alone).  A subclass
+    that defines `__eq__` must rebind `__hash__`."""
+
+    __slots__ = ("_hash",)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative power of a polynomial")
+        result = self._coerce(1)
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    def __hash__(self):
+        if self._hash is None:
+            key = ("rat", self.constant_value()) if self.is_constant() else self._key()
+            object.__setattr__(self, "_hash", hash(key))
+        return self._hash
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.render()!r})"
+
+
+class UniPoly(_Ring):
     """Dense univariate polynomial over Q with a variable tag.
 
     Mixing two different variable tags in one expression is a checked
     error; no computation in this package ever needs it.
     """
 
-    __slots__ = ("coeffs", "var", "_hash")
+    __slots__ = ("coeffs", "var")
 
     def __init__(self, coeffs, var: str):
         cs = [as_fraction(c) for c in coeffs]
@@ -60,9 +106,6 @@ class UniPoly:
         object.__setattr__(self, "coeffs", tuple(cs))
         object.__setattr__(self, "var", var)
         object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("UniPoly is immutable")
 
     @classmethod
     def const(cls, value, var: str) -> "UniPoly":
@@ -119,15 +162,6 @@ class UniPoly:
     def __neg__(self):
         return UniPoly([-c for c in self.coeffs], self.var)
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -143,18 +177,6 @@ class UniPoly:
         return UniPoly(out, self.var if not self.is_constant() or o.is_constant() else o.var)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = UniPoly.const(1, self.var)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def __divmod__(self, other):
         o = self._coerce(other)
@@ -203,10 +225,7 @@ class UniPoly:
 
     def __call__(self, value):
         """Evaluate by Horner's rule; value may live in any ring here."""
-        result = Fraction(0)
-        for c in reversed(self.coeffs):
-            result = result * value + c
-        return result
+        return _horner(self.coeffs, value)
 
     def order_at_zero(self):
         """Multiplicity of the root at the origin; None for the zero
@@ -222,11 +241,10 @@ class UniPoly:
             return self.is_constant() or other.is_constant() or self.var == other.var
         return NotImplemented
 
-    def __hash__(self):
-        if self._hash is None:
-            key = ("rat", self.constant_value()) if self.is_constant() else (self.var, self.coeffs)
-            object.__setattr__(self, "_hash", hash(key))
-        return self._hash
+    __hash__ = _Ring.__hash__
+
+    def _key(self):
+        return self.var, self.coeffs
 
     def render(self) -> str:
         if self.is_zero():
@@ -251,14 +269,11 @@ class UniPoly:
             out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
         return out
 
-    def __repr__(self):
-        return f"UniPoly({self.render()!r})"
 
-
-class RatFunc:
+class RatFunc(_Ring):
     """Reduced fraction of univariate polynomials; denominator monic."""
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("num", "den")
 
     def __init__(self, num: UniPoly, den: UniPoly):
         if den.is_zero():
@@ -279,9 +294,6 @@ class RatFunc:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RatFunc is immutable")
 
     @classmethod
     def from_poly(cls, p: UniPoly) -> "RatFunc":
@@ -331,15 +343,6 @@ class RatFunc:
     def __neg__(self):
         return RatFunc(-self.num, self.den)
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -373,28 +376,21 @@ class RatFunc:
             return NotImplemented
         return self.num == o.num and self.den == o.den
 
-    def __hash__(self):
-        if self._hash is None:
-            if self.is_constant():
-                key = ("rat", self.constant_value())
-            else:
-                key = (self.var, self.num.coeffs, self.den.coeffs)
-            object.__setattr__(self, "_hash", hash(key))
-        return self._hash
+    __hash__ = _Ring.__hash__
+
+    def _key(self):
+        return self.var, self.num.coeffs, self.den.coeffs
 
     def render(self) -> str:
         if self.den.is_constant():
             return self.num.render()
         return f"({self.num.render()})/({self.den.render()})"
 
-    def __repr__(self):
-        return f"RatFunc({self.render()!r})"
 
-
-class BiPoly:
+class BiPoly(_Ring):
     """Sparse polynomial in two tagged variables, by default (c, h)."""
 
-    __slots__ = ("terms", "vars", "_hash")
+    __slots__ = ("terms", "vars")
 
     def __init__(self, terms, vars=("c", "h")):
         clean = {}
@@ -405,9 +401,6 @@ class BiPoly:
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "vars", tuple(vars))
         object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BiPoly is immutable")
 
     @classmethod
     def const(cls, value, vars=("c", "h")) -> "BiPoly":
@@ -457,15 +450,6 @@ class BiPoly:
     def __neg__(self):
         return BiPoly({k: -v for k, v in self.terms.items()}, self.vars)
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -479,88 +463,36 @@ class BiPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = BiPoly.const(1, self.vars)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def __truediv__(self, other):
         if _is_rational(other):
             inv = 1 / as_fraction(other)
             return BiPoly({k: v * inv for k, v in self.terms.items()}, self.vars)
         return NotImplemented
 
-    def degree_in(self, axis: int) -> int:
-        if not self.terms:
-            return -1
-        return max(k[axis] for k in self.terms)
-
-    def _as_second_var_coeffs(self):
-        """View as a polynomial in the second variable over Q[first]."""
-        by_j = {}
-        for (i, j), v in self.terms.items():
-            by_j.setdefault(j, {})[i] = v
-        out = []
-        for j in range(self.degree_in(1) + 1):
-            row = by_j.get(j, {})
-            n = max(row) + 1 if row else 0
-            out.append(UniPoly([row.get(i, 0) for i in range(n)], self.vars[0]))
-        return out
-
-    @classmethod
-    def _from_second_var_coeffs(cls, coeffs, vars):
-        terms = {}
-        for j, poly in enumerate(coeffs):
-            for i, v in enumerate(poly.coeffs):
-                if v:
-                    terms[(i, j)] = v
-        return cls(terms, vars)
-
     def exact_div(self, other) -> "BiPoly":
-        """Exact division (used by fraction-free elimination)."""
+        """Exact division (used by fraction-free elimination), by `_div`
+        on Z[c][h] arrays: both operands are cleared of denominators and
+        the divisor is divided by its content, so by Gauss's lemma an
+        exact quotient over Q is integral."""
         o = self._coerce(other)
         if o is None or o.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         if o.is_constant():
             return self / o.constant_value()
-        rem = self._as_second_var_coeffs()
-        div = o._as_second_var_coeffs()
-        dd = len(div) - 1
-        lead = div[-1]
-        quo = [UniPoly((), self.vars[0]) for _ in range(max(0, len(rem) - dd))]
-        while len(rem) - 1 >= dd and any(not p.is_zero() for p in rem):
-            while rem and rem[-1].is_zero():
-                rem.pop()
-            if len(rem) - 1 < dd:
-                break
-            k = len(rem) - 1 - dd
-            q = rem[-1].exact_div(lead)
-            quo[k] = q
-            for i, p in enumerate(div):
-                rem[k + i] = rem[k + i] - q * p
-        if any(not p.is_zero() for p in rem):
-            raise ValueError("inexact bivariate division")
-        return BiPoly._from_second_var_coeffs(quo, self.vars)
+        a, b = _array(self, 2), _array(o, 2)
+        da, db = _row_scale(_leaves(a, 2)), _row_scale(_leaves(b, 2))
+        b = _scaled(b, db, 2)
+        g = gcd(*_leaves(b, 2))
+        try:
+            q = _div(_scaled(a, da, 2), [[x // g for x in row] for row in b], 2)
+        except ArithmeticError:
+            raise ValueError("inexact bivariate division") from None
+        return _entry(q, BiPoly, self.vars, Fraction(da * g, db))
 
     def specialize(self, first, second):
-        """Substitute values for the two variables; exact in any ring."""
-        by_j = {}
-        for (i, j), v in self.terms.items():
-            by_j.setdefault(j, {})[i] = v
-        result = Fraction(0)
-        for j in sorted(by_j):
-            inner = Fraction(0)
-            for i, coeff in sorted(by_j[j].items()):
-                inner = inner + coeff * _power(first, i)
-            result = result + inner * _power(second, j)
-        return result
+        """Substitute values for the two variables by Horner's rule in
+        each; exact in any ring."""
+        return _horner([_horner(row, first) for row in _array(self, 2)], second)
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -568,14 +500,10 @@ class BiPoly:
             return NotImplemented
         return self.terms == o.terms
 
-    def __hash__(self):
-        if self._hash is None:
-            if self.is_constant():
-                key = ("rat", self.constant_value())
-            else:
-                key = (self.vars, tuple(sorted(self.terms.items())))
-            object.__setattr__(self, "_hash", hash(key))
-        return self._hash
+    __hash__ = _Ring.__hash__
+
+    def _key(self):
+        return self.vars, tuple(sorted(self.terms.items()))
 
     def render(self) -> str:
         if not self.terms:
@@ -603,17 +531,120 @@ class BiPoly:
             out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
         return out
 
-    def __repr__(self):
-        return f"BiPoly({self.render()!r})"
 
-
-def _power(value, n: int):
-    if n == 0:
-        return Fraction(1)
-    result = value
-    for _ in range(n - 1):
-        result = result * value
+def _horner(coeffs, value):
+    """sum(coeffs[i] * value^i) by Horner's rule, in the ring of `value`."""
+    result = Fraction(0)
+    for c in reversed(coeffs):
+        result = result * value + c
     return result
+
+
+# Integer coefficient arrays.  An element of Z[x] is the list of its
+# coefficients from x^0 up; an element of Z[c][h] is the list over h of
+# its coefficients in Z[c].  Arrays carry no trailing zeros, so zero is []
+# and the leading entry is last; at depth 0 an "array" is a plain int.
+
+
+def _array(x, depth):
+    """The coefficient array of an entry over Q; at depth 0, the entry."""
+    if isinstance(x, UniPoly):
+        return list(x.coeffs)
+    if isinstance(x, BiPoly):
+        rows = []
+        for (i, j), v in x.terms.items():
+            rows.extend([] for _ in range(j + 1 - len(rows)))
+            row = rows[j]
+            row.extend([0] * (i + 1 - len(row)))
+            row[i] = v
+        return rows
+    if depth and not x:
+        return []
+    for _ in range(depth):
+        x = [x]
+    return x
+
+
+def _leaves(a, depth):
+    return a if depth == 1 else [y for x in a for y in _leaves(x, depth - 1)]
+
+
+def _scaled(a, den, depth):
+    if depth == 0:
+        return a.numerator * (den // a.denominator)
+    return [_scaled(x, den, depth - 1) for x in a]
+
+
+def _entry(a, kind, var, scale):
+    """The int or array `a` divided by `scale`, as an element of `kind`."""
+    if kind is Fraction:
+        return Fraction(a, scale)
+    if kind is UniPoly:
+        return UniPoly([Fraction(x, scale) for x in a], var)
+    return BiPoly({(i, j): Fraction(x, scale)
+                   for j, row in enumerate(a) for i, x in enumerate(row) if x}, var)
+
+
+def _trim(a, depth):
+    """Drop trailing zeros, at every depth, in place (an int at depth 0
+    is returned as it is)."""
+    if depth > 1:
+        for x in a:
+            _trim(x, depth - 1)
+    while depth and a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _addmul(acc, a, b, depth, neg=False):
+    """acc += a * b (acc -= a * b with `neg`) in place, growing `acc` as
+    needed; the caller trims the result."""
+    grow = len(a) + len(b) - 1 - len(acc)
+    if grow > 0:
+        acc.extend([0] * grow if depth == 1 else ([] for _ in range(grow)))
+    if depth == 1:
+        for i, x in enumerate(a):
+            if x:
+                if neg:
+                    x = -x
+                for j, y in enumerate(b):
+                    acc[i + j] += x * y
+    else:
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        _addmul(acc[i + j], x, y, depth - 1, neg)
+    return acc
+
+
+def _div(a, b, depth):
+    """The exact quotient a / b by schoolbook long division, consuming
+    `a`; each leading coefficient is divided the same way down to
+    `divmod` on ints.  A nonzero remainder raises ArithmeticError."""
+    if depth == 0:
+        q, r = divmod(a, b)
+        if r:
+            raise ArithmeticError("inexact division in fraction-free elimination")
+        return q
+    *low, lead = b
+    zero = 0 if depth == 1 else []
+    quo = []
+    for k in range(len(a) - len(b), -1, -1):
+        q = _div(_trim(a.pop(), depth - 1), lead, depth - 1)
+        quo.append(q)
+        if q:  # a -= q x^k * low, which clears a below its old top term
+            _addmul(a, [zero] * k + [q], low, depth, neg=True)
+    if _trim(a, depth):
+        raise ArithmeticError("inexact division in fraction-free elimination")
+    quo.reverse()
+    return quo
+
+
+def _row_scale(values) -> int:
+    """The lcm of the denominators of a row of rationals: the least
+    positive integer that makes the scaled row integral."""
+    return lcm(*(x.denominator for x in values))
 
 
 def accumulate(out: dict, terms, scale=None) -> dict:

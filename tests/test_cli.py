@@ -283,6 +283,37 @@ def test_singvec_pole_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    "--method kernel --c 1 --h 1/4 --level 2 --at 3 --j 5",
+    "--method kernel --c 1 --h 1/4 --level 2 --rs 2,1",
+    "--method bdiz --j 1/2 --c 1 --level 7",
+    "--method curve --rs 2,2 --at 4/3 --h 1",
+])
+def test_singvec_flags_of_another_method_are_usage_errors(argv, capsys):
+    code, out = run_cli(["singvec", *argv.split()], capsys)
+    assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    "--c1 --j 1 --N 3 --m 4",
+    "--c1 --j 1 --N 3 --r 1 --s 1",
+    "--discrete --m 3 --r 1 --s 1 --j 2 --N 3",
+])
+def test_character_flags_of_another_case_are_usage_errors(argv, capsys):
+    code, out = run_cli(["character", *argv.split()], capsys)
+    assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    "--case c1 --j 1 --N 2 --m 3",
+    "--case discrete --m 3 --r 2 --s 2 --N 2 --j 1",
+    "--case discrete --m 3 --r 2 --s 2 --N 2 --path h",
+])
+def test_jantzen_flags_of_another_case_are_usage_errors(argv, capsys):
+    code, out = run_cli(["jantzen", *argv.split()], capsys)
+    assert code == 2 and out == ""
+
+
 def test_character_c1_without_j_is_usage_error(capsys):
     code, _ = run_cli(["character", "--c1", "--N", "4", "--json"], capsys)
     assert code == 2

@@ -200,8 +200,13 @@ def test_det_expansion_over_poly_states_matches_leibniz():
 
 
 def _exact_div(a, b):
+    """a / b, checked with the ring's own product: BiPoly.exact_div runs
+    on the same `_div` as bareiss_det, so its quotient alone would not
+    make an independent oracle."""
     if isinstance(a, (UniPoly, BiPoly)):
-        return a.exact_div(b)
+        q = a.exact_div(b)
+        assert q * b == a
+        return q
     return a / b
 
 

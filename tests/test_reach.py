@@ -3,7 +3,9 @@ module-level function and class, and each non-dunder method of such a
 class, is named somewhere in the package outside its own body, or in the
 benchmark (perfbench/*.py).  An oracle that only the tests call belongs
 in tests/.  The guard is static, by name: a call trace of the CLI and
-the gate takes far longer than a unit test may."""
+the gate takes far longer than a unit test may.  A second guard keeps
+the scalar tower layered: scalars imports nothing of the package, linalg
+only scalars."""
 
 import ast
 from collections import Counter
@@ -76,3 +78,31 @@ def test_every_definition_has_a_caller():
         bench.update(_names(ast.parse(path.read_text(), filename=str(path))))
     assert BENCH, "perfbench/*.py not found"
     assert unreached(modules, bench) == []
+
+
+def _package_imports(tree) -> set:
+    """The modules of the package that `tree` imports, anywhere in it:
+    `from . import m`, `from .m import x`, `from virasoro.m import x`
+    and `import virasoro.m` all name m."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").split(".")[0] == "virasoro"
+        ):
+            module = (node.module or "").removeprefix("virasoro").lstrip(".")
+            found.update([module] if module else (a.name for a in node.names))
+        elif isinstance(node, ast.Import):
+            found.update(a.name.removeprefix("virasoro.") for a in node.names
+                         if a.name.split(".")[0] == "virasoro")
+    return found
+
+
+def test_the_scalar_tower_is_layered():
+    """scalars, which owns the coefficient formats and their arithmetic,
+    imports nothing of the package; linalg, which only eliminates,
+    imports only scalars."""
+    modules = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in PACKAGE}
+    demo = "from . import verma\nfrom .x import y\nimport virasoro.z\ndef f():\n    from virasoro.w import v\n"
+    assert _package_imports(ast.parse(demo)) == {"verma", "x", "z", "w"}
+    assert _package_imports(modules["scalars"]) == set()
+    assert _package_imports(modules["linalg"]) == {"scalars"}

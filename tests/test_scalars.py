@@ -116,6 +116,43 @@ def test_specialize_examples():
     assert f.specialize(c, h) == f
 
 
+def _power_sum(f, first, second):
+    """The evaluation term by term, each power a repeated product: the
+    oracle for the Horner rule of `BiPoly.specialize`."""
+    def power(x, n):
+        out = Fraction(1)
+        for _ in range(n):
+            out = out * x
+        return out
+
+    total = Fraction(0)
+    for (i, j), coeff in f.terms.items():
+        total = total + coeff * power(first, i) * power(second, j)
+    return total
+
+
+def test_specialize_matches_power_sums():
+    rng = random.Random(20)
+
+    def rational():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+
+    def unipoly():
+        return rand_unipoly(rng, "x", max_deg=2)
+
+    def ratfunc():
+        den = rand_unipoly(rng, "x", max_deg=2)
+        return RatFunc(unipoly(), den if den else UniPoly.const(3, "x"))
+
+    kinds = (rational, unipoly, ratfunc)
+    for _ in range(40):
+        f = rand_bipoly(rng)
+        for first in kinds:
+            for second in kinds:
+                a, b = first(), second()
+                assert f.specialize(a, b) == _power_sum(f, a, b), (f, a, b)
+
+
 def test_variable_mixing_is_an_error():
     t = UniPoly.gen("t")
     x = UniPoly.gen("x")
@@ -136,8 +173,28 @@ def test_exact_div_unipoly_and_bipoly():
     c, h = BiPoly.gens()
     f = (c * h + 2) * (h * h - c)
     assert f.exact_div(h * h - c) == c * h + 2
-    with pytest.raises(ValueError):
-        (c * h).exact_div(h + 1)
+    # rational coefficients, and divisors of integer content 2, 6 and 12
+    third, half = Fraction(1, 3), Fraction(1, 2)
+    g, k = c * third * h + half, 2 * h * h - 4 * c
+    f = g * k
+    assert f.exact_div(g) == k
+    assert f.exact_div(k) == g
+    assert f.exact_div(6 * g) == k / 6
+    assert f.exact_div(6 * k) == g / 6
+    assert ((h + half) ** 2).exact_div(2 * h + 1) == (h + half) / 2
+    # divisors of lower h-degree (g above has 1 against 3), down to none
+    assert ((c - 3) * k).exact_div(c - 3) == k
+    assert (c * c * h - c).exact_div(3 * c) == (c * h - 1) / 3
+    for a, b in ((c * h, h + 1),            # remainder in h
+                 (h, c),                    # inexact in Z[c]
+                 (c * h + 1, c * h),
+                 (h * h + Fraction(1, 4), h + half),
+                 (BiPoly.const(3), h)):     # lower degree than the divisor
+        with pytest.raises(ValueError) as err:
+            a.exact_div(b)
+        # a ValueError (the CLI exits 1), not the ArithmeticError of `_div` (exit 3)
+        assert type(err.value) is ValueError
+    assert BiPoly.const(0).exact_div(k) == 0
 
 
 def test_rendering():
