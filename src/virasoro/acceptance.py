@@ -22,11 +22,13 @@ def _timed(fn):
         ok, details = fn(**kwargs)
         return {"ok": ok, "details": details, "elapsed": round(time.perf_counter() - t0, 2)}
 
+    # the parameters the criterion reads: those it names before **_
+    wrapper.reads = fn.__code__.co_varnames[:fn.__code__.co_argcount]
     return wrapper
 
 
 @_timed
-def criterion_kac_ratio(level_cap=6, **_):
+def criterion_kac_ratio(level_cap, **_):
     """Determinant/product ratio is a nonzero constant, levels 1..cap,
     equal to the closed leading coefficient `_kac_leading_constant`."""
     ratios = {}
@@ -152,8 +154,9 @@ def criterion_singular_chain(**_):
                 return False, {"stage": "ladder bracket", "2j": two_j, "chain": n, "p": p, "q": q}
     details = {"brackets": 3 * len(cases), "c1 products": {}}
     for j in (Fraction(0), Fraction(1, 2)):
-        params = verma.VermaParams.rational(1, j * j)
-        chain = singular.singular_chain("c1", 2, j=j)
+        module = jantzen.kac_module("c1", j=j)
+        params = module.params
+        chain = singular.singular_chain(params, module.chain(6))
         for depth, kernel in enumerate(chain, 1):
             vec = singular.chain_product_vector(j, depth)
             level = vec.level()
@@ -161,15 +164,16 @@ def criterion_singular_chain(**_):
             if not lead or vec.scale(1 / lead) != kernel or not singular.check_singular(vec, params)[0]:
                 return False, {"stage": "c1 product", "j": str(j), "depth": depth}
             details["c1 products"][f"j={j} depth {depth}"] = level
-    # chain now holds the c = 1, j = 1/2 vectors at levels 2 and 6
-    path, label = jantzen.c1_path(Fraction(1, 2))
+    # chain and module now hold the c = 1, j = 1/2 vectors at levels 2 and 6
+    path, label = module.path
     orders = [jantzen.norm_vanishing_order(vec, jantzen.gram_family(path, vec.level(), label))
               for vec in chain]
     if orders != [1, 2]:
         return False, {"stage": "norm orders", "orders": orders}
     details["norm orders"] = orders
-    params = verma.VermaParams.rational(verma.central_charge(3), verma.h_pq(1, 1, 3))
-    chain = singular.singular_chain("discrete", 2, m=3, r=1, s=1, max_level=8)
+    module = jantzen.kac_module("discrete", m=3, r=1, s=1)
+    params = module.params
+    chain = singular.singular_chain(params, module.chain(8))
     levels = [vec.level() for vec in chain]
     if levels != [1, 6] or not all(singular.check_singular(vec, params)[0] for vec in chain):
         return False, {"stage": "m=3 (1,1) chain", "levels": levels}
@@ -178,7 +182,7 @@ def criterion_singular_chain(**_):
 
 
 @_timed
-def criterion_density_polynomial(seed=20260809, **_):
+def criterion_density_polynomial(seed, **_):
     """Direct density evaluation vs product forms vs transfer determinant."""
     mu = UniPoly.gen("mu")
     rng = random.Random(seed)
@@ -204,22 +208,22 @@ def criterion_density_polynomial(seed=20260809, **_):
 
 
 JANTZEN_FAMILIES = (
-    ("c1 j=1/2", lambda: jantzen.c1_path(Fraction(1, 2))),
-    ("c1 j=1", lambda: jantzen.c1_path(1)),
-    ("m=3 (1,1)", lambda: jantzen.discrete_path(3, 1, 1)),
-    ("m=3 (2,1)", lambda: jantzen.discrete_path(3, 2, 1)),
-    ("m=3 (2,2)", lambda: jantzen.discrete_path(3, 2, 2)),
+    ("c1 j=1/2", "c1", {"j": Fraction(1, 2)}),
+    ("c1 j=1", "c1", {"j": 1}),
+    ("m=3 (1,1)", "discrete", {"m": 3, "r": 1, "s": 1}),
+    ("m=3 (2,1)", "discrete", {"m": 3, "r": 2, "s": 1}),
+    ("m=3 (2,2)", "discrete", {"m": 3, "r": 2, "s": 2}),
 )
 
 
 @_timed
-def criterion_jantzen_identity(level_cap=6, **_):
+def criterion_jantzen_identity(level_cap, **_):
     """Determinant order equals the filtration dimension sum."""
     details = {}
-    for name, mk in JANTZEN_FAMILIES:
-        path, label = mk()
+    for name, case, label in JANTZEN_FAMILIES:
+        path = jantzen.kac_module(case, **label).path
         orders = []
-        for level, (order, filt) in enumerate(jantzen.level_filtrations(path, label, level_cap), 1):
+        for level, (order, filt) in enumerate(jantzen.level_filtrations(*path, level_cap), 1):
             if order != filt.depth_sum():
                 return False, {"family": name, "level": level, "order": order,
                                "sum": filt.depth_sum()}
@@ -231,37 +235,34 @@ def criterion_jantzen_identity(level_cap=6, **_):
 @_timed
 def criterion_character_sums(**_):
     """Filtration character sums match the closed degeneracy sums to q^6."""
-    for j in (Fraction(1, 2), Fraction(1)):
-        computed = jantzen.filtration_character_sum("c1", 6, j=j)
-        if computed != jantzen.c1_character_sum_closed(j, 6):
-            return False, {"case": f"c1 j={j}"}
-    for r, s in ((1, 1), (2, 1), (2, 2)):
-        computed = jantzen.filtration_character_sum("discrete", 6, m=3, r=r, s=s)
-        if computed != jantzen.discrete_character_sum_closed(3, r, s, 6):
-            return False, {"case": f"discrete (3,{r},{s})"}
-    return True, {"cases": 5}
+    for name, case, label in JANTZEN_FAMILIES:
+        computed = jantzen.filtration_character_sum(case, 6, **label)
+        if computed != jantzen.character_sum_closed(case, 6, **label):
+            return False, {"case": name}
+    return True, {"cases": len(JANTZEN_FAMILIES)}
+
+
+def _ranks_match_characters(rows):
+    """Closed characters against the Gram-rank oracle over (name, n, case,
+    label) rows, to q^n; each name is formatted with the module's h."""
+    details = {}
+    for name, n, case, label in rows:
+        module = jantzen.kac_module(case, **label)
+        name = name.format(h=module.params.h)
+        dims = verma.irreducible_dims(module.params, n)
+        if [Fraction(x) for x in dims] != list(jantzen.character_formula(case, n, **label).coeffs):
+            return False, {"case": name, "dims": dims}
+        details[name] = dims
+    return True, details
 
 
 @_timed
 def criterion_characters_vs_ranks(**_):
     """Closed-form characters against the Gram-rank oracle."""
-    details = {}
-    for j in (Fraction(0), Fraction(1, 2), Fraction(1)):
-        params = verma.VermaParams.rational(1, j * j)
-        dims = verma.irreducible_dims(params, 9)
-        closed = jantzen.c1_character_closed(j, 9)
-        if [Fraction(x) for x in dims] != list(closed.coeffs):
-            return False, {"case": f"c=1 j={j}", "dims": dims}
-        details[f"c=1 j={j}"] = dims
-    for r, s in ((1, 1), (2, 1), (2, 2)):
-        h = verma.h_pq(r, s, 3)
-        params = verma.VermaParams.rational(Fraction(1, 2), h)
-        dims = verma.irreducible_dims(params, 6)
-        closed = jantzen.discrete_character_closed(3, r, s, 6)
-        if [Fraction(x) for x in dims] != list(closed.coeffs):
-            return False, {"case": f"m=3 ({r},{s})", "dims": dims}
-        details[f"m=3 ({r},{s}) h={h}"] = dims
-    return True, details
+    return _ranks_match_characters(
+        [(f"c=1 j={j}", 9, "c1", {"j": j}) for j in (Fraction(0), Fraction(1, 2), Fraction(1))]
+        + [(f"m=3 ({r},{s}) h={{h}}", 6, "discrete", {"m": 3, "r": r, "s": s})
+           for r, s in ((1, 1), (2, 1), (2, 2))])
 
 
 @_timed
@@ -269,20 +270,10 @@ def criterion_discrete_characters_vs_ranks(**_):
     """Discrete-series characters against the Gram-rank oracle to q^10 for
     m in {3, 4, 5, 6}, every Kac-table (r, s) up to (r, s) ~ (m - r, m + 1 - s):
     34 modules."""
-    details = {}
-    for m in (3, 4, 5, 6):
-        c = verma.central_charge(m)
-        for r in range(1, m):
-            for s in range(1, m + 1):
-                if (m - r, m + 1 - s) < (r, s):
-                    continue
-                params = verma.VermaParams.rational(c, verma.h_pq(r, s, m))
-                dims = verma.irreducible_dims(params, 10)
-                closed = jantzen.discrete_character_closed(m, r, s, 10)
-                if [Fraction(x) for x in dims] != list(closed.coeffs):
-                    return False, {"case": f"m={m} ({r},{s})", "dims": dims}
-                details[f"m={m} ({r},{s})"] = dims
-    return True, details
+    return _ranks_match_characters(
+        [(f"m={m} ({r},{s})", 10, "discrete", {"m": m, "r": r, "s": s})
+         for m in (3, 4, 5, 6) for r in range(1, m) for s in range(1, m + 1)
+         if (m - r, m + 1 - s) >= (r, s)])
 
 
 @_timed
@@ -345,7 +336,7 @@ def criterion_binomial(**_):
 
 
 @_timed
-def criterion_fock(emax=7, pair_emax=4, **_):
+def criterion_fock(emax, pair_emax, **_):
     """The full identity suite on the truncated Fock space."""
     reports = fock_checks.run_suites(emax, pair_emax=pair_emax)
     bad = [r for r in reports if not r["ok"]]
@@ -373,20 +364,29 @@ CRITERIA = (
 )
 
 
-def run_acceptance(names=None, level_cap=6, seed=20260809, emax=7, pair_emax=4):
-    """Run the selected criteria; returns (all_ok, list of result rows).
-    A level cap below 1 is a UsageError: kac-ratio and jantzen would
-    check nothing.  So is a Fock window below `fock_checks.check_window`."""
-    if level_cap < 1:
-        raise UsageError(f"the level cap must be at least 1, got {level_cap}")
-    fock_checks.check_window(emax, pair_emax)
-    wanted = set(names) if names else None
+DEFAULTS = {"level_cap": 6, "seed": 20260809, "emax": 7, "pair_emax": 4}
+
+
+def run_acceptance(names=None, **params):
+    """Run the selected criteria with `params` (keys of DEFAULTS) over
+    the defaults; returns (all_ok, list of result rows).  A parameter
+    that no selected criterion reads is a UsageError, as is a level cap
+    below 1 (kac-ratio and jantzen would check nothing) and a Fock window
+    below `fock_checks.check_window`."""
+    selected = [row for row in CRITERIA if names is None or row[0] in names]
+    read = {name for _, _, fn in selected for name in fn.reads}
+    unread = sorted(set(params) - read)
+    if unread:
+        flags = ", ".join("--" + name.replace("_", "-") for name in unread)
+        raise UsageError(f"no selected criterion reads {flags}")
+    params = {**DEFAULTS, **params}
+    if params["level_cap"] < 1:
+        raise UsageError(f"the level cap must be at least 1, got {params['level_cap']}")
+    fock_checks.check_window(params["emax"], params["pair_emax"])
     rows = []
     all_ok = True
-    for key, title, fn in CRITERIA:
-        if wanted is not None and key not in wanted:
-            continue
-        result = fn(level_cap=level_cap, seed=seed, emax=emax, pair_emax=pair_emax)
+    for key, title, fn in selected:
+        result = fn(**params)
         rows.append({"criterion": key, "title": title, **result})
         all_ok = all_ok and result["ok"]
     return all_ok, rows

@@ -73,11 +73,34 @@ def _check_names(what: str, names, valid) -> None:
         raise UsageError(f"unknown {what}: {unknown}; valid: {', '.join(valid)}")
 
 
-def _reject(args, command: str, names) -> None:
-    """A flag that `command` does not read is a usage error, not ignored."""
-    given = [f"--{name}" for name in names if getattr(args, name) is not None]
+# For each subcommand with modes: how a mode is spelled on the command
+# line, and the flags each mode needs ([flag]: may be given).  A flag that
+# only the other modes read is a usage error, not ignored.
+_MODE_FLAGS = {
+    "jantzen": ("--case {}", {"c1": "j", "discrete": "m r s"}),
+    "character": ("--{}", {"c1": "j", "discrete": "m r s"}),
+    "singvec": ("--method {}", {"kernel": "c h level", "bdiz": "j [at]", "curve": "rs [at]"}),
+}
+
+
+def _check_mode_flags(args, mode: str) -> None:
+    """Require the flags of `mode` and reject those of the subcommand's other modes."""
+    spelling, modes = _MODE_FLAGS[args.command]
+    where = f"{args.command} {spelling.format(mode)}"
+    own = modes[mode].split()
+    missing = [f"--{f}" for f in own if f[0] != "[" and getattr(args, f) is None]
+    if missing:
+        raise UsageError(f"{where} needs {', '.join(missing)}")
+    allowed = {f.strip("[]") for f in own}
+    foreign = sorted({f.strip("[]") for flags in modes.values() for f in flags.split()} - allowed)
+    given = [f"--{f}" for f in foreign if getattr(args, f) is not None]
     if given:
-        raise UsageError(f"{command} takes no {', '.join(given)}")
+        raise UsageError(f"{where} takes no {', '.join(given)}")
+
+
+def _label(args) -> dict:
+    """The module label flags of `jantzen` and `character`."""
+    return {"j": args.j, "m": args.m, "r": args.r, "s": args.s}
 
 
 def _emit(report: dict, args, text=None) -> None:
@@ -155,23 +178,16 @@ def cmd_kacdet(args) -> int:
 def cmd_singvec(args) -> int:
     from . import singular, verma
     report = {"subcommand": "singvec", "method": args.method}
+    _check_mode_flags(args, args.method)
     if args.method == "kernel":
-        _reject(args, "singvec --method kernel", ("j", "rs", "at"))
-        if args.c is None or args.h is None or args.level is None:
-            raise UsageError("singvec --method kernel needs --c, --h and --level")
         params = verma.VermaParams.rational(args.c, args.h)
         found = singular.singular_kernel(params, args.level)
         report["count"] = len(found)
         report["vectors"] = [v.to_json() for v in found]
     else:
-        _reject(args, f"singvec --method {args.method}", ("c", "h", "level"))
         if args.method == "bdiz":
-            if args.j is None or args.rs is not None:
-                raise UsageError("singvec --method bdiz needs --j and takes no --rs")
             vec = singular.bdiz_singular(args.j)
         else:
-            if args.rs is None or args.j is not None:
-                raise UsageError("singvec --method curve needs --rs and takes no --j")
             vec = singular.curve_singular(*args.rs)
         if args.at is not None:
             try:
@@ -239,34 +255,22 @@ def _sqrt_fraction(x: Fraction):
 
 
 def cmd_jantzen(args) -> int:
-    from . import combinat, jantzen, verma
-    if args.case == "c1":
-        if args.j is None:
-            raise UsageError("jantzen --case c1 needs --j")
-        _reject(args, "jantzen --case c1", ("m", "r", "s"))
-        j = args.j
-        if args.path == "h" or (args.path == "auto" and j == 0):
-            x = UniPoly.gen("x")
-            path, label = (UniPoly.const(1, "x"), j * j + x), f"c=1, h={j * j}+x"
-        elif j == 0:
-            raise UsageError("the c-path is degenerate at j = 0; use --path h")
-        else:
-            path, label = jantzen.c1_path(j)
-        lead = j * j
-        closed = jantzen.c1_character_sum_closed(j, args.n)
-        if args.path == "h" and j != 0:
-            # the weight path crosses each c = 1 vanishing curve where its
-            # quadratic factor is a perfect square, doubling every order
-            closed = closed.scale(2)
-    else:
-        if args.m is None or args.r is None or args.s is None:
-            raise UsageError("jantzen --case discrete needs --m, --r, --s")
-        _reject(args, "jantzen --case discrete", ("j",))
-        if args.path != "auto":
-            raise UsageError("jantzen --case discrete takes no --path")
-        path, label = jantzen.discrete_path(args.m, args.r, args.s)
-        lead = verma.h_pq(args.r, args.s, args.m)
-        closed = jantzen.discrete_character_sum_closed(args.m, args.r, args.s, args.n)
+    from . import combinat, jantzen
+    _check_mode_flags(args, args.case)
+    module = jantzen.kac_module(args.case, **_label(args))
+    path, label = module.path
+    if args.path != "auto" and args.case == "discrete":
+        raise UsageError("jantzen --case discrete takes no --path")
+    if args.path == "c" and args.j == 0:
+        raise UsageError("the c-path is degenerate at j = 0; use --path h")
+    lead = module.params.h
+    closed = jantzen.character_sum_closed(args.case, args.n, **_label(args))
+    if args.path == "h" or args.j == 0:
+        path, label = (UniPoly.const(1, "x"), lead + UniPoly.gen("x")), f"c=1, h={lead}+x"
+    if args.path == "h" and args.j != 0:
+        # the weight path crosses each c = 1 vanishing curve where its
+        # quadratic factor is a perfect square, doubling every order
+        closed = closed.scale(2)
     levels = {}
     depth_sums = [0]
     for level, (order, filt) in enumerate(jantzen.level_filtrations(path, label, args.n), 1):
@@ -291,23 +295,12 @@ def cmd_jantzen(args) -> int:
 
 def cmd_character(args) -> int:
     from . import jantzen, verma
-    if args.c1 and args.j is None:
-        raise UsageError("character --c1 needs --j")
-    if args.discrete and None in (args.m, args.r, args.s):
-        raise UsageError("character --discrete needs --m, --r, --s")
-    if args.c1:
-        _reject(args, "character --c1", ("m", "r", "s"))
-        series = jantzen.character_formula("c1", args.n, j=args.j)
-        oracle_params = verma.VermaParams.rational(1, args.j * args.j)
-    else:
-        _reject(args, "character --discrete", ("j",))
-        series = jantzen.character_formula("discrete", args.n, m=args.m, r=args.r, s=args.s)
-        oracle_params = verma.VermaParams.rational(
-            verma.central_charge(args.m), verma.h_pq(args.r, args.s, args.m)
-        )
+    case = "c1" if args.c1 else "discrete"
+    _check_mode_flags(args, case)
+    series = jantzen.character_formula(case, args.n, **_label(args))
     report = {"subcommand": "character", **series.to_json()}
     if args.check_oracle:
-        dims = verma.irreducible_dims(oracle_params, args.n)
+        dims = verma.irreducible_dims(jantzen.kac_module(case, **_label(args)).params, args.n)
         report["rank_oracle"] = dims
         report["verdict"] = [Fraction(d) for d in dims] == list(series.coeffs)
         _emit(report, args)
@@ -405,10 +398,9 @@ def cmd_acceptance(args) -> int:
     names = None if args.suite == "all" else args.suite.split(",")
     known = [key for key, _, _ in acceptance.CRITERIA]
     _check_names("criteria", names or (), known)
-    ok, rows = acceptance.run_acceptance(
-        names=names, level_cap=args.level_cap, seed=args.seed, emax=args.emax,
-        pair_emax=args.pair_emax,
-    )
+    given = {name: getattr(args, name) for name in acceptance.DEFAULTS
+             if getattr(args, name) is not None}
+    ok, rows = acceptance.run_acceptance(names=names, **given)
     width = max(map(len, known))
     lines = []
     for row in rows:
@@ -517,10 +509,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("acceptance", help="run the acceptance criteria")
     p.add_argument("--suite", default="all",
                    help="comma list of criterion names, or 'all'")
-    p.add_argument("--level-cap", type=int, default=6)
-    p.add_argument("--seed", type=int, default=20260809)
-    p.add_argument("--emax", type=_parse_fraction, default=Fraction(7))
-    p.add_argument("--pair-emax", type=_parse_fraction, default=Fraction(4))
+    # read by kac-ratio and jantzen; density-poly; fock (defaults: acceptance.DEFAULTS)
+    p.add_argument("--level-cap", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--emax", type=_parse_fraction)
+    p.add_argument("--pair-emax", type=_parse_fraction)
     _common(p)
     p.set_defaults(fn=cmd_acceptance)
 

@@ -19,12 +19,14 @@ Two path families are supported: central-charge paths (1 + x, j^2) and
 weight paths (c(m), h_{r,s}(m) + x).  For j = 0 the c-path is degenerate
 at every positive level (the linear Kac factor vanishes identically along
 it), so the weight path (1, x) is used instead; reports flag the switch.
+`kac_module` is the one place that maps a family label to its module:
+(c, h), the path, the singular-chain levels and the closed character.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .combinat import QSeries, num_partitions, partitions_of
 from .linalg import bareiss_det, nullspace, sum_entries
@@ -176,26 +178,88 @@ def det_order_identity(family: MatrixFamily):
     return order, filt.depth_sum()
 
 
+class KacModule(NamedTuple):
+    """M(c, h) of a family label: its rational parameters, the Jantzen
+    path through them with its label, `chain(n)`, the singular-chain
+    levels within 1..n, and `signs(n)`, the (level, +-1) terms within
+    0..n of the closed character q^h phi(q) sum +-q^level."""
+
+    params: VermaParams
+    path: tuple  # ((c(x), h(x)), label)
+    chain: Callable
+    signs: Callable
+
+    def phi_times(self, terms, n_max: int) -> QSeries:
+        """q^h phi(q) sum sign q^level over the (level, sign) terms, to
+        relative level n_max: the one product by phi(q)."""
+        _check_order(n_max)
+        coeffs = [0] * (n_max + 1)
+        for lvl, sign in terms:
+            for n in range(lvl, n_max + 1):
+                coeffs[n] += sign * num_partitions(n - lvl)
+        return QSeries(coeffs, self.params.h, n_max)
+
+
+def kac_module(case: str, *, j=None, m=None, r=None, s=None) -> KacModule:
+    """The module of a family label, checked once; a UsageError outside
+    the family.  "c1": M(1, j^2), j a non-negative half-integer, with
+    chain levels k(k + 2j), k >= 1, and character q^{j^2} phi(q)
+    (1 - q^{2j+1}).  "discrete": the (m; r, s) module, (r, s) in the Kac
+    table, with chain levels (r + am)(s + a(m+1)), a in Z, and character
+
+        q^h phi(q) sum_{k in Z} (q^{l+(k)} - q^{l-(k)}),
+        l+(k) = k^2 m(m+1) + k (r(m+1) - s m),
+        l-(k) = r s + k^2 m(m+1) + k (r(m+1) + s m),
+
+    the relative levels of the two chains of submodule generators.
+    """
+    if case == "c1":
+        j = _c1_spin(j)
+        return KacModule(VermaParams.rational(1, j * j), c1_path(j),
+                         lambda n: [lvl for lvl in c1_chain_levels(j, n) if lvl <= n],
+                         lambda n: [t for t in ((0, 1), (int(2 * j) + 1, -1)) if t[0] <= n])
+    if case == "discrete":
+        path = discrete_path(m, r, s)
+        period, a_minus, a_plus = m * (m + 1), r * (m + 1) - s * m, r * (m + 1) + s * m
+        return KacModule(
+            VermaParams.rational(central_charge(m), h_pq(r, s, m)), path,
+            lambda n: discrete_chain_levels(m, r, s, n),
+            lambda n: [(lvl, sign) for k in range(-n - 1, n + 2)
+                       for lvl, sign in ((k * k * period + k * a_minus, 1),
+                                         (r * s + k * k * period + k * a_plus, -1))
+                       if 0 <= lvl <= n])
+    raise UsageError(f"unknown module case {case!r}; valid: c1, discrete")
+
+
+def character_formula(case: str, n_max: int, *, j=None, m=None, r=None, s=None) -> QSeries:
+    """Closed-form irreducible character, truncated at relative level n_max."""
+    module = kac_module(case, j=j, m=m, r=r, s=s)
+    return module.phi_times(module.signs(n_max), n_max)
+
+
+def character_sum_closed(case: str, n_max: int, *, j=None, m=None, r=None, s=None) -> QSeries:
+    """The closed degeneracy sum q^h phi(q) sum_{chain levels} q^level to
+    relative level n_max, which `filtration_character_sum` must equal."""
+    module = kac_module(case, j=j, m=m, r=r, s=s)
+    return module.phi_times([(lvl, 1) for lvl in module.chain(n_max)], n_max)
+
+
 def filtration_character_sum(case: str, n_max: int, *, j=None, m=None, r=None, s=None) -> QSeries:
     """sum_{i>=1} ch M^(i) assembled level by level from filtration dims.
 
     Returned with leading exponent equal to the lowest weight of the
     module, coefficients indexed by relative level.
     """
-    if case == "c1":
-        path, label = c1_path(j)
-        lead = as_fraction(j) ** 2
-    elif case == "discrete":
-        path, label = discrete_path(m, r, s)
-        lead = h_pq(r, s, m)
-    else:
-        raise ValueError(f"unknown character-sum case {case!r}")
-    coeffs = [0] + [filt.depth_sum() for _, filt in level_filtrations(path, label, n_max)]
-    return QSeries(coeffs, lead, n_max)
+    module = kac_module(case, j=j, m=m, r=r, s=s)
+    _check_order(n_max)
+    coeffs = [0] + [filt.depth_sum() for _, filt in level_filtrations(*module.path, n_max)]
+    return QSeries(coeffs, module.params.h, n_max)
 
 
 def _c1_spin(j) -> Fraction:
     """j as a Fraction; a UsageError unless j is a non-negative half-integer."""
+    if j is None:
+        raise UsageError("the c = 1 module needs its spin j")
     j = as_fraction(j)
     if j < 0 or (2 * j).denominator != 1:
         raise UsageError(f"the c = 1 characters need j a non-negative half-integer, got {j}")
@@ -208,32 +272,11 @@ def _check_order(n_max: int) -> None:
 
 
 def _check_kac_label(m: int, r: int, s: int) -> None:
+    if None in (m, r, s):
+        raise UsageError(f"a discrete-series module needs m, r and s, got {(m, r, s)}")
     h_pq(r, s, m)  # rejects m < 2
     if not (1 <= r < m and 1 <= s <= m):
         raise UsageError(f"(r, s) = ({r}, {s}) lies outside the Kac table 1 <= r < m, 1 <= s <= m")
-
-
-def _phi_times_levels(levels, n_max: int) -> list:
-    """Coefficients of phi(q) * sum_{level} q^level up to q^n_max."""
-    coeffs = [0] * (n_max + 1)
-    for lvl in levels:
-        for n in range(lvl, n_max + 1):
-            coeffs[n] += num_partitions(n - lvl)
-    return coeffs
-
-
-def c1_character_sum_closed(j, n_max: int) -> QSeries:
-    """phi(q) * sum_{r>=1} q^{r(r+2j)} truncated, lead j^2; the r-th
-    level is at least r, so r <= n_max covers the window."""
-    j = _c1_spin(j)
-    _check_order(n_max)
-    return QSeries(_phi_times_levels(c1_chain_levels(j, n_max), n_max), j * j, n_max)
-
-
-def discrete_character_sum_closed(m: int, r: int, s: int, n_max: int) -> QSeries:
-    _check_order(n_max)
-    coeffs = _phi_times_levels(discrete_chain_levels(m, r, s, n_max), n_max)
-    return QSeries(coeffs, h_pq(r, s, m), n_max)
 
 
 def norm_vanishing_order(vector: PBWVector, family: MatrixFamily) -> int:
@@ -249,49 +292,3 @@ def norm_vanishing_order(vector: PBWVector, family: MatrixFamily) -> int:
     if order is None:
         raise ValueError("the norm vanishes identically along the family")
     return order
-
-
-def c1_character_closed(j, n_max: int) -> QSeries:
-    """(q^{j^2} - q^{(j+1)^2}) phi(q) truncated, lead j^2."""
-    j = _c1_spin(j)
-    d = int(2 * j) + 1
-    coeffs = [num_partitions(n) - num_partitions(n - d) for n in range(n_max + 1)]
-    return QSeries(coeffs, j * j, n_max)
-
-
-def discrete_character_closed(m: int, r: int, s: int, n_max: int) -> QSeries:
-    """Alternating-sum character of the (m; r, s) discrete-series module.
-
-    ch L = q^h phi(q) sum_{k in Z} (q^{l+(k)} - q^{l-(k)}) with
-
-        l+(k) = k^2 m(m+1) + k (r(m+1) - s m)
-        l-(k) = r s + k^2 m(m+1) + k (r(m+1) + s m),
-
-    the relative levels of the two chains of submodule generators.
-    (r, s) must lie in the Kac table 1 <= r < m, 1 <= s <= m.
-    """
-    _check_kac_label(m, r, s)
-    a_minus = r * (m + 1) - s * m
-    a_plus = r * (m + 1) + s * m
-    period = m * (m + 1)
-    coeffs = [0] * (n_max + 1)
-    bound = n_max + 1
-    for k in range(-bound, bound + 1):
-        lp = k * k * period + k * a_minus
-        lm = r * s + k * k * period + k * a_plus
-        for n in range(n_max + 1):
-            if 0 <= n - lp:
-                coeffs[n] += num_partitions(n - lp)
-            if 0 <= n - lm:
-                coeffs[n] -= num_partitions(n - lm)
-    return QSeries(coeffs, h_pq(r, s, m), n_max)
-
-
-def character_formula(case: str, n_max: int, *, j=None, m=None, r=None, s=None) -> QSeries:
-    """Closed-form irreducible character, truncated at relative level n_max."""
-    _check_order(n_max)
-    if case == "c1":
-        return c1_character_closed(j, n_max)
-    if case == "discrete":
-        return discrete_character_closed(m, r, s, n_max)
-    raise ValueError(f"unknown character case {case!r}")

@@ -51,8 +51,9 @@ def render_fraction(x: Fraction) -> str:
 class _Ring:
     """What UniPoly, RatFunc and BiPoly share: immutability, subtraction,
     `repr`, non-negative integer powers and a hash cached from the
-    class's `_key` (a constant is keyed by its value alone).  A subclass
-    that defines `__eq__` must rebind `__hash__`."""
+    class's `_key`.  A constant hashes as its Fraction value, which it
+    equals, so `a == b` implies `hash(a) == hash(b)` across the tower.  A
+    subclass that defines `__eq__` must rebind `__hash__`."""
 
     __slots__ = ("_hash",)
 
@@ -82,7 +83,7 @@ class _Ring:
 
     def __hash__(self):
         if self._hash is None:
-            key = ("rat", self.constant_value()) if self.is_constant() else self._key()
+            key = self.constant_value() if self.is_constant() else self._key()
             object.__setattr__(self, "_hash", hash(key))
         return self._hash
 
@@ -379,6 +380,10 @@ class RatFunc(_Ring):
     __hash__ = _Ring.__hash__
 
     def _key(self):
+        # the denominator is monic, so 1 when the value is a polynomial,
+        # which then hashes as the UniPoly it equals
+        if self.den.is_constant():
+            return self.num._key()
         return self.var, self.num.coeffs, self.den.coeffs
 
     def render(self) -> str:

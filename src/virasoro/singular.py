@@ -25,8 +25,6 @@ from .verma import (
     VermaParams,
     apply_L,
     c_curve,
-    central_charge,
-    h_pq,
     h_pq_curve,
     pbw_left_multiply,
     pbw_operator_apply,
@@ -315,26 +313,11 @@ def chain_product_vector(j, depth: int) -> PBWVector:
     return vec
 
 
-def singular_chain(case: str, depth: int, *, j=None, m=None, r=None, s=None,
-                   max_level: int | None = None) -> list:
-    """Kernel-solved singular vectors at the predicted chain levels, one
-    PBW vector per level.
-
-    case "c1": levels k(k+2j) in M(1, j^2) for k = 1..depth.
-    case "discrete": the first `depth` predicted levels of
-    M(c(m), h_{r,s}(m)) below max_level.  A predicted level with an
-    empty kernel is a structural failure and raises.
-    """
-    if depth <= 0:
-        return []
-    if case == "c1":
-        params = VermaParams.rational(1, as_fraction(j) ** 2)
-        levels = c1_chain_levels(j, depth)
-    elif case == "discrete":
-        params = VermaParams.rational(central_charge(m), h_pq(r, s, m))
-        levels = discrete_chain_levels(m, r, s, max_level or 12)[:depth]
-    else:
-        raise ValueError(f"unknown chain case {case!r}")
+def singular_chain(params: VermaParams, levels) -> list:
+    """Kernel-solved singular vectors of M(c, h) at the given levels, one
+    PBW vector per level: the chain a family predicts is
+    `jantzen.kac_module(...).chain(n)`.  A level whose kernel is not
+    one-dimensional is a structural failure and raises."""
     chain = []
     for lvl in levels:
         found = singular_kernel(params, lvl)

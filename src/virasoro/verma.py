@@ -165,9 +165,12 @@ def _action(k: int, part: tuple) -> dict:
 
 
 @lru_cache(maxsize=4)
-def _action_table(params: VermaParams) -> dict:
-    """{(k, part): image} memo of _action evaluated at `params`; a long
-    process that visits many (c, h) keeps only the four most recently used."""
+def _action_table(params: VermaParams, rings: tuple) -> dict:
+    """{(k, part): image} memo of _action evaluated at `params`, whose
+    images lie in the `rings` of (c, h): equal parameters from different
+    rings (2 and RatFunc 2) hash alike, and must not share a table.  A
+    long process that visits many (c, h) keeps only the four most
+    recently used."""
     return {}
 
 
@@ -175,7 +178,7 @@ def apply_L(k: int, v: PBWVector, params: VermaParams) -> PBWVector:
     """Exact action of L_k on a PBW vector of M(c, h): each triple of
     _action as a + b h + e c/2, a Fraction when b = e = 0 (as the PBW
     reordering leaves it)."""
-    table = _action_table(params)
+    table = _action_table(params, (type(params.c), type(params.h)))
 
     def image(part):
         hit = table.get((k, part))

@@ -185,6 +185,14 @@ def test_acceptance_time_columns_line_up(monkeypatch, capsys):
     assert len({line.index("0.50s") for line in lines}) == 1
 
 
+def test_acceptance_flags_reach_the_criteria_that_read_them(capsys):
+    code, out = run_cli(["acceptance", "--suite", "gomes,kac-ratio", "--level-cap", "2",
+                         "--json"], capsys)
+    assert code == 0
+    rows = {row["criterion"]: row for row in json.loads(out)["criteria"]}
+    assert rows["kac-ratio"]["details"]["ratios"] == {"1": "2", "2": "32"}
+
+
 def test_acceptance_unknown_criterion(capsys):
     from virasoro.acceptance import CRITERIA
 
@@ -377,6 +385,14 @@ def test_acceptance_json_stdout_is_pure_json(tmp_path, capsys):
     ["kacdet", "--level", "1", "--mode", "ratio", "--h", "1/2"],
     ["acceptance", "--suite", "fock", "--emax", "1", "--pair-emax", "1"],
     ["acceptance", "--suite", "fock", "--emax", "0"],
+    ["acceptance", "--suite", "gomes", "--level-cap", "2", "--seed", "5", "--emax", "2"],
+    ["acceptance", "--suite", "gomes", "--level-cap", "2"],
+    ["acceptance", "--suite", "gomes,density-poly", "--emax", "3"],
+    ["acceptance", "--suite", "kac-ratio,jantzen", "--seed", "5"],
+    ["acceptance", "--suite", "density-poly", "--pair-emax", "3"],
+    ["jantzen", "--case", "c1", "--N", "2"],
+    ["jantzen", "--case", "discrete", "--m", "3", "--r", "1", "--N", "2"],
+    ["singvec", "--method", "curve", "--at", "2"],
 ], ids=" ".join)
 def test_library_rejects_bad_input_as_usage_error(argv, capsys):
     assert main(argv) == 2

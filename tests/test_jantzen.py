@@ -9,17 +9,16 @@ from virasoro.jantzen import (
     Filtration,
     MatrixFamily,
     _as_x_poly,
-    c1_character_closed,
-    c1_character_sum_closed,
     c1_path,
+    character_formula,
+    character_sum_closed,
     coefficient_matrices,
     det_order_identity,
-    discrete_character_closed,
-    discrete_character_sum_closed,
     discrete_path,
     filtration_character_sum,
     gram_family,
     jantzen_filtration,
+    kac_module,
     norm_vanishing_order,
 )
 from virasoro.linalg import nullspace, sum_entries
@@ -91,9 +90,9 @@ def _rebuilt_filtration(family):
     return tuple(dims), tuple(bases)
 
 
-@pytest.mark.parametrize("name,mk", JANTZEN_FAMILIES, ids=[f[0] for f in JANTZEN_FAMILIES])
-def test_growing_kernel_matches_rebuilt_systems(name, mk):
-    path, label = mk()
+@pytest.mark.parametrize("name,case,label", JANTZEN_FAMILIES, ids=[f[0] for f in JANTZEN_FAMILIES])
+def test_growing_kernel_matches_rebuilt_systems(name, case, label):
+    path, label = kac_module(case, **label).path
     for level in range(1, 8):
         fam = gram_family(path, level, label)
         assert jantzen_filtration(fam).dims == _rebuilt_filtration(fam)[0], (name, level)
@@ -101,7 +100,7 @@ def test_growing_kernel_matches_rebuilt_systems(name, mk):
 
 def test_gram_family_is_the_specialised_symbolic_gram():
     symbolic = gram_matrices(6, VermaParams.symbolic())
-    paths = [mk() for _, mk in JANTZEN_FAMILIES] + [c1_path(0)]
+    paths = [kac_module(case, **label).path for _, case, label in JANTZEN_FAMILIES] + [c1_path(0)]
     for path, label in paths:
         c_path, h_path = path
         for level in range(7):
@@ -170,19 +169,19 @@ def test_deep_filtration_needs_section_corrections():
 
 def test_filtration_character_sums_match_closed_forms():
     for j in (HALF, Fraction(1)):
-        assert filtration_character_sum("c1", 6, j=j) == c1_character_sum_closed(j, 6)
+        assert filtration_character_sum("c1", 6, j=j) == character_sum_closed("c1", 6, j=j)
     for r, s in ((1, 1), (2, 1), (2, 2)):
         got = filtration_character_sum("discrete", 6, m=3, r=r, s=s)
-        assert got == discrete_character_sum_closed(3, r, s, 6)
+        assert got == character_sum_closed("discrete", 6, m=3, r=r, s=s)
 
 
 def test_character_sum_closed_examples():
     # j = 1: first degeneracy at level 3 with multiplicity P(0) = 1
-    series = c1_character_sum_closed(1, 6)
+    series = character_sum_closed("c1", 6, j=1)
     assert series.coeffs[3] == 1
     assert [int(c) for c in series.coeffs] == [0, 0, 0, 1, 1, 2, 3]
     # j = 1/2 matches a(N) = sum_r P(N - r(r+1))
-    series = c1_character_sum_closed(HALF, 6)
+    series = character_sum_closed("c1", 6, j=HALF)
     assert [int(c) for c in series.coeffs] == [0, 0, 1, 1, 2, 3, 6]
 
 
@@ -250,23 +249,23 @@ def test_norm_identically_zero_rejected():
 
 
 def test_character_formula_c1():
-    series = c1_character_closed(1, 8)
+    series = character_formula("c1", 8, j=1)
     assert [int(c) for c in series.coeffs] == [
         num_partitions(n) - num_partitions(n - 3) for n in range(9)
     ]
     assert series.lead == 1
     # N = 0 reduces to the bare leading power
-    assert list(c1_character_closed(HALF, 0).coeffs) == [1]
+    assert list(character_formula("c1", 0, j=HALF).coeffs) == [1]
 
 
 def test_character_formula_discrete_examples():
     # Ising h = 1/16 and h = 0 dimensions
-    s = discrete_character_closed(3, 2, 2, 6)
+    s = character_formula("discrete", 6, m=3, r=2, s=2)
     assert s.lead == Fraction(1, 16)
     assert [int(c) for c in s.coeffs] == [1, 1, 1, 2, 2, 3, 4]
-    s = discrete_character_closed(3, 1, 1, 6)
+    s = character_formula("discrete", 6, m=3, r=1, s=1)
     assert [int(c) for c in s.coeffs] == [1, 0, 1, 1, 2, 2, 3]
-    s = discrete_character_closed(3, 2, 1, 6)
+    s = character_formula("discrete", 6, m=3, r=2, s=1)
     assert s.lead == h_pq(2, 1, 3) == Fraction(1, 2)
     assert [int(c) for c in s.coeffs] == [1, 1, 1, 1, 2, 2, 3]
 
@@ -279,7 +278,7 @@ def test_character_formula_second_weight_grid():
     assert central_charge(4) == Fraction(7, 10)
     for r, s in ((1, 1), (2, 1), (3, 3)):
         h = h_pq(r, s, 4)
-        closed = discrete_character_closed(4, r, s, 5)
+        closed = character_formula("discrete", 5, m=4, r=r, s=s)
         dims = irreducible_dims(VermaParams.rational(Fraction(7, 10), h), 5)
         assert [Fraction(d) for d in dims] == list(closed.coeffs), (r, s)
 
@@ -287,12 +286,50 @@ def test_character_formula_second_weight_grid():
 @pytest.mark.parametrize("j", [Fraction(1, 3), Fraction(-1), Fraction(-1, 2)])
 def test_c1_characters_need_a_half_integer_spin(j):
     with pytest.raises(UsageError):
-        c1_character_closed(j, 4)
+        character_formula("c1", 4, j=j)
     with pytest.raises(UsageError):
-        c1_character_sum_closed(j, 4)
+        character_sum_closed("c1", 4, j=j)
 
 
 @pytest.mark.parametrize("r,s", [(0, 1), (3, 1), (1, 0), (1, 4), (-1, 2)])
 def test_discrete_character_needs_a_kac_label(r, s):
     with pytest.raises(UsageError):
-        discrete_character_closed(3, r, s, 4)
+        character_formula("discrete", 4, m=3, r=r, s=s)
+
+
+@pytest.mark.parametrize("case,label", [
+    ("discrete", {"m": 3, "r": 0, "s": 1}),
+    ("discrete", {"m": 3, "r": 3, "s": 1}),
+    ("discrete", {"m": 3, "r": 1, "s": 4}),
+    ("c1", {"j": Fraction(1, 3)}),
+    ("c1", {"j": Fraction(-1)}),
+    ("kac", {"j": 1}),
+    ("c1", {}),
+    ("discrete", {"m": 3, "r": 1}),
+], ids=str)
+def test_every_route_rejects_a_label_outside_its_family(case, label):
+    """A label outside the c = 1 spins or the Kac table, an unknown case
+    or a missing label is a usage error on every route, not a zero or a
+    wrong series: each reads its module from kac_module."""
+    for route in (lambda: kac_module(case, **label),
+                  lambda: character_formula(case, 3, **label),
+                  lambda: character_sum_closed(case, 3, **label),
+                  lambda: filtration_character_sum(case, 3, **label)):
+        with pytest.raises(UsageError):
+            route()
+
+
+def test_kac_module_chain_and_signs():
+    # c = 1, j = 1/2: chain k(k + 1) = 2, 6, 12; character terms 0 and 2j + 1
+    module = kac_module("c1", j=HALF)
+    assert module.params == VermaParams.rational(1, Fraction(1, 4))
+    assert module.path == c1_path(HALF)
+    assert module.chain(12) == [2, 6, 12] and module.chain(1) == []
+    assert module.signs(2) == [(0, 1), (2, -1)] and module.signs(1) == [(0, 1)]
+    # m = 3 (1, 1): chain (1 + 3a)(1 + 4a) = 1, 6, 20, 35; the character
+    # terms l+(k), l-(k) within the window, each once
+    module = kac_module("discrete", m=3, r=1, s=1)
+    assert module.params == VermaParams.rational(Fraction(1, 2), 0)
+    assert module.path == discrete_path(3, 1, 1)
+    assert module.chain(35) == [1, 6, 20, 35]
+    assert sorted(module.signs(13)) == [(0, 1), (1, -1), (6, -1), (11, 1), (13, 1)]

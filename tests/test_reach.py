@@ -5,7 +5,9 @@ benchmark (perfbench/*.py).  An oracle that only the tests call belongs
 in tests/.  The guard is static, by name: a call trace of the CLI and
 the gate takes far longer than a unit test may.  A second guard keeps
 the scalar tower layered: scalars imports nothing of the package, linalg
-only scalars."""
+only scalars.  A third keeps one dispatcher per module family: only
+jantzen.kac_module (and the CLI's --path handling) compares a value with
+the case names "c1" and "discrete"."""
 
 import ast
 from collections import Counter
@@ -106,3 +108,43 @@ def test_the_scalar_tower_is_layered():
     assert _package_imports(ast.parse(demo)) == {"verma", "x", "z", "w"}
     assert _package_imports(modules["scalars"]) == set()
     assert _package_imports(modules["linalg"]) == {"scalars"}
+
+
+CASES = {"c1", "discrete"}
+
+
+def case_comparisons(modules) -> set:
+    """Where `modules` ({module name: tree}) compare a value with a case
+    name of CASES, by == or in, or match it: the enclosing module-level
+    definition as "module.name", or "module" at module level."""
+    found = set()
+    for module, tree in modules.items():
+        for top in tree.body:
+            named = isinstance(top, (ast.FunctionDef, ast.ClassDef))
+            for node in ast.walk(top):
+                if isinstance(node, ast.Compare):
+                    operands = [node.left, *node.comparators]
+                elif isinstance(node, ast.MatchValue):
+                    operands = [node.value]
+                else:
+                    continue
+                for op in operands:
+                    elts = op.elts if isinstance(op, (ast.Tuple, ast.List, ast.Set)) else [op]
+                    if any(isinstance(e, ast.Constant) and e.value in CASES for e in elts):
+                        found.add(f"{module}.{top.name}" if named else module)
+    return found
+
+
+def test_one_dispatcher_per_module_family():
+    demo = (
+        "def kac_module(case):\n    return 1 if case == 'c1' else 2\n\n"
+        "def second(case):\n    return 'discrete' != case\n\n"
+        "def third(case):\n    return case in ('c1', 'x')\n\n"
+        "def fourth(case):\n    match case:\n        case 'discrete':\n            return 1\n\n"
+        "TABLE = {'c1': 1, 'discrete': 2}\n\n"
+        "def by_table(case):\n    return TABLE[case]\n"
+    )
+    assert case_comparisons({"demo": ast.parse(demo)}) == {
+        "demo.kac_module", "demo.second", "demo.third", "demo.fourth"}
+    modules = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in PACKAGE}
+    assert case_comparisons(modules) == {"jantzen.kac_module", "cli.cmd_jantzen"}

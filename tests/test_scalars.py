@@ -214,6 +214,39 @@ def test_hash_and_equality_across_constants():
     assert five == 5
     assert hash(five) == hash(UniPoly.const(5, "x"))
     assert RatFunc.from_poly(t) == t
+    assert len({RatFunc.from_poly(t), t, UniPoly.const(5, "x"), 5, RatFunc.const(5, "t")}) == 2
+
+
+def _hash_law_pool(rng, rounds=20):
+    """Small random values of every ring, each also written in the other
+    rings it equals: a constant as a Fraction, an int, a UniPoly in two
+    variables, a RatFunc and a BiPoly; a polynomial p as a UniPoly, as
+    p/1 and as (p q)/q; and a RatFunc p/q and a BiPoly of their own."""
+    pool = []
+    for _ in range(rounds):
+        value = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+        pool += [value, UniPoly.const(value, "t"), UniPoly.const(value, "x"),
+                 RatFunc.const(value, "t"), BiPoly.const(value)]
+        if value.denominator == 1:
+            pool.append(int(value))
+        p, q = rand_unipoly(rng, max_deg=2), rand_unipoly(rng, max_deg=1)
+        pool += [p, RatFunc.from_poly(p), rand_bipoly(rng, max_deg=1)]
+        if q:
+            pool += [RatFunc(p * q, q), RatFunc(p, q)]
+    return pool
+
+
+def test_equal_scalars_hash_alike():
+    """The law of __hash__: a == b implies hash(a) == hash(b), over
+    Fraction, UniPoly, RatFunc and BiPoly, mixed and constant ones too."""
+    pool = _hash_law_pool(random.Random(21))
+    mixed = 0
+    for a in pool:
+        for b in pool:
+            if a == b:
+                assert hash(a) == hash(b), (a, b)
+                mixed += type(a) is not type(b)
+    assert mixed > 500
 
 
 _F0, _F1 = FermionState(0, (1,)), FermionState(1, ())

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from virasoro.jantzen import kac_module
 from virasoro.scalars import RatFunc, UniPoly
 from virasoro.singular import (
     SpinModule,
@@ -198,15 +199,17 @@ def test_discrete_chain_levels_over_the_kac_table():
 
 
 def test_singular_chain_c1():
-    chain = singular_chain("c1", 2, j=0)
+    module = kac_module("c1", j=0)
+    chain = singular_chain(module.params, module.chain(4))
     assert [v.level() for v in chain] == [1, 4]
     for v in chain:
         assert check_singular(v, VermaParams.rational(1, 0))[0]
-    assert singular_chain("c1", 0, j=0) == []
+    assert singular_chain(module.params, module.chain(0)) == []
 
 
 def test_singular_chain_discrete():
-    chain = singular_chain("discrete", 2, m=3, r=1, s=1, max_level=8)
+    module = kac_module("discrete", m=3, r=1, s=1)
+    chain = singular_chain(module.params, module.chain(8))
     assert [v.level() for v in chain] == [1, 6]
     for v in chain:
         assert check_singular(v, VermaParams.rational(Fraction(1, 2), 0))[0]

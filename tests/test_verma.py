@@ -7,7 +7,7 @@ import pytest
 from virasoro import linalg
 from virasoro.combinat import num_partitions, partitions_of
 from virasoro.jantzen import discrete_path
-from virasoro.scalars import BiPoly, accumulate
+from virasoro.scalars import BiPoly, RatFunc, accumulate
 from virasoro.verma import (
     PBWVector,
     VermaParams,
@@ -149,9 +149,10 @@ def test_action_cache_keeps_few_params():
         assert info.maxsize == 4 and info.currsize <= 4
     # the last point is still cached, the fifth most recent is gone
     info = verma._action_table.cache_info()
-    verma._action_table(VermaParams.rational(19, Fraction(1, 21)))
+    rings = (Fraction, Fraction)
+    verma._action_table(VermaParams.rational(19, Fraction(1, 21)), rings)
     assert verma._action_table.cache_info().hits == info.hits + 1
-    verma._action_table(VermaParams.rational(15, Fraction(1, 17)))
+    verma._action_table(VermaParams.rational(15, Fraction(1, 17)), rings)
     assert verma._action_table.cache_info().misses == info.misses + 1
     # the (c, h)-free table _action is shared: a second point reuses it
     apply_L(3, PBWVector.monomial((2, 2, 1)), VermaParams.rational(7, Fraction(2, 3)))
@@ -159,6 +160,18 @@ def test_action_cache_keeps_few_params():
     apply_L(3, PBWVector.monomial((2, 2, 1)), VermaParams.rational(-5, Fraction(9, 4)))
     second = verma._action.cache_info()
     assert second.misses == first.misses and second.hits > first.hits
+
+
+def test_equal_params_of_two_rings_keep_their_own_tables():
+    # 7/3 == RatFunc 7/3 and both hash alike, but each L_k image must
+    # stay in the ring of its own parameters
+    v = PBWVector.monomial((2, 1))
+    rational = VermaParams.rational(Fraction(7, 3), Fraction(5, 2))
+    lifted = VermaParams(RatFunc.const(Fraction(7, 3), "t"), RatFunc.const(Fraction(5, 2), "t"))
+    assert rational == lifted and hash(rational) == hash(lifted)
+    for params, ring in ((rational, Fraction), (lifted, RatFunc), (rational, Fraction)):
+        # L_1 L_{-2} L_{-1} xi = 2h L_{-2} xi + 3 L_{-1}^2 xi
+        assert type(apply_L(1, v, params).coeff((2,))) is ring
 
 
 def _apply_monomial(k, part, params, table):
@@ -335,10 +348,10 @@ def test_pbw_vector_json():
 
 
 def test_rank_oracle_j_three_halves():
-    from virasoro.jantzen import c1_character_closed
+    from virasoro.jantzen import character_formula
 
     dims = irreducible_dims(VermaParams.rational(1, Fraction(9, 4)), 9)
-    closed = c1_character_closed(Fraction(3, 2), 9)
+    closed = character_formula("c1", 9, j=Fraction(3, 2))
     assert [Fraction(d) for d in dims] == list(closed.coeffs)
 
 
