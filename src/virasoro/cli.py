@@ -38,7 +38,7 @@ def _parse_scalar(text: str, symbol: str):
         return c if symbol == "c" else h
     try:
         return Fraction(text)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(
             f"expected a rational or the symbol {symbol!r}, got {text!r}"
         )
@@ -47,7 +47,7 @@ def _parse_scalar(text: str, symbol: str):
 def _parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
 
 
@@ -544,6 +544,10 @@ def _join_negative_fractions(argv: list) -> list:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_join_negative_fractions(sys.argv[1:] if argv is None else argv))
+    # every input is parsed, under CPython's guard on long digit strings;
+    # what is left to convert is results, which may be of any size
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     try:
         return args.fn(args)
     except UsageError as exc:

@@ -67,7 +67,8 @@ def _as_x_poly(value, var="x") -> UniPoly:
 
 def gram_family(path, level: int, provenance: str = "") -> MatrixFamily:
     """The level Gram matrix along a polynomial path (c(x), h(x)): the path
-    is itself the Verma parameter, since gram_matrices works over Q[x]."""
+    is itself the Verma parameter, whose Gram matrices gram_matrices
+    builds on Z[x] arrays; every entry, zeros included, as a UniPoly."""
     c_path, h_path = (_as_x_poly(p) for p in path)
     gram = gram_matrices(level, VermaParams(c_path, h_path))[level]
     rows = tuple(tuple(map(_as_x_poly, row)) for row in gram.entries)

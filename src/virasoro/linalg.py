@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 
 from .scalars import (BiPoly, RatFunc, UniPoly, _addmul, _array, _div, _entry, _leaves,
-                      _row_scale, _scaled, _trim)
+                      _ring_of, _row_scale, _scaled, _trim)
 
 
 def bareiss_det(matrix):
@@ -40,8 +40,7 @@ def bareiss_det(matrix):
     n = len(matrix)
     if n == 0:
         return Fraction(1)
-    kind, var = _ring_of(matrix)
-    depth = (Fraction, UniPoly, BiPoly).index(kind)
+    kind, var, depth = _ring_of(matrix)
     arrays = [[_array(x, depth) for x in row] for row in matrix]
     dens = [_row_scale(_leaves(row, depth + 1)) for row in arrays]
     sym = all(arrays[i][j] == arrays[j][i] for i in range(n) for j in range(i))
@@ -50,28 +49,6 @@ def bareiss_det(matrix):
     m = [_scaled(row, den, depth + 1) for row, den in zip(arrays, dens)]
     pivots, d, sign = _echelon(m, depth, reduced=False, sym=sym)
     return _entry(d if len(pivots) == n else _array(0, depth), kind, var, sign * prod(dens))
-
-
-def _ring_of(matrix):
-    """(Fraction, UniPoly or BiPoly, variable tag) of the entries' ring."""
-    kind, var, constant = Fraction, None, True
-    for row in matrix:
-        for x in row:
-            if isinstance(x, (int, Fraction)):
-                continue
-            if not isinstance(x, (UniPoly, BiPoly)):
-                raise TypeError(f"bareiss_det takes rational, UniPoly or BiPoly entries, "
-                                f"not {type(x).__name__}")
-            if kind not in (Fraction, type(x)):
-                raise TypeError("bareiss_det got both UniPoly and BiPoly entries")
-            kind, v = type(x), (x.var if isinstance(x, UniPoly) else x.vars)
-            if x.is_constant():
-                var = v if var is None else var
-            elif constant:
-                var, constant = v, False
-            elif v != var:
-                raise ValueError(f"variable mismatch: {var!r} vs {v!r}")
-    return kind, var
 
 
 def _step(p, x, q, y, prev, depth):

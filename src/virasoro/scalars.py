@@ -9,8 +9,9 @@ All values are immutable after construction and hashable, so they can be
 shared freely between threads and used as cache keys.
 
 The module also holds the integer coefficient arrays of Z[x], Z[t] and
-Z[c][h] with their ring operations (`_array` ... `_div`), on which
-`BiPoly.exact_div` and the elimination of `linalg` run; and what every
+Z[c][h] with their ring operations (`_ring_of` ... `_div`), on which
+`BiPoly.exact_div`, the elimination of `linalg` and the Gram matrices
+and Kac product form of `verma` run; and what every
 vector module shares: the sparse-vector base `SparseVector`, the in-place
 accumulator `accumulate`, and `UsageError` for arguments outside a
 computation's domain.
@@ -549,6 +550,30 @@ def _horner(coeffs, value):
 # coefficients from x^0 up; an element of Z[c][h] is the list over h of
 # its coefficients in Z[c].  Arrays carry no trailing zeros, so zero is []
 # and the leading entry is last; at depth 0 an "array" is a plain int.
+
+
+def _ring_of(matrix):
+    """(kind, variable tag, depth) of the entries' ring: Fraction, UniPoly
+    or BiPoly, whose arrays have depth 0, 1 or 2.  Any other entry, or
+    UniPoly and BiPoly entries together, raise TypeError."""
+    kind, var, constant = Fraction, None, True
+    for row in matrix:
+        for x in row:
+            if isinstance(x, (int, Fraction)):
+                continue
+            if not isinstance(x, (UniPoly, BiPoly)):
+                raise TypeError(f"expected rational, UniPoly or BiPoly entries, "
+                                f"not {type(x).__name__}")
+            if kind not in (Fraction, type(x)):
+                raise TypeError("got both UniPoly and BiPoly entries")
+            kind, v = type(x), (x.var if isinstance(x, UniPoly) else x.vars)
+            if x.is_constant():
+                var = v if var is None else var
+            elif constant:
+                var, constant = v, False
+            elif v != var:
+                raise ValueError(f"variable mismatch: {var!r} vs {v!r}")
+    return kind, var, (Fraction, UniPoly, BiPoly).index(kind)
 
 
 def _array(x, depth):

@@ -10,18 +10,19 @@ Conventions fixed here and used everywhere else:
 * Gram matrices are laid out in the descending-lexicographic partition
   order of :func:`virasoro.combinat.partitions_of`.
 
-The parameters (c, h) may be rationals, rational functions of a curve
-parameter, or the symbolic coordinates of Q[c,h].  The action is one
-(c, h)-free table of integer triples (a, b, e), the coefficient a + b h
-+ e c/2; apply_L evaluates them in the ring of (c, h), the rank oracle
-as the integers S (a + b h + e c/2) (see `irreducible_dims`).
+The action is one (c, h)-free table of integer triples (a, b, e), the
+coefficient a + b h + e c/2.  apply_L evaluates them in the ring of
+(c, h), which may be Q, Q[x], Q(t) (a curve parameter) or Q[c,h].  The
+Gram matrices, the rank oracle and the Kac product form take (c, h) in
+Q, Q[x] or Q[c,h] and compute on the integer coefficient arrays of
+`scalars`: `_gram_recursion` lifts each triple to S a + b (S h) + e (S c/2),
+and each result is divided once in the ring of (c, h).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from typing import NamedTuple
 
 from .combinat import num_partitions, partition_key, partitions_of
@@ -32,6 +33,14 @@ from .scalars import (
     SparseVector,
     UniPoly,
     UsageError,
+    _addmul,
+    _array,
+    _entry,
+    _leaves,
+    _ring_of,
+    _row_scale,
+    _scaled,
+    _trim,
     accumulate,
     as_fraction,
     render_scalar,
@@ -209,21 +218,44 @@ class GramMatrix(NamedTuple):
         }
 
 
-def _gram_recursion(max_level: int, images, lift) -> list:
-    """The entry tables of lift^n G_n, n = 0..max_level, each from the
-    lower ones.  With lambda' the partition lambda without its first part k,
+def _gram_recursion(max_level: int, params: VermaParams):
+    """(ring, S, tables): the ring (kind, variable tag) of (c, h), the
+    least positive integer S with S h and S c/2 integral at every
+    coefficient, and the entry tables of S^n G_n, n = 0..max_level, as
+    ints (rational (c, h)), Z[x] arrays or Z[c][h] arrays.  A RatFunc
+    (c, h) raises TypeError.  With lambda' the partition lambda without
+    its first part k,
 
         G_n[lambda, mu] = sum_nu [nu](L_k L_{-mu} xi) G_{n-k}[lambda', nu],
 
-    where `images(k, mu)`, {nu: lift [nu](L_k L_{-mu} xi)}, is scaled by
-    lift^(k-1) once per column mu and distinct k of its rows.  Only the
-    upper triangle is computed; a zero entry is lift ** 0 - lift ** 0.
-    """
+    where each triple (a, b, e) of `_action(k, mu)` lifts to S^(k-1) times
+    the integer S a + b (S h) + e (S c/2), once per column mu and distinct
+    k of its rows.  Only the upper triangle is computed; the lower one
+    shares its entries."""
     if max_level < 0:
         raise UsageError("negative level")
-    one = lift ** 0
-    zero = one - one
-    tables = [((one,),)]
+    kind, var, depth = _ring_of([params])
+    lifted = [_array(params.h, depth), _array(params.c * Fraction(1, 2), depth)]
+    scale = _row_scale(_leaves(lifted, depth + 1))
+    sh, sc = _scaled(lifted, scale, depth + 1)
+
+    def images(k, mu):
+        power = scale ** (k - 1)
+        out = {}
+        for nu, (a, b, e) in _action(k, mu).items():
+            a, b, e = power * scale * a, power * b, power * e
+            if not depth:
+                out[nu] = a + b * sh + e * sc
+                continue
+            x = _array(a, depth)
+            if b:
+                _addmul(x, sh, _array(b, depth), depth)
+            if e:
+                _addmul(x, sc, _array(e, depth), depth)
+            out[nu] = _trim(x, depth)
+        return out
+
+    tables = [((_array(1, depth),),)]
     index = [{(): 0}]
     for n in range(1, max_level + 1):
         basis = partitions_of(n)
@@ -235,28 +267,46 @@ def _gram_recursion(max_level: int, images, lift) -> list:
                 k = lam[0]
                 image = column.get(k)
                 if image is None:
-                    image = images(k, mu)
-                    if k > 1 and lift != 1:
-                        power = lift ** (k - 1)
-                        image = {nu: power * a for nu, a in image.items()}
-                    column[k] = image
+                    image = column[k] = images(k, mu)
                 where = index[n - k]
                 lower = tables[n - k][where[lam[1:]]]
-                total = sum([a * lower[where[nu]] for nu, a in image.items()], zero)
-                entries[i][j] = entries[j][i] = total if total else zero
+                if depth:
+                    total = []
+                    for nu, a in image.items():
+                        if low := lower[where[nu]]:
+                            _addmul(total, a, low, depth)
+                    _trim(total, depth)
+                else:
+                    total = sum([a * lower[where[nu]] for nu, a in image.items()])
+                entries[i][j] = entries[j][i] = total
         tables.append(tuple(map(tuple, entries)))
         index.append({part: i for i, part in enumerate(basis)})
-    return tables
+    return (kind, var), scale, tables
 
 
 def gram_matrices(max_level: int, params: VermaParams) -> list:
-    """The Gram matrices of levels 0..max_level: `_gram_recursion` on the
-    images of apply_L.  Each entry, type included, is the pairing
-    <L_{-lambda} xi, L_{-mu} xi> got by pushing the adjoints L_k through
-    L_{-mu} xi one at a time."""
-    tables = _gram_recursion(
-        max_level, lambda k, mu: apply_L(k, PBWVector.monomial(mu), params).terms, Fraction(1))
-    return [GramMatrix(n, partitions_of(n), t, params) for n, t in enumerate(tables)]
+    """The Gram matrices of levels 0..max_level: each entry of the tables
+    of `_gram_recursion` divided once by S^n.  An entry's type is that of
+    the pairing <L_{-lambda} xi, L_{-mu} xi> in the ring of (c, h): the
+    level-0 entry and every zero entry are Fractions, and so is every
+    constant entry when h is rational; all others lie in the ring."""
+    (kind, var), scale, tables = _gram_recursion(max_level, params)
+    rational_h = isinstance(params.h, (int, Fraction))
+
+    def entry(a, n):
+        x = _entry(a, kind, var, scale ** n)
+        if kind is not Fraction and (not x or rational_h and x.is_constant()):
+            return x.constant_value()
+        return x
+
+    grams = [GramMatrix(0, partitions_of(0), ((Fraction(1),),), params)]
+    for n in range(1, len(tables)):
+        rows = [list(row) for row in tables[n]]
+        for j in range(len(rows)):
+            for i in range(j + 1):
+                rows[i][j] = rows[j][i] = entry(rows[i][j], n)
+        grams.append(GramMatrix(n, partitions_of(n), tuple(map(tuple, rows)), params))
+    return grams
 
 
 def gram_matrix(level: int, params: VermaParams) -> GramMatrix:
@@ -292,18 +342,32 @@ def phi_rs(r: int, s: int) -> BiPoly:
 
 def kac_det_product_sym(level: int) -> BiPoly:
     """Product form of the level determinant, up to a constant, in Q[c,h]."""
-    if level < 1:
-        raise UsageError("product form defined for level >= 1")
-    result = BiPoly.const(1)
-    for r in range(1, level + 1):
-        for s in range(1, min(r, level // r) + 1):
-            result = result * phi_rs(r, s) ** num_partitions(level - r * s)
-    return result
+    return kac_det_product(level, VermaParams.symbolic())
 
 
 def kac_det_product(level: int, params: VermaParams):
-    """Product form evaluated at the given parameters."""
-    return kac_det_product_sym(level).specialize(params.c, params.h)
+    """The product form prod_{rs <= level, r >= s} phi_{r,s}^p(level - rs)
+    at the given (c, h), in their ring.  Each phi_{r,s} is specialised
+    first and cleared of its coefficient denominators by d_{r,s}; the
+    powers are multiplied as ints, Z[x] or Z[c][h] arrays, and the
+    product is divided once by the product of the d_{r,s}^p."""
+    if level < 1:
+        raise UsageError("product form defined for level >= 1")
+    kind, var, depth = _ring_of([params])
+    result, scale = _array(1, depth), 1
+    for r in range(1, level + 1):
+        for s in range(1, min(r, level // r) + 1):
+            factor = _array(phi_rs(r, s).specialize(params.c, params.h), depth)
+            den = _row_scale(_leaves([factor], depth + 1))
+            factor = _scaled(factor, den, depth)
+            power = num_partitions(level - r * s)
+            if depth:
+                for _ in range(power):
+                    result = _trim(_addmul([], result, factor, depth), depth)
+            else:
+                result *= factor ** power
+            scale *= den ** power
+    return _entry(result, kind, var, scale)
 
 
 def kac_det_ratio(level: int):
@@ -344,19 +408,9 @@ def h_pq_curve(p: int, q: int, var: str = "t") -> RatFunc:
 
 
 def irreducible_dims(params: VermaParams, max_level: int) -> list:
-    """dim L(c,h)(n) for n = 0..max_level: the Q-rank of each Gram matrix.
-
-    With S = lcm(2 den c, den h), S (a + b h + e c/2) is an integer for
-    every triple of `_action`, so `_gram_recursion` with lift S runs in
-    ints and yields S^n G_n, whose integer `rank` is the exact Q-rank of
-    G_n: a nonzero scale keeps the rank."""
+    """dim L(c,h)(n) for n = 0..max_level: the Q-rank of each Gram matrix,
+    as the integer `rank` of the int table S^n G_n of `_gram_recursion`
+    (a nonzero scale keeps the rank)."""
     if not params.is_rational():
         raise ValueError("the rank oracle needs rational (c, h)")
-    c, h = as_fraction(params.c), as_fraction(params.h)
-    lift = lcm(2 * c.denominator, h.denominator)
-    sh, sc = (lift * h).numerator, (lift * c / 2).numerator
-
-    def images(k, mu):
-        return {nu: lift * a + sh * b + sc * e for nu, (a, b, e) in _action(k, mu).items()}
-
-    return [rank(rows) for rows in _gram_recursion(max_level, images, lift)]
+    return [rank(rows) for rows in _gram_recursion(max_level, params)[2]]

@@ -49,6 +49,24 @@ def test_kacdet_ratio(capsys):
     assert report["value"] == "32"
 
 
+def test_kacdet_product_renders_integers_of_any_size(capsys):
+    # the numerator has 43,248 digits, beyond CPython's default str limit
+    from fractions import Fraction
+
+    from virasoro import verma
+
+    limit = sys.get_int_max_str_digits()
+    try:
+        code, out = run_cli(["kacdet", "--level", "30", "--mode", "product",
+                             "--c", "1", "--h", "1/3", "--json"], capsys)
+        assert code == 0
+        value = Fraction(json.loads(out)["value"])
+        assert len(str(value.numerator)) == 43248 > sys.int_info.default_max_str_digits
+        assert value == verma.kac_det_product(30, verma.VermaParams.rational(1, Fraction(1, 3)))
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_gram_json_roundtrip(capsys):
     code, out = run_cli(["gram", "--c", "c", "--h", "h", "--level", "2", "--json"], capsys)
     assert code == 0
@@ -404,6 +422,11 @@ def test_library_rejects_bad_input_as_usage_error(argv, capsys):
 @pytest.mark.parametrize("argv", [
     ["binomdet", "--f", "3,a", "--mu", "1"],
     ["binomdet", "--f", "3,,1", "--mu", "1"],
+    ["gram", "--c", "1/0", "--h", "h", "--level", "2"],
+    ["singvec", "--method", "curve", "--rs", "2,2", "--at", "1/0"],
+    ["character", "--c1", "--j", "1/0", "--N", "2"],
+    ["ffpoly", "--j", "1", "--lambda", "1/0", "--compare", "direct,product"],
+    ["goldstone", "--j", "1/0", "--k", "1/2", "--m", "2"],
 ], ids=" ".join)
 def test_parser_rejects_bad_input_as_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -6,7 +6,7 @@ import pytest
 
 from virasoro import linalg
 from virasoro.combinat import num_partitions, partitions_of
-from virasoro.jantzen import discrete_path
+from virasoro.jantzen import c1_path, discrete_path
 from virasoro.scalars import BiPoly, RatFunc, accumulate
 from virasoro.verma import (
     PBWVector,
@@ -21,6 +21,7 @@ from virasoro.verma import (
     h_pq_curve,
     irreducible_dims,
     kac_det_direct,
+    kac_det_product,
     kac_det_product_sym,
     kac_det_ratio,
     pbw_left_multiply,
@@ -123,8 +124,13 @@ def _gram_by_pairs(level, params):
         (VermaParams.rational(Fraction(1, 2), Fraction(1, 16)), 9),
         (VermaParams.rational(1, Fraction(9, 4)), 9),
         (VermaParams.rational(Fraction(-22, 5), Fraction(-1, 5)), 9),
+        (VermaParams(*c1_path(Fraction(1, 2))[0]), 7),
+        (VermaParams(*discrete_path(3, 2, 2)[0]), 7),
+        (VermaParams(Fraction(1, 2), BiPoly.gens()[1]), 7),
+        (VermaParams(BiPoly.gens()[0], Fraction(1, 3)), 7),
     ],
-    ids=["symbolic", "ising", "c1-j3/2", "lee-yang"],
+    ids=["symbolic", "ising", "c1-j3/2", "lee-yang", "c1-path-j1/2", "discrete-path-3-2-2",
+         "c1/2-h-symbolic", "c-symbolic-h1/3"],
 )
 def test_gram_matrices_match_shapovalov_pairs(params, max_level):
     grams = gram_matrices(max_level, params)
@@ -271,6 +277,43 @@ def test_kac_product_level_1_and_2():
     # level 2: phi_11^P(1) * phi_21^P(0); ratio to the direct form is 32
     ratio = kac_det_ratio(2)
     assert ratio.is_constant() and ratio.constant_value() == 32
+
+
+def _bipoly_product(level):
+    """Oracle: the product form prod phi_{r,s}^p(level - rs) multiplied
+    out in BiPoly arithmetic."""
+    result = BiPoly.const(1)
+    for r in range(1, level + 1):
+        for s in range(1, min(r, level // r) + 1):
+            result = result * phi_rs(r, s) ** num_partitions(level - r * s)
+    return result
+
+
+def test_kac_product_sym_matches_bipoly_product():
+    for level in range(1, 8):
+        assert kac_det_product_sym(level) == _bipoly_product(level), level
+
+
+def test_kac_product_specialises_each_factor():
+    """The factor-wise product at (c, h) against the symbolic product
+    specialised there, value and type."""
+    c, h = BiPoly.gens()
+    points = [SYM, VermaParams(Fraction(1, 2), h), VermaParams(c, Fraction(-5, 4)),
+              VermaParams.rational(1, Fraction(1, 3)), VermaParams.rational(0, 0),
+              VermaParams.rational(Fraction(-22, 5), Fraction(-1, 5))]
+    for level in range(1, 7):
+        sym = kac_det_product_sym(level)
+        for params in points:
+            want = sym.specialize(params.c, params.h)
+            got = kac_det_product(level, params)
+            assert got == want and type(got) is type(want), (level, params)
+
+
+def test_rational_function_params_raise_type_error():
+    curve = VermaParams(c_curve(), h_pq_curve(3, 2))
+    for build in (gram_matrices, kac_det_product):
+        with pytest.raises(TypeError):
+            build(2, curve)
 
 
 @pytest.mark.parametrize("level", [1, 2, 3, 4])
