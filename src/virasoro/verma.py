@@ -293,18 +293,18 @@ def gram_matrices(max_level: int, params: VermaParams) -> list:
     (kind, var), scale, tables = _gram_recursion(max_level, params)
     rational_h = isinstance(params.h, (int, Fraction))
 
-    def entry(a, n):
-        x = _entry(a, kind, var, scale ** n)
+    def entry(a, den):
+        x = _entry(a, kind, var, den)
         if kind is not Fraction and (not x or rational_h and x.is_constant()):
             return x.constant_value()
         return x
 
     grams = [GramMatrix(0, partitions_of(0), ((Fraction(1),),), params)]
     for n in range(1, len(tables)):
-        rows = [list(row) for row in tables[n]]
+        rows, den = [list(row) for row in tables[n]], scale ** n
         for j in range(len(rows)):
             for i in range(j + 1):
-                rows[i][j] = rows[j][i] = entry(rows[i][j], n)
+                rows[i][j] = rows[j][i] = entry(rows[i][j], den)
         grams.append(GramMatrix(n, partitions_of(n), tuple(map(tuple, rows)), params))
     return grams
 
