@@ -546,9 +546,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(_join_negative_fractions(sys.argv[1:] if argv is None else argv))
     # every input is parsed, under CPython's guard on long digit strings;
     # what is left to convert is results, which may be of any size
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     try:
+        if limit is not None:
+            sys.set_int_max_str_digits(0)
         return args.fn(args)
     except UsageError as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
@@ -559,6 +560,9 @@ def main(argv=None) -> int:
     except Exception as exc:  # a fault of the program, not of the input
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 3
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

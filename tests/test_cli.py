@@ -51,20 +51,33 @@ def test_kacdet_ratio(capsys):
 
 def test_kacdet_product_renders_integers_of_any_size(capsys):
     # the numerator has 43,248 digits, beyond CPython's default str limit
+    # (Python >= 3.11); main lifts that limit only while the command runs
     from fractions import Fraction
 
     from virasoro import verma
 
-    limit = sys.get_int_max_str_digits()
-    try:
-        code, out = run_cli(["kacdet", "--level", "30", "--mode", "product",
-                             "--c", "1", "--h", "1/3", "--json"], capsys)
-        assert code == 0
-        value = Fraction(json.loads(out)["value"])
-        assert len(str(value.numerator)) == 43248 > sys.int_info.default_max_str_digits
-        assert value == verma.kac_det_product(30, verma.VermaParams.rational(1, Fraction(1, 3)))
-    finally:
-        sys.set_int_max_str_digits(limit)
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    limit = get_limit() if get_limit else None
+    code, out = run_cli(["kacdet", "--level", "30", "--mode", "product",
+                         "--c", "1", "--h", "1/3", "--json"], capsys)
+    assert code == 0
+    text = json.loads(out)["value"]
+    assert len(text.split("/")[0]) == 43248
+    if limit is None:
+        value = Fraction(text)
+    else:
+        assert get_limit() == limit and 43248 > sys.int_info.default_max_str_digits
+        # argument parsing keeps the guard after a call that lifted it
+        with pytest.raises(SystemExit) as exc:
+            main(["kacdet", "--level", "1", "--mode", "product", "--c", "1" * 43248])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        sys.set_int_max_str_digits(0)
+        try:
+            value = Fraction(text)
+        finally:
+            sys.set_int_max_str_digits(limit)
+    assert value == verma.kac_det_product(30, verma.VermaParams.rational(1, Fraction(1, 3)))
 
 
 def test_gram_json_roundtrip(capsys):

@@ -248,8 +248,9 @@ def _kac_modules():
 
 
 def test_irreducible_dims_match_fraction_route():
-    """The S^n-scaled integer recursion against the ranks of the Fraction
-    Gram matrices, at seeded (c, h) and at all 34 Kac-table modules."""
+    """The S^n-scaled integer recursion against the ranks of the Gram
+    matrices got by pushing apply_L adjoints, at seeded (c, h) and at all
+    34 Kac-table modules."""
     rng = random.Random(43)
     points = [VermaParams.rational(Fraction(rng.randint(-90, 90), rng.randint(1, 97)),
                                    Fraction(rng.randint(-90, 90), rng.randint(1, 97)))
@@ -257,7 +258,7 @@ def test_irreducible_dims_match_fraction_route():
     modules = list(_kac_modules())
     assert len(modules) == 34
     for params in points + modules:
-        want = [linalg.rank(g.rows()) for g in gram_matrices(8, params)]
+        want = [linalg.rank(_gram_by_pairs(n, params)) for n in range(9)]
         assert irreducible_dims(params, 8) == want, params
 
 
