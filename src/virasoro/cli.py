@@ -373,11 +373,20 @@ def cmd_fock_check(args) -> int:
     from . import fock_checks
     names = args.suite.split(",") if args.suite and args.suite != "all" else None
     _check_names("suites", names or (), fock_checks.SUITES)
-    reports = fock_checks.run_suites(args.emax, names=names, pair_emax=args.pair_emax)
+    # a window that no selected suite runs at is a usage error, not ignored
+    pair = [name in fock_checks.PAIR_SUITES for name in names or fock_checks.SUITES]
+    for flag, given, unread in (("--emax", args.emax, all(pair)),
+                                ("--pair-emax", args.pair_emax, not any(pair))):
+        if given is not None and unread:
+            raise UsageError(f"no selected suite runs at {flag}; pair suites: "
+                             f"{', '.join(fock_checks.PAIR_SUITES)}")
+    emax = Fraction(6) if args.emax is None else args.emax
+    pair_emax = Fraction(4) if args.pair_emax is None else args.pair_emax
+    reports = fock_checks.run_suites(emax, names=names, pair_emax=pair_emax)
     ok = all(r["ok"] for r in reports)
     report = {
         "subcommand": "fock-check",
-        "emax": str(args.emax),
+        "emax": str(emax),
         "suites": [
             {
                 "name": r["name"],
@@ -499,8 +508,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_binomdet)
 
     p = sub.add_parser("fock-check", help="Fock-space identity suites")
-    p.add_argument("--emax", type=_parse_fraction, default=Fraction(6))
-    p.add_argument("--pair-emax", type=_parse_fraction, default=Fraction(4))
+    p.add_argument("--emax", type=_parse_fraction, help="window of the other suites (default 6)")
+    p.add_argument("--pair-emax", type=_parse_fraction,
+                   help="window of the pair suites (default 4)")
     p.add_argument("--suite", default="all",
                    help="comma list of suite names, or 'all'")
     _common(p)

@@ -332,6 +332,10 @@ SUITES = {
 }
 
 
+# The suites that run on the pair space, at the second window bound.
+PAIR_SUITES = ("example2", "level1", "psi-boson", "theta")
+
+
 def check_window(emax, pair_emax) -> None:
     """A UsageError unless both window bounds reach the q^2 order that the
     character checks read."""
@@ -355,6 +359,6 @@ def run_suites(emax, names=None, pair_emax=None) -> list:
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}")
-        bound = pair_emax if name in ("example2", "level1", "psi-boson", "theta") else emax
+        bound = pair_emax if name in PAIR_SUITES else emax
         reports.append(SUITES[name](bound))
     return reports

@@ -8,12 +8,15 @@ along a curve through a degenerate point) induces the filtration
 and the order of x = 0 as a root of det A(x) equals sum_{i>=1} dim V^(i).
 V^(1) is the plain kernel of A_0; for deeper steps the witnessing section
 may need x-corrections, so V^(m) is read off the kernel K_m of the
-block-Toeplitz system sum_{i+j=k} A_i v_j = 0 (k < m) rather than from
-the intersection of the ker A_i alone.  (The plain intersection
+block-Toeplitz system T_m: sum_{i+j=k} A_i v_j = 0 (k < m), rather than
+from the intersection of the ker A_i alone.  (The plain intersection
 undercounts: at c = 1, j = 1/2, level 6 it gives 5 where the determinant
 order is 6, because the depth-two singular vector only annihilates A_1
-after a correction.)  The kernels nest, so K_{m+1} grows from a basis of
-K_m by one block row, and the loop stops after at most ord det + 1 depths.
+after a correction.)  K_m projects onto V^(m) by v -> v_0, and the
+kernel of that projection, the sections with v_0 = 0, is K_{m-1} shifted
+by one block.  So dim V^(m) = dim K_m - dim K_{m-1} = n - (rank T_m -
+rank T_{m-1}), and the filtration needs only ranks over Q, at most
+ord det + 1 of them.
 
 Two path families are supported: central-charge paths (1 + x, j^2) and
 weight paths (c(m), h_{r,s}(m) + x).  For j = 0 the c-path is degenerate
@@ -29,7 +32,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .combinat import QSeries, num_partitions, partitions_of
-from .linalg import bareiss_det, nullspace, sum_entries
+from .linalg import bareiss_det, rank, sum_entries
 from .scalars import UniPoly, UsageError, as_fraction
 from .singular import c1_chain_levels, discrete_chain_levels
 from .verma import PBWVector, VermaParams, central_charge, gram_matrices, h_pq
@@ -69,11 +72,15 @@ def gram_family(path, level: int, provenance: str = "") -> MatrixFamily:
     """The level Gram matrix along a polynomial path (c(x), h(x)): the path
     is itself the Verma parameter, whose Gram matrices gram_matrices
     builds on Z[x] arrays; every entry, zeros included, as a UniPoly."""
+    return _gram_families(path, level, provenance, low=level)[0]
+
+
+def _gram_families(path, n_max: int, provenance: str, low: int) -> list:
+    """The families of levels low..n_max from one gram_matrices build."""
     c_path, h_path = (_as_x_poly(p) for p in path)
-    gram = gram_matrices(level, VermaParams(c_path, h_path))[level]
-    rows = tuple(tuple(map(_as_x_poly, row)) for row in gram.entries)
     label = provenance or f"c(x)={c_path.render()}, h(x)={h_path.render()}"
-    return MatrixFamily(level, rows, label)
+    return [MatrixFamily(g.level, tuple(tuple(map(_as_x_poly, row)) for row in g.entries), label)
+            for g in gram_matrices(n_max, VermaParams(c_path, h_path))[low:]]
 
 
 def c1_path(j):
@@ -97,29 +104,18 @@ def discrete_path(m: int, r: int, s: int):
 def coefficient_matrices(family: MatrixFamily):
     """The rational matrices A_i of A(x) = sum A_i x^i."""
     top = max((e.degree for row in family.entries for e in row), default=0)
-    mats = []
-    for i in range(top + 1):
-        mats.append(
-            [
-                [
-                    e.coeffs[i] if i <= e.degree else Fraction(0)
-                    for e in row
-                ]
-                for row in family.entries
-            ]
-        )
-    return mats
+    return [[[e.coeffs[i] if i <= e.degree else Fraction(0) for e in row]
+             for row in family.entries] for i in range(top + 1)]
 
 
 def jantzen_filtration(family: MatrixFamily, det=None) -> Filtration:
-    """Section-based filtration from the growing kernels K_m; `det` is
-    det A(x) when the caller has already computed it.
+    """The filtration dims as rank differences of the block-Toeplitz
+    matrices T_m; `det` is det A(x) when the caller has already computed it.
 
-    K_{m+1} = {(w, v_m) : w in K_m, A_0 v_m + sum_{j<m} A_{m-j} w_j = 0},
-    so each depth solves one n-row system over the columns [residues of
-    the K_m basis | A_0], and dim V^(m) = dim K_m - dim K_{m-1}.  As the
-    dims sum to ord det, at most ord det + 1 depths are run; a filtration
-    that overran them would break the order identity its callers check.
+    T_m has A_{i-j} in block row i and block column j <= i (i, j < m), and
+    dim V^(m) = n - (rank T_m - rank T_{m-1}).  As the dims sum to
+    ord det, at most ord det + 1 depths are run; a filtration that overran
+    them would break the order identity its callers check.
     """
     if det is None:
         det = bareiss_det(family.rows())
@@ -129,31 +125,17 @@ def jantzen_filtration(family: MatrixFamily, det=None) -> Filtration:
         )
     mats = coefficient_matrices(family)
     n = family.dim
-    zero = Fraction(0)
-    dims = [n]
-    kernel = []  # basis of K_m, each vector the blocks v_0 .. v_{m-1} in a row
-    for m in range(det.order_at_zero() + 1):
-        # the new block row A_0 v_m + sum_{j<m} A_{m-j} w_j = 0, with w
-        # written in the K_m basis: one column per basis vector, then A_0
-        residues = []
-        for w in kernel:
-            res = [zero] * n
-            for j in range(max(0, m + 1 - len(mats)), m):
-                block = w[j * n:(j + 1) * n]
-                for r, row in enumerate(mats[m - j]):
-                    res[r] += sum_entries(row, block)
-            residues.append(res)
-        system = [[res[r] for res in residues] + mats[0][r] for r in range(n)]
-        # each solution (a, v_m) gives the K_{m+1} vector (sum_t a_t w_t, v_m)
-        grown = [
-            [sum((a * w[k] for a, w in zip(sol, kernel) if a), zero) for k in range(n * m)]
-            + sol[len(kernel):]
-            for sol in nullspace(system, ncols=len(kernel) + n)
-        ]
-        if len(grown) == len(kernel):
+    zeros = [Fraction(0)] * n
+    dims, prev = [n], 0
+    for m in range(1, det.order_at_zero() + 2):
+        toeplitz = [[x for j in range(m)
+                     for x in (mats[i - j][r] if 0 <= i - j < len(mats) else zeros)]
+                    for i in range(m) for r in range(n)]
+        now = rank(toeplitz)
+        if now - prev == n:
             break
-        dims.append(len(grown) - len(kernel))
-        kernel = grown
+        dims.append(n - (now - prev))
+        prev = now
     dims.append(0)
     return Filtration(tuple(dims))
 
@@ -168,9 +150,9 @@ def det_order_filtration(family: MatrixFamily):
 
 def level_filtrations(path, label: str, n_max: int) -> list:
     """(det order, filtration) of the path's Gram family at each level
-    1..n_max, one determinant per level (see det_order_filtration)."""
-    return [det_order_filtration(gram_family(path, level, label))
-            for level in range(1, n_max + 1)]
+    1..n_max, one Gram build for all levels and one determinant per level
+    (see det_order_filtration)."""
+    return [det_order_filtration(fam) for fam in _gram_families(path, n_max, label, low=1)]
 
 
 def det_order_identity(family: MatrixFamily):

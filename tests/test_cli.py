@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -8,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from virasoro.cli import main
+from virasoro.cli import build_parser, main
 
 
 def run_cli(args, capsys):
@@ -465,6 +467,68 @@ def test_negative_fraction_as_its_own_token(line, code, capsys):
     assert run_cli(line.split(), capsys) == want
 
 
+# One cheap argv per mode of each subcommand.  The scan adds, one at a
+# time, every flag of the subcommand that the argv lacks; each must exit 2
+# or change the report, so no flag is parsed and then ignored.
+SCAN_BASES = [
+    "gram --c 1 --h 1/4 --level 2",
+    "kacdet --level 2",
+    "kacdet --level 2 --mode ratio",
+    "singvec --method kernel --c 1 --h 1/4 --level 2",
+    "singvec --method bdiz --j 1/2",
+    "singvec --method curve --rs 2,1",
+    "ffpoly --j 1 --lambda 1",
+    "jantzen --case c1 --j 1 --N 3",
+    "jantzen --case discrete --m 3 --r 1 --s 1 --N 3",
+    "character --c1 --j 1 --N 4",
+    "character --discrete --m 3 --r 2 --s 2 --N 4",
+    "goldstone --k 1/2 --m 2",
+    "binomdet --f 2,2 --mu 2",
+    "fock-check --emax 2 --suite car",
+    "fock-check --pair-emax 2 --suite level1",
+    "acceptance --suite gomes",
+    "acceptance --suite jantzen",
+]
+SCAN_VALUES = {
+    "--c": "1/2", "--h": "1/2", "--level": "1", "--mode": "product", "--j": "1/2",
+    "--rs": "2,2", "--at": "2", "--mu": "1/2", "--compare": "direct,product", "--m": "3",
+    "--r": "2", "--s": "1", "--N": "2", "--path": "h", "--sector": "plus", "--emax": "3",
+    "--pair-emax": "3", "--level-cap": "1", "--seed": "5",
+    ("binomdet", "--compare"): "product,pairing",
+    # --j only checks that the charge lies in j + Z, so a valid spin leaves
+    # the report as it is; what shows that the flag is read is the exit 2
+    # of a charge outside j + Z
+    ("goldstone", "--j"): "0",
+}
+
+
+def _scan_run(argv):
+    """(exit code, stdout) of one in-process run, a parser exit included,
+    with the acceptance rows' wall times dropped."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, re.sub(r'"elapsed": [-+.\de]+', "", out.getvalue())
+
+
+@pytest.mark.parametrize("base", SCAN_BASES)
+def test_every_flag_is_read(base):
+    argv = [*base.split(), "--json"]
+    want = _scan_run(argv)
+    assert want[0] == 0, want
+    parser = next(a for a in build_parser()._actions if a.dest == "command").choices[argv[0]]
+    for action in parser._actions:
+        flag = action.option_strings[-1] if action.option_strings else None
+        if flag in (None, "--help", "--json", "--out") or flag in argv:
+            continue
+        value = [] if action.nargs == 0 else [SCAN_VALUES.get((argv[0], flag), SCAN_VALUES[flag])]
+        code, out = _scan_run(argv + [flag, *value])
+        assert code == 2 or code in (0, 1) and out != want[1], (flag, value, code)
+
+
 README_HEAVY = ("kacdet --level 6", "fock-check", "acceptance --suite all")
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -504,7 +568,7 @@ _SUITE_MODULES = {
 
 @pytest.mark.parametrize("example", [""] + _readme_examples() + [
     "kacdet --level 2 --mode ratio",
-    "fock-check --emax 2 --pair-emax 2 --suite car",
+    "fock-check --emax 2 --pair-emax 2 --suite car,theta",
     "acceptance --suite gomes",
 ], ids=lambda e: e or "import virasoro.cli")
 def test_command_imports_only_what_it_runs(example):

@@ -21,7 +21,7 @@ from virasoro.jantzen import (
     kac_module,
     norm_vanishing_order,
 )
-from virasoro.linalg import nullspace, sum_entries
+from virasoro.linalg import bareiss_det, nullspace, sum_entries
 from virasoro.scalars import BiPoly, UniPoly, UsageError
 from virasoro.singular import singular_kernel
 from virasoro.verma import PBWVector, VermaParams, gram_matrices, h_pq, pbw_left_multiply
@@ -71,9 +71,11 @@ def _first_block_span(kernel, n: int):
 
 
 def _rebuilt_filtration(family):
-    """(dims, bases) of the filtration with the whole block-Toeplitz system
-    rebuilt and solved at every depth: the dims are the reference for
-    jantzen_filtration, and bases[i - 1] spans V^(i).  The dims sum to
+    """(dims, bases) of the filtration with the kernel of the whole
+    block-Toeplitz system T_m solved at every depth and projected onto its
+    v_0 block: bases[i - 1] spans V^(i), and the dims, differences of the
+    kernel dimensions, are the reference for the rank differences of
+    jantzen_filtration and for _growing_filtration.  The dims sum to
     ord det <= deg det <= n (len(mats) - 1), which bounds the depths."""
     mats = coefficient_matrices(family)
     n = family.dim
@@ -90,12 +92,72 @@ def _rebuilt_filtration(family):
     return tuple(dims), tuple(bases)
 
 
+def _growing_filtration(family: MatrixFamily, det=None) -> Filtration:
+    """Section-based filtration from the growing kernels K_m; `det` is
+    det A(x) when the caller has already computed it.
+
+    K_{m+1} = {(w, v_m) : w in K_m, A_0 v_m + sum_{j<m} A_{m-j} w_j = 0},
+    so each depth solves one n-row system over the columns [residues of
+    the K_m basis | A_0], and dim V^(m) = dim K_m - dim K_{m-1}.  As the
+    dims sum to ord det, at most ord det + 1 depths are run; a filtration
+    that overran them would break the order identity its callers check.
+    """
+    if det is None:
+        det = bareiss_det(family.rows())
+    if det.is_zero():
+        raise DegenerateFamilyError(
+            f"det A(x) vanishes identically for {family.provenance} at level {family.level}"
+        )
+    mats = coefficient_matrices(family)
+    n = family.dim
+    zero = Fraction(0)
+    dims = [n]
+    kernel = []  # basis of K_m, each vector the blocks v_0 .. v_{m-1} in a row
+    for m in range(det.order_at_zero() + 1):
+        # the new block row A_0 v_m + sum_{j<m} A_{m-j} w_j = 0, with w
+        # written in the K_m basis: one column per basis vector, then A_0
+        residues = []
+        for w in kernel:
+            res = [zero] * n
+            for j in range(max(0, m + 1 - len(mats)), m):
+                block = w[j * n:(j + 1) * n]
+                for r, row in enumerate(mats[m - j]):
+                    res[r] += sum_entries(row, block)
+            residues.append(res)
+        system = [[res[r] for res in residues] + mats[0][r] for r in range(n)]
+        # each solution (a, v_m) gives the K_{m+1} vector (sum_t a_t w_t, v_m)
+        grown = [
+            [sum((a * w[k] for a, w in zip(sol, kernel) if a), zero) for k in range(n * m)]
+            + sol[len(kernel):]
+            for sol in nullspace(system, ncols=len(kernel) + n)
+        ]
+        if len(grown) == len(kernel):
+            break
+        dims.append(len(grown) - len(kernel))
+        kernel = grown
+    dims.append(0)
+    return Filtration(tuple(dims))
+
+
+def _three_routes(fam):
+    """The filtration dims by rank differences, by growing kernels and by
+    rebuilt systems, from one determinant."""
+    det = bareiss_det(fam.rows())
+    return (jantzen_filtration(fam, det).dims, _growing_filtration(fam, det).dims,
+            _rebuilt_filtration(fam)[0])
+
+
 @pytest.mark.parametrize("name,case,label", JANTZEN_FAMILIES, ids=[f[0] for f in JANTZEN_FAMILIES])
 def test_growing_kernel_matches_rebuilt_systems(name, case, label):
     path, label = kac_module(case, **label).path
     for level in range(1, 8):
-        fam = gram_family(path, level, label)
-        assert jantzen_filtration(fam).dims == _rebuilt_filtration(fam)[0], (name, level)
+        ranks, growing, rebuilt = _three_routes(gram_family(path, level, label))
+        assert ranks == growing == rebuilt, (name, level)
+
+
+def test_three_routes_agree_on_the_weight_path_at_level_8():
+    path, label = c1_path(0)
+    assert _three_routes(gram_family(path, 8, label)) == ((22, 15, 5, 0),) * 3
 
 
 def test_gram_family_is_the_specialised_symbolic_gram():
