@@ -258,9 +258,11 @@ def _ranks_match_characters(rows):
 
 @_timed
 def criterion_characters_vs_ranks(**_):
-    """Closed-form characters against the Gram-rank oracle."""
+    """Closed-form characters against the Gram-rank oracle: c = 1 with
+    j = 0, 1/2, 1, 3/2, 2 to q^11 and m = 3 with (r, s) = (1,1), (2,1),
+    (2,2) to q^6."""
     return _ranks_match_characters(
-        [(f"c=1 j={j}", 9, "c1", {"j": j}) for j in (Fraction(0), Fraction(1, 2), Fraction(1))]
+        [(f"c=1 j={Fraction(two_j, 2)}", 11, "c1", {"j": Fraction(two_j, 2)}) for two_j in range(5)]
         + [(f"m=3 ({r},{s}) h={{h}}", 6, "discrete", {"m": 3, "r": r, "s": s})
            for r, s in ((1, 1), (2, 1), (2, 2))])
 

@@ -387,6 +387,7 @@ def cmd_fock_check(args) -> int:
     report = {
         "subcommand": "fock-check",
         "emax": str(emax),
+        **({"pair_emax": str(pair_emax)} if any(pair) else {}),
         "suites": [
             {
                 "name": r["name"],

@@ -10,8 +10,8 @@ The arrays and their ring operations live in `scalars`; this module
 only eliminates.
 
 * `bareiss_det`: determinants over Q, Q[x] or Q[c,h], one forward pass;
-* `rank`, `nullspace`: the forward pass or the full Gauss-Jordan over
-  Z or Z[t], for matrices over Q or Q(t).
+* `pivot_columns`, `rank`, `nullspace`: the forward pass or the full
+  Gauss-Jordan over Z or Z[t], for matrices over Q or Q(t).
 """
 
 from __future__ import annotations
@@ -154,12 +154,19 @@ def _cleared(row, var=None):
     return [_scaled(a, den, 1) for a in row]
 
 
-def rank(matrix) -> int:
-    """Rank over Q of a matrix of rationals (Fraction or int entries): the
-    pivot count of the forward elimination `_echelon` over Z, on the rows
-    cleared of their denominators (which keeps the rank)."""
+def pivot_columns(matrix) -> list:
+    """Pivot columns over Q of a matrix of rationals (Fraction or int
+    entries): those of the forward elimination `_echelon` over Z, on the
+    rows cleared of their denominators.  Column j is a pivot exactly when
+    it is not in the span of the columns left of it, so neither the
+    clearing nor the row swaps move the set."""
     rows = [row for row in map(_cleared, matrix) if any(row)]
-    return len(_echelon(rows, 0, reduced=False)[0])
+    return _echelon(rows, 0, reduced=False)[0]
+
+
+def rank(matrix) -> int:
+    """Rank over Q of a matrix of rationals: its number of pivot columns."""
+    return len(pivot_columns(matrix))
 
 
 def nullspace(matrix, ncols=None):

@@ -11,7 +11,7 @@ RUNTIME_TARGETS = {
     "density-poly": 5.0,   # direct, product and determinant a_d for j <= 4
     "goldstone": 2.0,      # oscillator kernels at energies up to 9
     "binomial": 3.0,       # pairings and binomial determinants, |f| <= 6
-    "characters": 2.0,     # rank oracle to level 9
+    "characters": 2.0,     # rank oracle to level 11
     "discrete-characters": 12.0,  # rank oracle, 34 modules to level 10
     "fock": 30.0,          # identity suite at E_max = 7, pair space at 4
     "singular-triple": 25.0,  # curve vectors to level 9 over Q(t)

@@ -188,6 +188,9 @@ def test_fock_check_subset(capsys):
     report = json.loads(out)
     assert report["ok"] is True
     assert [s["name"] for s in report["suites"]] == ["car", "theta"]
+    assert (report["emax"], report["pair_emax"]) == ("2", "2")
+    code, out = run_cli(["fock-check", "--emax", "2", "--suite", "car", "--json"], capsys)
+    assert code == 0 and "pair_emax" not in json.loads(out)
 
 
 def test_fock_check_unknown_suite(capsys):

@@ -4,13 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from virasoro import linalg
+from virasoro import linalg, verma
 from virasoro.combinat import num_partitions, partitions_of
 from virasoro.jantzen import c1_path, discrete_path
 from virasoro.scalars import BiPoly, RatFunc, accumulate
 from virasoro.verma import (
     PBWVector,
     VermaParams,
+    _gram_recursion,
     _left_mul_monomial,
     apply_L,
     c_curve,
@@ -260,6 +261,57 @@ def test_irreducible_dims_match_fraction_route():
     for params in points + modules:
         want = [linalg.rank(_gram_by_pairs(n, params)) for n in range(9)]
         assert irreducible_dims(params, 8) == want, params
+
+
+def _leading(v):
+    """The leading monomial of a PBW vector under the order of
+    irreducible_dims: most parts, then the largest descending tuple."""
+    return max(v.terms, key=lambda part: (len(part), part))
+
+
+def test_left_multiply_leads_with_the_inserted_part():
+    """The lemma behind irreducible_dims: L_{-j} v leads with LM(v) + {j},
+    with the coefficient of LM(v) in v."""
+    rng = random.Random(7)
+    for level in range(1, 13):
+        v = rand_vector(rng, level)
+        if not v.terms:
+            continue
+        lead = _leading(v)
+        for j in range(1, 13):
+            w = pbw_left_multiply(j, v)
+            want = tuple(sorted(lead + (j,), reverse=True))
+            assert _leading(w) == want, (level, j)
+            assert w.terms[want] == v.terms[lead], (level, j)
+
+
+def test_irreducible_dims_match_full_table_ranks():
+    """The block route against `linalg.rank` of every full table S^n G_n
+    of `_gram_recursion` to level 10: the 34 Kac modules, c = 1 with
+    2j <= 5, (0, 0) and seeded rational points."""
+    rng = random.Random(11)
+    points = [VermaParams.rational(Fraction(rng.randint(-60, 60), rng.randint(1, 40)),
+                                   Fraction(rng.randint(-60, 60), rng.randint(1, 40)))
+              for _ in range(6)]
+    c1 = [VermaParams.rational(1, Fraction(two_j, 2) ** 2) for two_j in range(6)]
+    for params in [*_kac_modules(), *c1, VermaParams.rational(0, 0), *points]:
+        want = [linalg.rank(table) for table in _gram_recursion(10, params)[2]]
+        assert irreducible_dims(params, 10) == want, params
+
+
+def test_irreducible_dims_ranks_one_entry_at_the_trivial_module(monkeypatch):
+    """At (c, h) = (0, 0) the radical is everything above level 0, and
+    every partition of n but (n) loses a part into the lower radical:
+    each level ranks a 1 x 1 block, not its p(n) x p(n) table."""
+    shapes = []
+
+    def recorded(matrix):
+        shapes.append((len(matrix), len(matrix[0])))
+        return linalg.pivot_columns(matrix)
+
+    monkeypatch.setattr(verma, "pivot_columns", recorded)
+    assert irreducible_dims(VermaParams.rational(0, 0), 10) == [1] + [0] * 10
+    assert shapes == [(1, 1)] * 11
 
 
 def test_kac_det_examples():
