@@ -422,21 +422,21 @@ def irreducible_dims(params: VermaParams, max_level: int) -> list:
     read off the int table S^n G_n of `_gram_recursion` (a nonzero scale
     keeps the rank) without ranking the full table.
 
-    Order the partitions of n by < : fewer parts first, then the
-    descending tuples lexicographically.  The radical of the form is a
-    submodule, and for v at level n - j with <-leading monomial lambda,
-    L_{-j} v leads with lambda + {j} and the same coefficient: PBW
-    reordering gives that monomial with coefficient 1 and commutator
-    terms with fewer parts, and inserting a part keeps < (two tuples of
-    one length compare at the largest part whose multiplicities differ).
-    So each partition of n that loses one part j into `lead[n - j]`, the
+    Order the partitions of n by <: fewer parts first, then the
+    descending tuples lexicographically.  Lemma: if v at level n - j
+    leads with lambda, L_{-j} v leads with lambda + {j}, with the same
+    coefficient.  PBW reordering gives that monomial with coefficient 1
+    and commutator terms with fewer parts, and inserting a part keeps <
+    (two tuples of one length compare at the largest part whose
+    multiplicities differ).  The radical of the form is a submodule, so
+    each partition of n that loses one part j into `lead[n - j]`, the
     leading monomials of the radical at level n - j, leads a radical
-    vector; these are triangular in the PBW basis, so rank G_n is the
-    rank of the block on the other partitions R.  R's columns are put in
-    <-ascending order: the kernel vector of a non-pivot column of the
-    forward elimination lives on it and the pivot columns left of it, so
-    it leads the radical with that column, and `lead[n]` is the known
-    monomials plus R's non-pivot columns."""
+    vector.  These vectors are triangular in the PBW basis, so rank G_n
+    is the rank of the block on the other partitions R, whose columns
+    are put in <-ascending order.  The kernel vector of a non-pivot
+    column of the forward elimination lives on it and on pivot columns
+    left of it, so `lead[n]` is the known monomials plus R's non-pivot
+    columns."""
     if not params.is_rational():
         raise ValueError("the rank oracle needs rational (c, h)")
     dims, lead = [], []

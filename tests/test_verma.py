@@ -147,8 +147,6 @@ def test_gram_matrices_match_shapovalov_pairs(params, max_level):
 
 
 def test_action_cache_keeps_few_params():
-    from virasoro import verma
-
     v = PBWVector.monomial((2, 1, 1))
     for n in range(20):
         apply_L(2, v, VermaParams.rational(n, Fraction(1, n + 2)))
