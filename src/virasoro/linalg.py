@@ -11,7 +11,7 @@ only eliminates.
 
 * `bareiss_det`: determinants over Q, Q[x] or Q[c,h], one forward pass;
 * `pivot_columns`, `rank`, `nullspace`: the forward pass or the full
-  Gauss-Jordan over Z or Z[t], for matrices over Q or Q(t).
+  Gauss-Jordan over Z or Z[t], for matrices over Q or Q[t, 1/t].
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm, prod
 
-from .scalars import (BiPoly, RatFunc, UniPoly, _addmul, _array, _div, _entry, _leaves,
+from .scalars import (Laurent, UniPoly, _addmul, _array, _div, _entry, _leaves,
                       _ring_of, _row_scale, _scaled, _trim)
 
 
@@ -136,20 +136,18 @@ def _echelon(m, depth, reduced, sym=False):
 def _cleared(row, var=None):
     """The row times the lcm of its denominators.  Rationals become ints,
     divided by their gcd (a positive scale of a row keeps the reduced row
-    echelon form); with `var`, entries in Q(var) become Z[var] coefficient
-    arrays, scaled by the polynomial lcm of the RatFunc denominators and
-    then by the lcm of the coefficient denominators."""
+    echelon form); with `var`, entries in Q[var, 1/var] become Z[var]
+    coefficient arrays, scaled by var^k for the largest pole order k in
+    the row and then by the lcm of the coefficient denominators."""
     if var is None:
         den = _row_scale(row)
         row = [x.numerator * (den // x.denominator) for x in row]
         g = gcd(*row)
         return [x // g for x in row] if g > 1 else row
-    big = UniPoly.const(1, var)
-    for x in row:
-        if isinstance(x, RatFunc) and x.den != big:
-            big = big * x.den.exact_div(UniPoly.gcd(big, x.den))
-    row = [list((x.num * big.exact_div(x.den) if isinstance(x, RatFunc) else big * x).coeffs)
-           for x in row]
+    zero = Laurent(UniPoly((), var))
+    row = [zero._coerce(x) for x in row]
+    k = max((x.k for x in row), default=0)
+    row = [list(x._shifted(k).coeffs) for x in row]
     den = _row_scale([y for a in row for y in a])
     return [_scaled(a, den, 1) for a in row]
 
@@ -170,28 +168,29 @@ def rank(matrix) -> int:
 
 
 def nullspace(matrix, ncols=None):
-    """Basis of the right kernel over Q, or over Q(t) when any entry is a
-    RatFunc; one vector per free column f, with a 1 there.
+    """Basis of the right kernel, one vector per free column f.
 
-    The rows are cleared into Z or Z[t], where `_echelon` leaves d times
-    the reduced row echelon form, so vec[pivot_i] = -M[i][f] / d, made a
-    Fraction or RatFunc once per entry.  The reduced form is unique, so
-    the basis is canonical given the column order.  An empty matrix has
+    The rows are cleared into Z, or into Z[t] when any entry is a
+    Laurent polynomial, where `_echelon` leaves d times the reduced row
+    echelon form.  Over Q, vec[f] = 1 and vec[pivot_i] = -M[i][f] / d.
+    Over Z[t] nothing is divided: vec[f] = d and vec[pivot_i] = -M[i][f],
+    as Laurent polynomials of pole order 0, which is d times that vector.
+    The reduced form is unique, so the basis is canonical given the
+    column order (over Z[t], up to the scale d).  An empty matrix has
     `ncols` columns.
     """
     cols = len(matrix[0]) if matrix else ncols or 0
-    var = next((x.var for row in matrix for x in row if isinstance(x, RatFunc)), None)
+    var = next((x.var for row in matrix for x in row if isinstance(x, Laurent)), None)
     m = [_cleared(row, var) for row in matrix]
     pivots, d, _ = _echelon(m, 0 if var is None else 1, reduced=True)
-    one = Fraction(1) if var is None else RatFunc.const(1, var)
+    one = Fraction(1) if var is None else Laurent(UniPoly(d or [1], var))
     basis = []
     for fc in sorted(set(range(cols)) - set(pivots)):
         vec = [one * 0] * cols
         vec[fc] = one
         for i, pc in enumerate(pivots):
             if a := m[i][fc]:
-                vec[pc] = (Fraction(a, -d) if var is None
-                           else RatFunc(-UniPoly(a, var), UniPoly(d, var)))
+                vec[pc] = Fraction(a, -d) if var is None else Laurent(-UniPoly(a, var))
         basis.append(vec)
     return basis
 

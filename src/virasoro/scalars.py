@@ -1,6 +1,8 @@
 """Exact coefficient arithmetic shared by every module.
 
-The tower is Q < Q[v] < Q(v) for a single tagged formal variable v, plus
+The tower is Q < Q[v] < Q[v, 1/v] for a single tagged formal variable v
+(Laurent polynomials: on the curve c(t) = 13 - 6t - 6/t every denominator
+is a power of t), plus
 bivariate polynomials in two tagged variables (by default the central
 charge ``c`` and the lowest weight ``h``).  There is no floating point
 anywhere; rationals are ``fractions.Fraction``.
@@ -50,7 +52,7 @@ def render_fraction(x: Fraction) -> str:
 
 
 class _Ring:
-    """What UniPoly, RatFunc and BiPoly share: immutability, subtraction,
+    """What UniPoly, Laurent and BiPoly share: immutability, subtraction,
     `repr`, non-negative integer powers and a hash cached from the
     class's `_key`.  A constant hashes as its Fraction value, which it
     equals, so `a == b` implies `hash(a) == hash(b)` across the tower.  A
@@ -211,20 +213,6 @@ class UniPoly(_Ring):
             return UniPoly([c * inv for c in self.coeffs], self.var)
         return NotImplemented
 
-    @staticmethod
-    def gcd(a: "UniPoly", b: "UniPoly") -> "UniPoly":
-        while not b.is_zero():
-            a, b = b, divmod(a, b)[1]
-        if a.is_zero():
-            return a
-        return a.monic()
-
-    def monic(self) -> "UniPoly":
-        if self.is_zero():
-            return self
-        inv = 1 / self.leading()
-        return UniPoly([c * inv for c in self.coeffs], self.var)
-
     def __call__(self, value):
         """Evaluate by Horner's rule; value may live in any ring here."""
         return _horner(self.coeffs, value)
@@ -272,84 +260,67 @@ class UniPoly(_Ring):
         return out
 
 
-class RatFunc(_Ring):
-    """Reduced fraction of univariate polynomials; denominator monic."""
+class Laurent(_Ring):
+    """num / t^k in Q[t, 1/t]: a UniPoly numerator and a pole order k >= 0
+    at t = 0, normalised so that num(0) != 0 when k > 0 (zero has k = 0),
+    which makes the pair unique.  Division is exact and checked: a
+    quotient outside Q[t, 1/t] raises ValueError."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "k")
 
-    def __init__(self, num: UniPoly, den: UniPoly):
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if num.var != den.var and not num.is_constant() and not den.is_constant():
-            raise ValueError("variable mismatch in rational function")
-        var = num.var if not num.is_constant() else den.var
-        g = UniPoly.gcd(num, den)
-        if not g.is_zero() and g.degree > 0:
-            num = num.exact_div(g)
-            den = den.exact_div(g)
-        lead = den.leading()
-        if lead != 1:
-            num = num / lead
-            den = den / lead
-        if num.is_zero():
-            den = UniPoly.const(1, var)
+    def __init__(self, num: UniPoly, k: int = 0):
+        low = min(k, num.order_at_zero() if num else k)
+        if low:
+            num, k = UniPoly(num.coeffs[low:], num.var), k - low
         object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "k", k)
         object.__setattr__(self, "_hash", None)
-
-    @classmethod
-    def from_poly(cls, p: UniPoly) -> "RatFunc":
-        return cls(p, UniPoly.const(1, p.var))
-
-    @classmethod
-    def const(cls, value, var: str) -> "RatFunc":
-        return cls(UniPoly.const(value, var), UniPoly.const(1, var))
-
-    @classmethod
-    def gen(cls, var: str) -> "RatFunc":
-        return cls(UniPoly.gen(var), UniPoly.const(1, var))
 
     @property
     def var(self) -> str:
-        return self.num.var if not self.num.is_constant() else self.den.var
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return self.num.var
 
     def __bool__(self) -> bool:
         return bool(self.num.coeffs)
 
     def is_constant(self) -> bool:
-        return self.num.is_constant() and self.den.is_constant()
+        return not self.k and self.num.is_constant()
 
     def constant_value(self) -> Fraction:
-        return self.num.constant_value() / self.den.constant_value()
+        if self.k:
+            raise ValueError(f"{self} is not constant")
+        return self.num.constant_value()
 
     def _coerce(self, other):
-        if isinstance(other, RatFunc):
+        if isinstance(other, Laurent):
             return other
-        if isinstance(other, UniPoly):
-            return RatFunc.from_poly(other)
-        if _is_rational(other):
-            return RatFunc.const(other, self.var)
+        if isinstance(other, UniPoly) or _is_rational(other):
+            return Laurent(self.num._coerce(other))
         return None
+
+    def _shifted(self, k: int) -> UniPoly:
+        """The numerator over t^k, for k >= self.k."""
+        if k == self.k:
+            return self.num
+        return UniPoly((0,) * (k - self.k) + self.num.coeffs, self.var)
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
+        k = max(self.k, o.k)
+        return Laurent(self._shifted(k) + o._shifted(k), k)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den)
+        return Laurent(-self.num, self.k)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RatFunc(self.num * o.num, self.den * o.den)
+        return Laurent(self.num * o.num, self.k + o.k)
 
     __rmul__ = __mul__
 
@@ -357,40 +328,34 @@ class RatFunc(_Ring):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if o.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(self.num * o.den, self.den * o.num)
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return RatFunc(self.den ** (-n), self.num ** (-n))
-        return RatFunc(self.num ** n, self.den ** n)
+        if not o:
+            raise ZeroDivisionError("division by zero Laurent polynomial")
+        low = o.num.order_at_zero()  # 0 unless o.k == 0
+        k = self.k + low - o.k
+        num = self.num.exact_div(UniPoly(o.num.coeffs[low:], o.var))
+        if k < 0:
+            num, k = Laurent(num)._shifted(-k), 0
+        return Laurent(num, k)
 
     def __call__(self, value):
-        den = self.den(value)
-        if den == 0:
-            raise ZeroDivisionError(f"pole at {value}")
-        return self.num(value) / den
+        return self.num(value) / value ** self.k
 
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.num == o.num and self.den == o.den
+        return self.k == o.k and self.num == o.num
 
     __hash__ = _Ring.__hash__
 
     def _key(self):
-        # the denominator is monic, so 1 when the value is a polynomial,
-        # which then hashes as the UniPoly it equals
-        if self.den.is_constant():
-            return self.num._key()
-        return self.var, self.num.coeffs, self.den.coeffs
+        # a polynomial (k = 0) hashes as the UniPoly it equals
+        return (self.var, self.num.coeffs, self.k) if self.k else self.num._key()
 
     def render(self) -> str:
-        if self.den.is_constant():
+        if not self.k:
             return self.num.render()
-        return f"({self.num.render()})/({self.den.render()})"
+        return f"({self.num.render()})/({self.var if self.k == 1 else f'{self.var}^{self.k}'})"
 
 
 class BiPoly(_Ring):

@@ -4,13 +4,16 @@
 * the spin-chain recurrence of Bauer, Di Francesco, Itzykson and Zuber
   (BDIZ) for weights on the curve c(t) = 13 - 6t - 6/t, giving the
   singular vector as a polynomial in t;
-* a kernel solve over the rational-function field Q(t) along the curve
+* a kernel solve over the Laurent polynomials Q[t, 1/t] along the curve
   through a general (r, s) vanishing locus of the Kac determinant, run
   fraction-free over Z[t] (see `linalg.nullspace`).
 
 All three normalise the coefficient of L_{-1}^d to 1, which is always
 possible: that coefficient is nonzero whenever a singular vector exists,
-and then the vector is unique up to scale.
+and then the vector is unique up to scale.  So a kernel vector over Z[t]
+free of common factors has that coefficient vanish only at t = 0, where
+c(t) has its pole: the normalised curve vector lies in Q[t, 1/t] (the
+division is checked and raises otherwise).
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from fractions import Fraction
 
 from .combinat import partitions_of
 from .linalg import nullspace
-from .scalars import RatFunc, UniPoly, UsageError, accumulate, as_fraction
+from .scalars import Laurent, UniPoly, UsageError, accumulate, as_fraction
 from .verma import (
     PBWVector,
     VermaParams,
@@ -48,11 +51,12 @@ def singular_kernel(params: VermaParams, level: int) -> list:
     """Basis of the joint kernel of L_1 and L_2 at the given level, as
     PBW vectors.
 
-    Works over Q for rational parameters and over Q(t) for curve
+    Works over Q for rational parameters and over Q[t, 1/t] for curve
     parameters; `linalg.nullspace` clears each row of the L_1, L_2 matrix
     and solves it fraction-free over Z or Z[t].  Vectors are normalised
-    so the L_{-1}^level coefficient is 1 whenever it is nonzero.  Level 0
-    has none; a negative level is a UsageError.
+    so the L_{-1}^level coefficient is 1 whenever it is nonzero; over
+    Z[t] that is the one division, exact in Q[t, 1/t] or a ValueError.
+    Level 0 has none; a negative level is a UsageError.
     """
     if level < 0:
         raise UsageError(f"a singular vector lies at a level >= 0, got {level}")
@@ -147,8 +151,8 @@ def bdiz_singular(j, var: str = "t") -> PBWVector:
 def curve_singular(r: int, s: int, var: str = "t") -> PBWVector:
     """The unique singular vector of M(c(t), h_{r,s}(t)) at level r*s.
 
-    Solved as an exact kernel computation over Q(t), fraction-free over
-    Z[t] with rows cleared of their denominators; the kernel must be
+    Solved as an exact kernel computation over Q[t, 1/t], fraction-free
+    over Z[t] with rows cleared of their denominators; the kernel must be
     one-dimensional, otherwise the uniqueness guarantee is violated and
     a RuntimeError is raised.
     """
@@ -164,11 +168,11 @@ def curve_singular(r: int, s: int, var: str = "t") -> PBWVector:
 
 
 def specialize_curve_vector(v: PBWVector, t_value) -> PBWVector:
-    """Evaluate UniPoly(t) or RatFunc(t) coefficients at a rational point."""
+    """Evaluate UniPoly or Laurent coefficients at a rational point."""
     t_value = as_fraction(t_value)
 
     def ev(c):
-        if isinstance(c, (UniPoly, RatFunc)):
+        if isinstance(c, (UniPoly, Laurent)):
             return c(t_value)
         return as_fraction(c)
 
@@ -231,8 +235,7 @@ class SpinChainOps:
     def __init__(self, two_j: int, params: VermaParams, var: str = "t"):
         self.spin = SpinModule(two_j)
         self.params = params
-        self.t = RatFunc.gen(var)
-        self.var = var
+        self.t = Laurent(UniPoly.gen(var))
         self.casimir = Fraction(two_j * (two_j + 2), 4)
 
     def zero(self):
@@ -244,13 +247,9 @@ class SpinChainOps:
     def scale(self, a, s):
         return [x.scale(s) for x in a]
 
-    def lift(self, chain):
-        """A chain of vectors with rational coefficients, over Q(t)."""
-        return [v.map_coeffs(lambda c: RatFunc.const(c, self.var)) for v in chain]
-
     def E(self, chain):
         return [PBWVector.zero()] + [
-            chain[i].scale(RatFunc.const(self.spin.e_step(i), self.var))
+            chain[i].scale(self.spin.e_step(i))
             for i in range(self.spin.dim - 1)
         ]
 
@@ -259,7 +258,7 @@ class SpinChainOps:
 
     def H(self, chain):
         return [
-            chain[i].scale(RatFunc.const(self.spin.h_eigenvalue(i), self.var))
+            chain[i].scale(self.spin.h_eigenvalue(i))
             for i in range(self.spin.dim)
         ]
 
@@ -268,11 +267,10 @@ class SpinChainOps:
 
     def ladder(self, k: int, chain):
         t = self.t
-        one = RatFunc.const(1, self.var)
         if k < -1:
             return self.zero()
         if k == -1:
-            out = [dict(v.terms) for v in self.scale(self.F(chain), -one)]
+            out = [dict(v.terms) for v in self.scale(self.F(chain), -1)]
             for m in range(self.spin.two_j + 1):
                 term = self.L(-m - 1, chain)
                 for _ in range(m):
@@ -282,19 +280,19 @@ class SpinChainOps:
                     accumulate(slot, v.terms, weight)
             return [PBWVector(slot) for slot in out]
         if k == 0:
-            out = self.add(self.L(0, chain), self.scale(self.H(chain), -one))
+            out = self.add(self.L(0, chain), self.scale(self.H(chain), -1))
             return self.add(out, self.scale(chain, -t * self.casimir))
         shift = -t * Fraction(k + 1, 2) + Fraction(3 * k + 1, 4)
         inner = self.add(self.scale(self.H(chain), t), self.scale(chain, shift))
         for _ in range(k):
             inner = self.E(inner)
-        sign = RatFunc.const((-1) ** (k + 1), self.var) * t ** (k - 1)
+        sign = (-1) ** (k + 1) * t ** (k - 1)
         return self.add(self.L(k, chain), self.scale(inner, sign))
 
     def bracket(self, p: int, q: int, chain):
         left = self.ladder(p, self.ladder(q, chain))
         right = self.ladder(q, self.ladder(p, chain))
-        return self.add(left, self.scale(right, RatFunc.const(-1, self.var)))
+        return self.add(left, self.scale(right, -1))
 
 
 def chain_product_vector(j, depth: int) -> PBWVector:

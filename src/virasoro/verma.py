@@ -12,7 +12,7 @@ Conventions fixed here and used everywhere else:
 
 The action is one (c, h)-free table of integer triples (a, b, e), the
 coefficient a + b h + e c/2.  apply_L evaluates them in the ring of
-(c, h), which may be Q, Q[x], Q(t) (a curve parameter) or Q[c,h].  The
+(c, h), which may be Q, Q[x], Q[t, 1/t] (a curve parameter) or Q[c,h].  The
 Gram matrices, the rank oracle and the Kac product form take (c, h) in
 Q, Q[x] or Q[c,h] and compute on the integer coefficient arrays of
 `scalars`: `_gram_recursion` lifts each triple to S a + b (S h) + e (S c/2),
@@ -39,7 +39,7 @@ from .combinat import num_partitions, partition_key, partitions_of
 from .linalg import bareiss_det, pivot_columns, rank  # noqa: F401
 from .scalars import (
     BiPoly,
-    RatFunc,
+    Laurent,
     SparseVector,
     UniPoly,
     UsageError,
@@ -187,7 +187,7 @@ def _action(k: int, part: tuple) -> dict:
 def _action_table(params: VermaParams, rings: tuple) -> dict:
     """{(k, part): image} memo of _action evaluated at `params`, whose
     images lie in the `rings` of (c, h): equal parameters from different
-    rings (2 and RatFunc 2) hash alike, and must not share a table.  A
+    rings (2 and Laurent 2) hash alike, and must not share a table.  A
     long process that visits many (c, h) keeps only the four most
     recently used."""
     return {}
@@ -232,7 +232,7 @@ def _gram_recursion(max_level: int, params: VermaParams):
     """(ring, S, tables): the ring (kind, variable tag) of (c, h), the
     least positive integer S with S h and S c/2 integral at every
     coefficient, and the entry tables of S^n G_n, n = 0..max_level, as
-    ints (rational (c, h)), Z[x] arrays or Z[c][h] arrays.  A RatFunc
+    ints (rational (c, h)), Z[x] arrays or Z[c][h] arrays.  A Laurent
     (c, h) raises TypeError.  With lambda' the partition lambda without
     its first part k,
 
@@ -399,20 +399,19 @@ def central_charge(m: int) -> Fraction:
     return Fraction(1) - Fraction(6, m * (m + 1))
 
 
-def c_curve(var: str = "t") -> RatFunc:
+def c_curve(var: str = "t") -> Laurent:
     """c(t) = 13 - 6t - 6/t."""
-    t = UniPoly.gen(var)
-    return RatFunc(UniPoly([13, -6], var) * t - 6, t)
+    return Laurent(UniPoly([-6, 13, -6], var), 1)
 
 
-def h_pq_curve(p: int, q: int, var: str = "t") -> RatFunc:
+def h_pq_curve(p: int, q: int, var: str = "t") -> Laurent:
     """The weight h(t) on c(t) = 13 - 6t - 6/t with phi_{p,q}(c(t), h(t)) = 0.
 
     Validated symbolically at construction.
     """
     num = UniPoly([Fraction(q * q - 1, 4), Fraction(1 - p * q, 2), Fraction(p * p - 1, 4)], var)
-    h = RatFunc(num, UniPoly.gen(var))
-    if not phi_rs(p, q).specialize(c_curve(var), h).is_zero():
+    h = Laurent(num, 1)
+    if phi_rs(p, q).specialize(c_curve(var), h):
         raise AssertionError(f"curve weight for ({p},{q}) fails its defining equation")
     return h
 

@@ -14,7 +14,7 @@ RUNTIME_TARGETS = {
     "characters": 2.0,     # rank oracle to level 11
     "discrete-characters": 12.0,  # rank oracle, 34 modules to level 10
     "fock": 30.0,          # identity suite at E_max = 7, pair space at 4
-    "singular-triple": 25.0,  # curve vectors to level 9 over Q(t)
+    "singular-triple": 25.0,  # curve vectors to level 9 over Q[t, 1/t]
     "singular-chain": 5.0,  # ladder laws, c = 1 products, chain norm orders
     "jantzen": 10.0,       # five Gram families, levels 1..6
     "character-sums": 10.0,  # five filtration character sums to q^6

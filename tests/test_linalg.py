@@ -6,13 +6,13 @@ import pytest
 from virasoro import jantzen, linalg, singular, verma
 from virasoro.linalg import bareiss_det, det_expansion, nullspace, rank
 from virasoro.oscillator import c_coefficient, jacobi_trudi
-from virasoro.scalars import BiPoly, RatFunc, UniPoly
+from virasoro.linalg import sum_entries
+from virasoro.scalars import BiPoly, Laurent, UniPoly
 
 
 def rref(matrix):
-    """Oracle: reduced row echelon form by plain Gauss-Jordan over a field
-    (the entries' own division, Fraction or RatFunc); returns (rows, pivot
-    columns)."""
+    """Oracle: reduced row echelon form by plain Gauss-Jordan over Q;
+    returns (rows, pivot columns)."""
     m = [list(row) for row in matrix]
     rows = len(m)
     cols = len(m[0]) if rows else 0
@@ -51,19 +51,14 @@ def _rref_kernel(matrix):
     and 1 at the free column f."""
     reduced, pivots = rref(matrix)
     cols = len(matrix[0])
-    one = RatFunc.const(1, "t") if _has_ratfunc(matrix) else Fraction(1)
     basis = []
     for fc in (c for c in range(cols) if c not in pivots):
-        vec = [one * 0] * cols
-        vec[fc] = one
+        vec = [Fraction(0)] * cols
+        vec[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
             vec[pc] = -reduced[r][fc]
         basis.append(vec)
     return basis
-
-
-def _has_ratfunc(matrix):
-    return any(isinstance(x, RatFunc) for row in matrix for x in row)
 
 
 def _random_matrix(rng, rows, cols, true_rank=None, density=0.7):
@@ -117,8 +112,36 @@ def test_rank_of_degenerate_shapes():
 
 def _same_kernel(matrix):
     got, want = nullspace(matrix), _rref_kernel(matrix)
-    kind = RatFunc if _has_ratfunc(matrix) else Fraction
-    return got == want and all(type(x) is kind for vec in got for x in vec)
+    return got == want and all(type(x) is Fraction for vec in got for x in vec)
+
+
+# two points where none of the Laurent matrices below drops rank
+_POINTS = (Fraction(7, 5), Fraction(-11, 4))
+
+
+def _at(x, t):
+    return x(t) if isinstance(x, Laurent) else x
+
+
+def _laurent_kernel_checks(matrix):
+    """`nullspace` of a matrix with Laurent entries: vectors of Laurent
+    polynomials (of Fractions if every entry is rational), each with
+    M v = 0 in exact Laurent arithmetic, and at each rational t of
+    `_POINTS` the rref kernel of M(t) over Q, times the vector's own
+    nonzero entry d(t) at its free column."""
+    got = nullspace(matrix)
+    kind = Laurent if any(isinstance(x, Laurent) for row in matrix for x in row) else Fraction
+    assert all(type(x) is kind for vec in got for x in vec)
+    for vec in got:
+        assert all(sum_entries(row, vec) == 0 for row in matrix)
+    for t in _POINTS:
+        want = _rref_kernel([[_at(x, t) for x in row] for row in matrix])
+        assert len(got) == len(want), (t, matrix)
+        for vec, w in zip(got, want):
+            vec = [_at(x, t) for x in vec]
+            d = next(x for x, y in zip(vec, w) if y == 1 and x)
+            assert [x / d for x in vec] == w, (t, matrix)
+    return got
 
 
 def test_nullspace_matches_rref_kernel_over_q():
@@ -130,51 +153,51 @@ def test_nullspace_matches_rref_kernel_over_q():
         assert _same_kernel(m), m
 
 
-def _random_ratfunc(rng):
+def _random_laurent(rng):
     if rng.random() < 0.4:
-        return rng.choice([Fraction(0), RatFunc.const(0, "t")])
-    def poly(coeff):
-        return UniPoly([coeff() for _ in range(rng.randint(1, 3))], "t")
-
-    return RatFunc(poly(lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 3))),
-                   poly(lambda: rng.randint(1, 3)))
+        return rng.choice([Fraction(0), Laurent(UniPoly((), "t"))])
+    coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+    return Laurent(UniPoly(coeffs, "t"), rng.randint(0, 2))
 
 
-def test_nullspace_matches_rref_kernel_over_qt():
-    rng = random.Random("nullspace Q(t)")
-    zero = RatFunc.const(0, "t")
+def test_nullspace_over_laurent_matrices():
+    rng = random.Random("nullspace Q[t, 1/t]")
+    zero = Laurent(UniPoly((), "t"))
     for _ in range(80):
         rows, cols = rng.randint(1, 5), rng.randint(1, 6)
         true_rank = rng.choice([None, 1, 2])
         if true_rank is None:
-            m = [[_random_ratfunc(rng) for _ in range(cols)] for _ in range(rows)]
+            m = [[_random_laurent(rng) for _ in range(cols)] for _ in range(rows)]
         else:
-            left = [[_random_ratfunc(rng) for _ in range(true_rank)] for _ in range(rows)]
-            right = [[_random_ratfunc(rng) for _ in range(cols)] for _ in range(true_rank)]
+            left = [[_random_laurent(rng) for _ in range(true_rank)] for _ in range(rows)]
+            right = [[_random_laurent(rng) for _ in range(cols)] for _ in range(true_rank)]
             m = [[sum((left[i][k] * right[k][j] for k in range(true_rank)), zero)
                   for j in range(cols)] for i in range(rows)]
-        m[0][0] = zero if rng.random() < 0.5 else m[0][0] + zero  # one RatFunc entry at least
-        assert _same_kernel(m), m
+        m[0][0] = zero if rng.random() < 0.5 else m[0][0] + zero  # one Laurent entry at least
+        _laurent_kernel_checks(m)
 
 
 @pytest.mark.parametrize("rs", [(1, 1), (2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (2, 3)])
 def test_nullspace_matches_rref_kernel_on_curve_matrices(rs):
     """The joint L_1, L_2 matrix of the (r, s) curve module at level rs,
-    over Q(t): the kernel is one vector, the same from both routes."""
+    over Q[t, 1/t]: the kernel is one vector, in the kernel exactly and
+    the rref kernel vector at two rational t."""
     params = verma.VermaParams(verma.c_curve(), verma.h_pq_curve(*rs))
     level = rs[0] * rs[1]
     m = [row for k in (1, 2) for row in singular._linear_map_matrix(k, level, params)]
-    assert _same_kernel(m) and len(nullspace(m)) == 1
+    assert len(_laurent_kernel_checks(m)) == 1
 
 
 def test_nullspace_of_degenerate_shapes():
     assert nullspace([]) == [] and nullspace([], ncols=0) == []
     assert nullspace([], ncols=2) == [[1, 0], [0, 1]]
     assert nullspace([[Fraction(0)] * 2]) == [[1, 0], [0, 1]]
-    zero, one = RatFunc.const(0, "t"), RatFunc.const(1, "t")
+    zero, one = Laurent(UniPoly((), "t")), Laurent(UniPoly.const(1, "t"))
     assert nullspace([[zero, Fraction(0)]]) == [[one, zero], [zero, one]]
-    t = RatFunc.gen("t")
-    assert nullspace([[Fraction(2, 3), t]]) == [[-t * Fraction(3, 2), one]]
+    t = Laurent(UniPoly.gen("t"))
+    # over Z[t] the vector is d = 2 times the one with 1 at the free column
+    assert nullspace([[Fraction(2, 3), t]]) == [[-3 * t, 2]]
+    assert nullspace([[one / t, Fraction(1)]]) == [[-t, one]]
 
 
 def test_det_expansion_over_poly_states_matches_leibniz():
@@ -368,7 +391,7 @@ def test_bareiss_degenerate_sizes():
 
 def test_bareiss_rejects_other_rings():
     with pytest.raises(TypeError):
-        bareiss_det([[RatFunc.gen("t")]])
+        bareiss_det([[Laurent(UniPoly.gen("t"))]])
     with pytest.raises(TypeError):
         bareiss_det([[UniPoly.gen("x"), BiPoly.gens()[0]], [1, 1]])
 

@@ -7,7 +7,7 @@ from virasoro.fock import FermionState, FockVector, PairState, PairVector
 from virasoro.oscillator import PolyState
 from virasoro.scalars import (
     BiPoly,
-    RatFunc,
+    Laurent,
     SparseVector,
     UniPoly,
     accumulate,
@@ -43,6 +43,23 @@ def test_ring_axioms_unipoly():
         assert a * b == b * a
 
 
+def rand_laurent(rng, var="t", max_deg=3):
+    return Laurent(rand_unipoly(rng, var, max_deg), rng.randint(0, 3))
+
+
+def test_ring_axioms_laurent():
+    rng = random.Random(15)
+    for _ in range(60):
+        a, b, c = (rand_laurent(rng) for _ in range(3))
+        assert (a + b) + c == a + (b + c)
+        assert a * (b + c) == a * b + a * c
+        assert (a * b) * c == a * (b * c)
+        assert a + b == b + a and a * b == b * a
+        assert a - a == 0 and a * 1 == a and a ** 2 == a * a
+        t = Fraction(rng.randint(1, 9), rng.randint(1, 4)) * rng.choice((1, -1))
+        assert (a * b + c)(t) == a(t) * b(t) + c(t)
+
+
 def test_ring_axioms_bipoly():
     rng = random.Random(12)
     for _ in range(40):
@@ -52,24 +69,46 @@ def test_ring_axioms_bipoly():
         assert (a * b) * c == a * (b * c)
 
 
-def test_ratfunc_inverse_product():
+def test_laurent_exact_division():
     rng = random.Random(13)
+    t = Laurent(UniPoly.gen("t"))
     count = 0
     while count < 25:
-        a, b = rand_unipoly(rng), rand_unipoly(rng)
-        if a.is_zero() or b.is_zero():
+        a, b = rand_laurent(rng), rand_laurent(rng)
+        if not b:
             continue
-        f = RatFunc(a, b)
-        g = RatFunc(b, a)
-        assert f * g == RatFunc.const(1, "t")
+        assert (a * b) / b == a
+        assert (a * b * t**3) / (b * t) == a * t**2 and (a * b) / (b * t**2) == a / t**2
         count += 1
+    one = Laurent(UniPoly.const(1, "t"))
+    assert one / t**2 == Laurent(UniPoly.const(1, "t"), 2)
+    assert one / Laurent(UniPoly.const(2, "t"), 3) == t**3 / 2 == t**3 * Fraction(1, 2)
 
 
-def test_ratfunc_canonical_monic_denominator():
+def test_laurent_division_outside_the_ring_raises():
     t = UniPoly.gen("t")
-    f = RatFunc(3 * t + 3, 2 * t * t + 2 * t)
-    assert f.den.leading() == 1
-    assert f == RatFunc(UniPoly.const(Fraction(3, 2), "t"), t)
+    with pytest.raises(ValueError):
+        _ = Laurent(UniPoly.const(1, "t")) / Laurent(1 + t)
+    with pytest.raises(ValueError):
+        _ = Laurent(t * t + 1, 1) / Laurent(t - 2, 3)
+    for zero in (0, Laurent(t - t, 2), UniPoly((), "t")):
+        with pytest.raises(ZeroDivisionError):
+            _ = Laurent(t, 1) / zero
+    with pytest.raises(ZeroDivisionError):
+        Laurent(1 + t, 1)(Fraction(0))
+
+
+def test_laurent_canonical_form():
+    """num / t^k with num(0) != 0 when k > 0, and zero with k = 0."""
+    t = UniPoly.gen("t")
+    f = Laurent(3 * t**2 + 3 * t**3, 3)
+    assert (f.num, f.k) == (3 + 3 * t, 1)
+    assert f == Laurent(UniPoly([3, 3], "t"), 1)
+    g = Laurent(6 * t**4, 2)
+    assert (g.num, g.k) == (6 * t**2, 0) and g == 6 * t**2
+    zero = Laurent(UniPoly((), "t"), 4)
+    assert zero.k == 0 and zero == 0
+    assert f(Fraction(2)) == Fraction(9, 2)
 
 
 def test_order_at_zero_examples():
@@ -140,11 +179,10 @@ def test_specialize_matches_power_sums():
     def unipoly():
         return rand_unipoly(rng, "x", max_deg=2)
 
-    def ratfunc():
-        den = rand_unipoly(rng, "x", max_deg=2)
-        return RatFunc(unipoly(), den if den else UniPoly.const(3, "x"))
+    def laurent():
+        return rand_laurent(rng, "x", max_deg=2)
 
-    kinds = (rational, unipoly, ratfunc)
+    kinds = (rational, unipoly, laurent)
     for _ in range(40):
         f = rand_bipoly(rng)
         for first in kinds:
@@ -204,6 +242,9 @@ def test_rendering():
     assert (1 - t).render() == "1 - t"
     assert (-t).render() == "-t"
     assert (t * t * Fraction(2) + Fraction(1, 2)).render() == "1/2 + 2*t^2"
+    assert Laurent(-3 * (1 - t) ** 2, 1).render() == "(-3 + 6*t - 3*t^2)/(t)"
+    assert Laurent(-3 * (1 - t) ** 2 * t, 1).render() == "-3 + 6*t - 3*t^2"
+    assert render_scalar(Laurent(t + 1, 4)) == "(1 + t)/(t^4)"
     c, h = BiPoly.gens()
     assert (h + (c - 1) * Fraction(1, 8)).render() == "-1/8 + h + 1/8*c"
 
@@ -213,32 +254,34 @@ def test_hash_and_equality_across_constants():
     five = UniPoly.const(5, "t")
     assert five == 5
     assert hash(five) == hash(UniPoly.const(5, "x"))
-    assert RatFunc.from_poly(t) == t
-    assert len({RatFunc.from_poly(t), t, UniPoly.const(5, "x"), 5, RatFunc.const(5, "t")}) == 2
+    assert Laurent(t) == t and t == Laurent(t) and Laurent(t**3, 2) == t
+    assert len({Laurent(t), t, UniPoly.const(5, "x"), 5, Laurent(UniPoly.const(5, "t"))}) == 2
+    assert hash(Laurent(UniPoly.const(5, "t"))) == hash(Fraction(5))
+    assert hash(Laurent(t + 1)) == hash(t + 1) and Laurent(t + 1, 1) != t + 1
 
 
 def _hash_law_pool(rng, rounds=20):
     """Small random values of every ring, each also written in the other
     rings it equals: a constant as a Fraction, an int, a UniPoly in two
-    variables, a RatFunc and a BiPoly; a polynomial p as a UniPoly, as
-    p/1 and as (p q)/q; and a RatFunc p/q and a BiPoly of their own."""
+    variables, a Laurent value and a BiPoly; a polynomial p as a UniPoly,
+    as the Laurent p/t^0 and (p t^2)/t^2; and a Laurent p/t and a BiPoly
+    of their own."""
     pool = []
     for _ in range(rounds):
         value = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
         pool += [value, UniPoly.const(value, "t"), UniPoly.const(value, "x"),
-                 RatFunc.const(value, "t"), BiPoly.const(value)]
+                 Laurent(UniPoly.const(value, "t")), BiPoly.const(value)]
         if value.denominator == 1:
             pool.append(int(value))
-        p, q = rand_unipoly(rng, max_deg=2), rand_unipoly(rng, max_deg=1)
-        pool += [p, RatFunc.from_poly(p), rand_bipoly(rng, max_deg=1)]
-        if q:
-            pool += [RatFunc(p * q, q), RatFunc(p, q)]
+        p = rand_unipoly(rng, max_deg=2)
+        pool += [p, Laurent(p), Laurent(p * UniPoly([0, 0, 1], "t"), 2), Laurent(p, 1),
+                 rand_bipoly(rng, max_deg=1)]
     return pool
 
 
 def test_equal_scalars_hash_alike():
     """The law of __hash__: a == b implies hash(a) == hash(b), over
-    Fraction, UniPoly, RatFunc and BiPoly, mixed and constant ones too."""
+    Fraction, UniPoly, Laurent and BiPoly, mixed and constant ones too."""
     pool = _hash_law_pool(random.Random(21))
     mixed = 0
     for a in pool:
@@ -308,12 +351,12 @@ def test_vector_types_never_compare_equal():
 def test_scalars_are_false_exactly_when_zero():
     t = UniPoly.gen("t")
     c, h = BiPoly.gens()
-    for zero in (UniPoly((), "t"), t - t, RatFunc.const(0, "t"), RatFunc(t, t + 1) * 0,
-                 BiPoly({}), c * h - h * c):
+    for zero in (UniPoly((), "t"), t - t, BiPoly({}), c * h - h * c):
         assert not zero and zero.is_zero()
-    for nonzero in (t, UniPoly.const(Fraction(1, 3), "t"), RatFunc.gen("t"),
-                    RatFunc(UniPoly.const(2, "t"), t + 1), c, BiPoly.const(-1)):
+    for nonzero in (t, UniPoly.const(Fraction(1, 3), "t"), c, BiPoly.const(-1)):
         assert nonzero and not nonzero.is_zero()
+    assert not Laurent(t - t, 2) and not Laurent(t + 1, 1) * 0
+    assert Laurent(t) and Laurent(UniPoly.const(2, "t"), 1)
 
 
 @vector_cases

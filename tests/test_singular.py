@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from virasoro.jantzen import kac_module
-from virasoro.scalars import RatFunc, UniPoly
+from virasoro import singular
+from virasoro.scalars import Laurent, UniPoly
 from virasoro.singular import (
     SpinModule,
     bdiz_singular,
@@ -114,16 +115,11 @@ def test_check_singular_counterexample_and_vacuum():
 def test_curve_matches_bdiz_for_first_column():
     for r in (1, 2, 3):
         j = Fraction(r - 1, 2)
-        chain = bdiz_singular(j).map_coeffs(
-            lambda c: RatFunc.from_poly(c) if isinstance(c, UniPoly) else RatFunc.const(c, "t")
-        )
-        assert curve_singular(r, 1) == chain
+        assert curve_singular(r, 1) == bdiz_singular(j)
 
 
 def test_curve_11_is_lowering_generator():
-    assert curve_singular(1, 1) == PBWVector.monomial((1,)).map_coeffs(
-        lambda c: RatFunc.const(c, "t")
-    )
+    assert curve_singular(1, 1) == PBWVector.monomial((1,))
 
 
 def test_curve_22_specialisation_matches_kernel():
@@ -148,12 +144,25 @@ def test_curve_42_is_fast_and_singular():
 
 
 def test_curve_coefficients_clear_to_polynomials():
-    # denominators along the curve are powers of t only
-    vec = curve_singular(2, 2)
-    for coeff in vec.terms.values():
-        if isinstance(coeff, RatFunc):
-            den = coeff.den
-            assert all(c == 0 for c in den.coeffs[:-1]), den.render()
+    # denominators along the curve are powers of t only: each coefficient
+    # is num / t^k, and t^k times it is the polynomial num
+    t = UniPoly.gen("t")
+    for rs, top in (((2, 2), 2), ((2, 3), 4), ((3, 2), 3)):
+        coeffs = curve_singular(*rs).terms.values()
+        assert all(type(c) is Laurent and c * t**c.k == c.num for c in coeffs)
+        assert max(c.k for c in coeffs) == top, rs
+
+
+def test_curve_kernel_quotient_outside_laurent_raises(monkeypatch):
+    """The normalisation by the L_{-1}^d entry is the one division of the
+    curve route, and it is checked: a kernel vector whose quotient has a
+    pole off t = 0 raises instead of passing."""
+    t = Laurent(UniPoly.gen("t"))
+    params = VermaParams(c_curve(), h_pq_curve(2, 1))
+    assert singular_kernel(params, 2) == [PBWVector({(1, 1): 1, (2,): -t})]
+    monkeypatch.setattr(singular, "nullspace", lambda rows, ncols: [[t - 2, t + 3]])
+    with pytest.raises(ValueError):
+        singular_kernel(params, 2)
 
 
 def test_uniqueness_of_kernels():
