@@ -11,7 +11,9 @@ only eliminates.
 
 * `bareiss_det`: determinants over Q, Q[x] or Q[c,h], one forward pass;
 * `pivot_columns`, `rank`, `nullspace`: the forward pass or the full
-  Gauss-Jordan over Z or Z[t], for matrices over Q or Q[t, 1/t].
+  Gauss-Jordan over Z or Z[t], for matrices over Q or Q[t, 1/t];
+* `annihilator_kernel`: the joint kernel of L_1 and L_2 on one level of
+  a module, the one kernel solve behind its singular vectors.
 """
 
 from __future__ import annotations
@@ -193,6 +195,26 @@ def nullspace(matrix, ncols=None):
                 vec[pc] = Fraction(a, -d) if var is None else Laurent(-UniPoly(a, var))
         basis.append(vec)
     return basis
+
+
+def annihilator_rows(apply, basis_of, level):
+    """The matrix of v -> (L_1 v, L_2 v) at `level`, for a module whose
+    basis keys at level n are `basis_of(n)`: `apply(k, b)` is L_k of the
+    basis vector b, a SparseVector, and each key k levels down gives the
+    row of its coefficients in the images."""
+    rows = []
+    for k in (1, 2):
+        if k <= level:
+            images = [apply(k, b) for b in basis_of(level)]
+            rows += ([img.coeff(key) for img in images] for key in basis_of(level - k))
+    return rows
+
+
+def annihilator_kernel(apply, basis_of, level):
+    """The joint kernel of L_1 and L_2 at `level` (see `annihilator_rows`),
+    one vector per free column of `nullspace`, on the basis
+    `basis_of(level)`."""
+    return nullspace(annihilator_rows(apply, basis_of, level), ncols=len(basis_of(level)))
 
 
 def sum_entries(row, vector):

@@ -25,13 +25,12 @@ Newton's identity (which also gives c_n, with X_n = x_n).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import zip_longest
 from math import factorial
 from typing import NamedTuple
 
 from .combinat import as_signature, partitions_of, transpose
-from .linalg import det_expansion, nullspace
+from .linalg import annihilator_kernel, det_expansion
 from .scalars import SparseVector, UniPoly, UsageError, accumulate, as_fraction, render_scalar
 
 
@@ -206,32 +205,15 @@ def singular_kernel_osc(params: OscParams, level: int) -> list:
     """
     if level < 1:
         return []
-    basis = level_basis(level)
-    rows = []
-    for k in (1, 2):
-        target = level_basis(level - k) if level - k >= 0 else []
-        images = [
-            virasoro_apply(k, PolyState({b: Fraction(1)}), params) for b in basis
-        ]
-        for t in target:
-            rows.append([img.coeff(t) for img in images])
-    kernel = nullspace(rows, ncols=len(basis))
+    kernel = annihilator_kernel(
+        lambda k, b: virasoro_apply(k, PolyState({b: Fraction(1)}), params), level_basis, level)
     if len(kernel) > 1:
         raise RuntimeError(
             f"oscillator singular space at level {level} has dimension {len(kernel)}"
         )
-    out = []
-    for vec in kernel:
-        out.append(PolyState({b: c for b, c in zip(basis, vec)}))
-    return out
+    return [PolyState(dict(zip(level_basis(level), vec))) for vec in kernel]
 
 
-# Entries kept by c_coefficient, one per n; the acceptance gate fills it
-# to 11.
-C_CACHE_SIZE = 1 << 8
-
-
-@lru_cache(maxsize=C_CACHE_SIZE)
 def c_coefficient(n: int) -> PolyState:
     """c_n in exp(sum_{n>0} x_n z^n / n) = sum c_n z^n; c_n = 0 for n < 0."""
     if n < 0:

@@ -11,12 +11,12 @@ All values are immutable after construction and hashable, so they can be
 shared freely between threads and used as cache keys.
 
 The module also holds the integer coefficient arrays of Z[x], Z[t] and
-Z[c][h] with their ring operations (`_ring_of` ... `_div`), on which
-`BiPoly.exact_div`, the elimination of `linalg` and the Gram matrices
-and Kac product form of `verma` run; and what every
-vector module shares: the sparse-vector base `SparseVector`, the in-place
-accumulator `accumulate`, and `UsageError` for arguments outside a
-computation's domain.
+Z[c][h] with their ring operations (`_ring_of` ... `_div`), on which the
+one exact division `_exact_div` of UniPoly and BiPoly, the elimination
+of `linalg` and the Gram matrices and Kac product form of `verma` run;
+and what every vector module shares: the sparse-vector base
+`SparseVector`, the in-place accumulator `accumulate`, and `UsageError`
+for arguments outside a computation's domain.
 """
 
 from __future__ import annotations
@@ -94,6 +94,29 @@ class _Ring:
         return f"{type(self).__name__}({self.render()!r})"
 
 
+def _exact_div(a, b):
+    """The exact quotient a / b of UniPolys or of BiPolys (their
+    `exact_div`), by `_div` on integer coefficient arrays: both operands
+    are cleared of denominators and the divisor is divided by its
+    content, so by Gauss's lemma an exact quotient over Q is integral.
+    A zero divisor raises ZeroDivisionError, an inexact one ValueError."""
+    o = a._coerce(b)
+    if o is None or not o:
+        raise ZeroDivisionError("division by zero polynomial")
+    if o.is_constant():
+        return a / o.constant_value()
+    kind, var, depth = _ring_of([(a, o)])
+    x, y = _array(a, depth), _array(o, depth)
+    dx, dy = _row_scale(_leaves(x, depth)), _row_scale(_leaves(y, depth))
+    y = _scaled(y, dy, depth)
+    g = gcd(*_leaves(y, depth))
+    try:
+        q = _div(_scaled(x, dx, depth), _div(y, _array(g, depth), depth), depth)
+    except ArithmeticError:
+        raise ValueError("inexact polynomial division") from None
+    return _entry(q, kind, var, Fraction(dx * g, dy))
+
+
 class UniPoly(_Ring):
     """Dense univariate polynomial over Q with a variable tag.
 
@@ -137,11 +160,6 @@ class UniPoly(_Ring):
             raise ValueError(f"{self} is not constant")
         return self.coeffs[0] if self.coeffs else Fraction(0)
 
-    def leading(self) -> Fraction:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def _coerce(self, other):
         if isinstance(other, UniPoly):
             if other.var != self.var and not other.is_constant() and not self.is_constant():
@@ -182,30 +200,7 @@ class UniPoly(_Ring):
 
     __rmul__ = __mul__
 
-    def __divmod__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        quo = [Fraction(0)] * max(0, len(rem) - len(o.coeffs) + 1)
-        d, lead = o.degree, o.leading()
-        while len(rem) - 1 >= d and rem:
-            k = len(rem) - 1 - d
-            q = rem[-1] / lead
-            quo[k] = q
-            for i, c in enumerate(o.coeffs):
-                rem[k + i] -= q * c
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return UniPoly(quo, self.var), UniPoly(rem, self.var)
-
-    def exact_div(self, other) -> "UniPoly":
-        q, r = divmod(self, other)
-        if not r.is_zero():
-            raise ValueError(f"inexact polynomial division: {self} by {other}")
-        return q
+    exact_div = _exact_div
 
     def __truediv__(self, other):
         if _is_rational(other):
@@ -440,25 +435,7 @@ class BiPoly(_Ring):
             return BiPoly({k: v * inv for k, v in self.terms.items()}, self.vars)
         return NotImplemented
 
-    def exact_div(self, other) -> "BiPoly":
-        """Exact division (used by fraction-free elimination), by `_div`
-        on Z[c][h] arrays: both operands are cleared of denominators and
-        the divisor is divided by its content, so by Gauss's lemma an
-        exact quotient over Q is integral."""
-        o = self._coerce(other)
-        if o is None or o.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        if o.is_constant():
-            return self / o.constant_value()
-        a, b = _array(self, 2), _array(o, 2)
-        da, db = _row_scale(_leaves(a, 2)), _row_scale(_leaves(b, 2))
-        b = _scaled(b, db, 2)
-        g = gcd(*_leaves(b, 2))
-        try:
-            q = _div(_scaled(a, da, 2), [[x // g for x in row] for row in b], 2)
-        except ArithmeticError:
-            raise ValueError("inexact bivariate division") from None
-        return _entry(q, BiPoly, self.vars, Fraction(da * g, db))
+    exact_div = _exact_div
 
     def specialize(self, first, second):
         """Substitute values for the two variables by Horner's rule in
@@ -623,13 +600,20 @@ def _div(a, b, depth):
             raise ArithmeticError("inexact division in fraction-free elimination")
         return q
     *low, lead = b
-    zero = 0 if depth == 1 else []
     quo = []
     for k in range(len(a) - len(b), -1, -1):
         q = _div(_trim(a.pop(), depth - 1), lead, depth - 1)
         quo.append(q)
-        if q:  # a -= q x^k * low, which clears a below its old top term
-            _addmul(a, [zero] * k + [q], low, depth, neg=True)
+        if not q:
+            continue
+        # a -= q x^k * low in place, which clears a below its old top term
+        if depth == 1:
+            for i, y in enumerate(low, k):
+                a[i] -= q * y
+        else:
+            for i, y in enumerate(low, k):
+                if y:
+                    _addmul(a[i], q, y, depth - 1, neg=True)
     if _trim(a, depth):
         raise ArithmeticError("inexact division in fraction-free elimination")
     quo.reverse()

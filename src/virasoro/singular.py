@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .combinat import partitions_of
-from .linalg import nullspace
+from .linalg import annihilator_kernel
 from .scalars import Laurent, UniPoly, UsageError, accumulate, as_fraction
 from .verma import (
     PBWVector,
@@ -34,25 +34,12 @@ from .verma import (
 )
 
 
-def _linear_map_matrix(k: int, level: int, params: VermaParams):
-    """Matrix of L_k from level to level-k in the partition bases."""
-    source = partitions_of(level)
-    if level - k < 0:
-        return []
-    target = partitions_of(level - k)
-    rows = []
-    images = [apply_L(k, PBWVector.monomial(p), params) for p in source]
-    for tp in target:
-        rows.append([img.coeff(tp) for img in images])
-    return rows
-
-
 def singular_kernel(params: VermaParams, level: int) -> list:
     """Basis of the joint kernel of L_1 and L_2 at the given level, as
     PBW vectors.
 
     Works over Q for rational parameters and over Q[t, 1/t] for curve
-    parameters; `linalg.nullspace` clears each row of the L_1, L_2 matrix
+    parameters; `linalg.annihilator_kernel` builds the L_1, L_2 matrix
     and solves it fraction-free over Z or Z[t].  Vectors are normalised
     so the L_{-1}^level coefficient is 1 whenever it is nonzero; over
     Z[t] that is the one division, exact in Q[t, 1/t] or a ValueError.
@@ -62,16 +49,13 @@ def singular_kernel(params: VermaParams, level: int) -> list:
         raise UsageError(f"a singular vector lies at a level >= 0, got {level}")
     if level == 0:
         return []
-    rows = _linear_map_matrix(1, level, params) + _linear_map_matrix(2, level, params)
-    basis = partitions_of(level)
-    kernel = nullspace(rows, ncols=len(basis))
+    kernel = annihilator_kernel(lambda k, p: apply_L(k, PBWVector.monomial(p), params),
+                                partitions_of, level)
     out = []
-    ones_index = basis.index((1,) * level)
     for vec in kernel:
-        lead = vec[ones_index]
-        if lead:
+        if lead := vec[-1]:  # (1, ..., 1) is the last partition
             vec = [x / lead for x in vec]
-        out.append(PBWVector({p: c for p, c in zip(basis, vec)}))
+        out.append(PBWVector(dict(zip(partitions_of(level), vec))))
     return out
 
 

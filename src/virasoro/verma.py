@@ -11,12 +11,13 @@ Conventions fixed here and used everywhere else:
   order of :func:`virasoro.combinat.partitions_of`.
 
 The action is one (c, h)-free table of integer triples (a, b, e), the
-coefficient a + b h + e c/2.  apply_L evaluates them in the ring of
-(c, h), which may be Q, Q[x], Q[t, 1/t] (a curve parameter) or Q[c,h].  The
-Gram matrices, the rank oracle and the Kac product form take (c, h) in
-Q, Q[x] or Q[c,h] and compute on the integer coefficient arrays of
-`scalars`: `_gram_recursion` lifts each triple to S a + b (S h) + e (S c/2),
-and each result is divided once in the ring of (c, h).
+coefficient a + b h + e c/2, and no table depends on (c, h): apply_L
+evaluates the triples on every call, in the ring of (c, h), which may be
+Q, Q[x], Q[t, 1/t] (a curve parameter) or Q[c,h].  The Gram matrices,
+the rank oracle and the Kac product form take (c, h) in Q, Q[x] or
+Q[c,h] and compute on the integer coefficient arrays of `scalars`:
+`_gram_recursion` lifts each triple to S a + b (S h) + e (S c/2), and
+each result is divided once in the ring of (c, h).
 
 The rank oracle `irreducible_dims` leans on one lemma.  Order the PBW
 monomials of a level by number of parts, then lexicographically; if v
@@ -183,30 +184,15 @@ def _action(k: int, part: tuple) -> dict:
     return {nu: t for nu, t in out.items() if any(t)}
 
 
-@lru_cache(maxsize=4)
-def _action_table(params: VermaParams, rings: tuple) -> dict:
-    """{(k, part): image} memo of _action evaluated at `params`, whose
-    images lie in the `rings` of (c, h): equal parameters from different
-    rings (2 and Laurent 2) hash alike, and must not share a table.  A
-    long process that visits many (c, h) keeps only the four most
-    recently used."""
-    return {}
-
-
 def apply_L(k: int, v: PBWVector, params: VermaParams) -> PBWVector:
     """Exact action of L_k on a PBW vector of M(c, h): each triple of
-    _action as a + b h + e c/2, a Fraction when b = e = 0 (as the PBW
-    reordering leaves it)."""
-    table = _action_table(params, (type(params.c), type(params.h)))
+    _action evaluated as a + b h + e c/2 in the ring of (c, h), a
+    Fraction when b = e = 0 (as the PBW reordering leaves it)."""
+    c, h = params
 
     def image(part):
-        hit = table.get((k, part))
-        if hit is None:
-            hit = table[k, part] = {
-                nu: x for nu, (a, b, e) in _action(k, part).items()
-                if (x := Fraction(a) + (b and params.h * b) + (e and params.c * Fraction(e, 2)))
-            }
-        return hit
+        return {nu: x for nu, (a, b, e) in _action(k, part).items()
+                if (x := Fraction(a) + (b and h * b) + (e and c * Fraction(e, 2)))}
 
     return v.apply_linear(image)
 

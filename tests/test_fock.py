@@ -132,7 +132,7 @@ def test_maya_key_round_trip():
 
 
 def test_operator_tables_are_bounded():
-    from virasoro import combinat, density, oscillator, verma
+    from virasoro import combinat, density, verma
 
     for table in (fock._boson_state, fock._lprime2_state, fock._vertex_modes,
                   fock._exp_series_state):
@@ -141,8 +141,7 @@ def test_operator_tables_are_bounded():
                         (verma._action, verma.ACTION_CACHE_SIZE),
                         (combinat.partitions_of, combinat.PARTITION_CACHE_SIZE),
                         (combinat.num_partitions, combinat.PARTITION_CACHE_SIZE),
-                        (density.singular_element, density.SINGULAR_CACHE_SIZE),
-                        (oscillator.c_coefficient, oscillator.C_CACHE_SIZE)):
+                        (density.singular_element, density.SINGULAR_CACHE_SIZE)):
         assert table.cache_info().maxsize == size, table.__name__
 
 

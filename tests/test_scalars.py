@@ -206,8 +206,17 @@ def test_exact_div_unipoly_and_bipoly():
     t = UniPoly.gen("t")
     p = (t + 1) * (t**2 - 3)
     assert p.exact_div(t + 1) == t**2 - 3
-    with pytest.raises(ValueError):
-        (t + 1).exact_div(t)
+    # rational coefficients and a divisor of integer content 6
+    third = Fraction(1, 3)
+    assert (p * third).exact_div(6 * t + 6) == (t**2 - 3) / 18
+    assert UniPoly((), "t").exact_div(t + 1) == 0
+    for a, b in ((t + 1, t), (t**2 + third, 3 * t + 1)):
+        with pytest.raises(ValueError) as err:
+            a.exact_div(b)
+        assert type(err.value) is ValueError
+    for zero in (UniPoly((), "t"), 0):
+        with pytest.raises(ZeroDivisionError):
+            p.exact_div(zero)
     c, h = BiPoly.gens()
     f = (c * h + 2) * (h * h - c)
     assert f.exact_div(h * h - c) == c * h + 2
@@ -233,6 +242,11 @@ def test_exact_div_unipoly_and_bipoly():
         # a ValueError (the CLI exits 1), not the ArithmeticError of `_div` (exit 3)
         assert type(err.value) is ValueError
     assert BiPoly.const(0).exact_div(k) == 0
+    for zero in (BiPoly.const(0), 0):
+        with pytest.raises(ZeroDivisionError):
+            f.exact_div(zero)
+    # both rings divide on the one shared path
+    assert UniPoly.exact_div is BiPoly.exact_div
 
 
 def test_rendering():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from virasoro.jantzen import kac_module
-from virasoro import singular
+from virasoro import linalg
 from virasoro.scalars import Laurent, UniPoly
 from virasoro.singular import (
     SpinModule,
@@ -160,7 +160,7 @@ def test_curve_kernel_quotient_outside_laurent_raises(monkeypatch):
     t = Laurent(UniPoly.gen("t"))
     params = VermaParams(c_curve(), h_pq_curve(2, 1))
     assert singular_kernel(params, 2) == [PBWVector({(1, 1): 1, (2,): -t})]
-    monkeypatch.setattr(singular, "nullspace", lambda rows, ncols: [[t - 2, t + 3]])
+    monkeypatch.setattr(linalg, "nullspace", lambda rows, ncols: [[t - 2, t + 3]])
     with pytest.raises(ValueError):
         singular_kernel(params, 2)
 

@@ -146,28 +146,7 @@ def test_gram_matrices_match_shapovalov_pairs(params, max_level):
         ]
 
 
-def test_action_cache_keeps_few_params():
-    v = PBWVector.monomial((2, 1, 1))
-    for n in range(20):
-        apply_L(2, v, VermaParams.rational(n, Fraction(1, n + 2)))
-        info = verma._action_table.cache_info()
-        assert info.maxsize == 4 and info.currsize <= 4
-    # the last point is still cached, the fifth most recent is gone
-    info = verma._action_table.cache_info()
-    rings = (Fraction, Fraction)
-    verma._action_table(VermaParams.rational(19, Fraction(1, 21)), rings)
-    assert verma._action_table.cache_info().hits == info.hits + 1
-    verma._action_table(VermaParams.rational(15, Fraction(1, 17)), rings)
-    assert verma._action_table.cache_info().misses == info.misses + 1
-    # the (c, h)-free table _action is shared: a second point reuses it
-    apply_L(3, PBWVector.monomial((2, 2, 1)), VermaParams.rational(7, Fraction(2, 3)))
-    first = verma._action.cache_info()
-    apply_L(3, PBWVector.monomial((2, 2, 1)), VermaParams.rational(-5, Fraction(9, 4)))
-    second = verma._action.cache_info()
-    assert second.misses == first.misses and second.hits > first.hits
-
-
-def test_equal_params_of_two_rings_keep_their_own_tables():
+def test_apply_L_answers_in_the_ring_of_its_params():
     # 7/3 == Laurent 7/3 and both hash alike, but each L_k image must
     # stay in the ring of its own parameters
     v = PBWVector.monomial((2, 1))
@@ -177,6 +156,13 @@ def test_equal_params_of_two_rings_keep_their_own_tables():
     for params, ring in ((rational, Fraction), (lifted, Laurent), (rational, Fraction)):
         # L_1 L_{-2} L_{-1} xi = 2h L_{-2} xi + 3 L_{-1}^2 xi
         assert type(apply_L(1, v, params).coeff((2,))) is ring
+    # every (c, h) reads the one (c, h)-free table _action: a second point
+    # reuses the images of the first
+    apply_L(3, PBWVector.monomial((2, 2, 1)), VermaParams.rational(7, Fraction(2, 3)))
+    first = verma._action.cache_info()
+    apply_L(3, PBWVector.monomial((2, 2, 1)), VermaParams.rational(-5, Fraction(9, 4)))
+    second = verma._action.cache_info()
+    assert second.misses == first.misses and second.hits > first.hits
 
 
 def _apply_monomial(k, part, params, table):
