@@ -101,7 +101,9 @@ def _exact_div(a, b):
     content, so by Gauss's lemma an exact quotient over Q is integral.
     A zero divisor raises ZeroDivisionError, an inexact one ValueError."""
     o = a._coerce(b)
-    if o is None or not o:
+    if o is None:
+        raise TypeError(f"cannot divide a {type(a).__name__} by {type(b).__name__}")
+    if not o:
         raise ZeroDivisionError("division by zero polynomial")
     if o.is_constant():
         return a / o.constant_value()

@@ -245,8 +245,11 @@ def test_exact_div_unipoly_and_bipoly():
     for zero in (BiPoly.const(0), 0):
         with pytest.raises(ZeroDivisionError):
             f.exact_div(zero)
-    # both rings divide on the one shared path
+    # both rings divide on the one shared path, and not by each other
     assert UniPoly.exact_div is BiPoly.exact_div
+    for a, b in ((f, t), (p, c), (f, Laurent(t))):
+        with pytest.raises(TypeError):
+            a.exact_div(b)
 
 
 def test_rendering():
