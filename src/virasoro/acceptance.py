@@ -101,8 +101,7 @@ def criterion_singular_triple(**_):
             details[f"({r},{s})"]["top_sign"] = 1 if top.coeffs[two_j] > 0 else -1
         # specialise at t = 1 and one generic t and match the kernel route
         for t_val in (Fraction(1), Fraction(3, 2)):
-            params = (singular.curve_params_at(t_val, j=Fraction(r - 1, 2)) if s == 1
-                      else singular.curve_params_at(t_val, rs=(r, s)))
+            params = singular.curve_params_at(t_val, (r, s))
             vec = singular.specialize_curve_vector(curve, t_val)
             found = singular.singular_kernel(params, r * s)
             if len(found) != 1 or found[0] != vec:
@@ -187,17 +186,17 @@ def criterion_density_polynomial(seed, **_):
     for two_j in range(9):
         j = Fraction(two_j, 2)
         direct = density.ad_direct(j, 0, mu)
-        if direct != density.ff_product("a", j, None, mu):
+        if direct != density.ff_product(j, 0, mu):
             return False, {"j": str(j), "case": "a"}
-        if density.ad_direct(j, 1, mu) != density.ff_product("b", j, None, mu):
+        if density.ad_direct(j, 1, mu) != density.ff_product(j, 1, mu):
             return False, {"j": str(j), "case": "b"}
         for p in (Fraction(0), Fraction(1), Fraction(2), Fraction(1, 2)):
-            if density.ad_direct(j, p * p, mu) != density.ff_product("c", j, p, mu):
+            if density.ad_direct(j, p * p, mu) != density.ff_product(j, p, mu):
                 return False, {"j": str(j), "case": "c", "p": str(p)}
         for _ in range(5):
             lam = Fraction(rng.randint(-12, 12), rng.randint(1, 9))
             mval = Fraction(rng.randint(-12, 12), rng.randint(1, 9))
-            if density.ad_direct(j, lam, mval) ** 2 != density.ff_product("d", j, lam, mval):
+            if density.ad_direct(j, lam, mval) ** 2 != density.ff_product_squared(j, lam, mval):
                 return False, {"j": str(j), "case": "d", "at": (str(lam), str(mval))}
         for p in (0, 1):
             if density.appc_determinant(j, p, mu) != density.ad_direct(j, p * p, mu):

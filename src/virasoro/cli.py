@@ -14,7 +14,9 @@ for --out files given as bare names.
 Each `cmd_*` imports the modules it runs when it runs, and calls them
 through the module (`verma.gram_matrix`, not a name bound at import), so
 a command loads only its own part of the package and the functions stay
-patchable by module attribute.
+patchable by module attribute.  It returns (report, ok), and `acceptance`
+also the text of its table; `main` prints the report once and exits 0
+when ok, else 1.
 """
 
 from __future__ import annotations
@@ -145,15 +147,14 @@ def _render_text(report, indent=0) -> str:
     return f"{pad}{report}"
 
 
-def cmd_gram(args) -> int:
+def cmd_gram(args):
     from . import verma
     params = verma.VermaParams(args.c, args.h)
     g = verma.gram_matrix(args.level, params)
-    _emit({"subcommand": "gram", **g.to_json()}, args)
-    return 0
+    return {"subcommand": "gram", **g.to_json()}, True
 
 
-def cmd_kacdet(args) -> int:
+def cmd_kacdet(args):
     from . import verma
     params = verma.VermaParams(args.c, args.h)
     report = {"subcommand": "kacdet", "level": args.level, "mode": args.mode}
@@ -168,14 +169,10 @@ def cmd_kacdet(args) -> int:
         ratio = verma.kac_det_ratio(args.level)
         report["value"] = render_scalar(ratio)
         report["constant"] = ratio.is_constant()
-        if not ratio.is_constant():
-            _emit(report, args)
-            return 1
-    _emit(report, args)
-    return 0
+    return report, report.get("constant", True)
 
 
-def cmd_singvec(args) -> int:
+def cmd_singvec(args):
     from . import singular, verma
     report = {"subcommand": "singvec", "method": args.method}
     _check_mode_flags(args, args.method)
@@ -187,12 +184,14 @@ def cmd_singvec(args) -> int:
     else:
         if args.method == "bdiz":
             vec = singular.bdiz_singular(args.j)
+            rs = (int(2 * args.j) + 1, 1)  # the spin-j vector's weight is h_{2j+1,1}(t)
         else:
-            vec = singular.curve_singular(*args.rs)
+            rs = args.rs
+            vec = singular.curve_singular(*rs)
         if args.at is not None:
             try:
                 vec = singular.specialize_curve_vector(vec, args.at)
-                params = singular.curve_params_at(args.at, j=args.j, rs=args.rs)
+                params = singular.curve_params_at(args.at, rs)
             except ZeroDivisionError:
                 raise UsageError(f"t = {args.at} is a pole of c(t) = 13 - 6t - 6/t "
                                  "or of the vector's coefficients") from None
@@ -201,11 +200,10 @@ def cmd_singvec(args) -> int:
             report["c"] = render_scalar(params.c)
             report["h"] = render_scalar(params.h)
         report.update(vec.to_json())
-    _emit(report, args)
-    return 0 if report.get("singular", True) else 1
+    return report, report.get("singular", True)
 
 
-def cmd_ffpoly(args) -> int:
+def cmd_ffpoly(args):
     from . import density
     mu = UniPoly.gen("mu") if args.mu is None else args.mu
     compare = args.compare.split(",") if args.compare else ["direct"]
@@ -216,9 +214,9 @@ def cmd_ffpoly(args) -> int:
     if "product" in compare:
         p = _sqrt_fraction(args.lam)
         if p is not None:
-            routes["product"] = density.ff_product("c", args.j, p, mu)
+            routes["product"] = density.ff_product(args.j, p, mu)
         elif args.mu is not None:
-            routes["product^2 (case d)"] = density.ff_product("d", args.j, args.lam, mu)
+            routes["product^2 (case d)"] = density.ff_product_squared(args.j, args.lam, mu)
             routes["direct^2"] = direct * direct
         else:
             raise UsageError("product form needs lambda = p^2 or an explicit --mu")
@@ -240,8 +238,7 @@ def cmd_ffpoly(args) -> int:
         "values": values,
         "agree": agree,
     }
-    _emit(report, args)
-    return 0 if agree else 1
+    return report, agree
 
 
 def _sqrt_fraction(x: Fraction):
@@ -254,7 +251,7 @@ def _sqrt_fraction(x: Fraction):
     return None
 
 
-def cmd_jantzen(args) -> int:
+def cmd_jantzen(args):
     from . import combinat, jantzen
     _check_mode_flags(args, args.case)
     module = jantzen.kac_module(args.case, **_label(args))
@@ -289,11 +286,10 @@ def cmd_jantzen(args) -> int:
         "closed_form": closed.to_json(),
         "verdict": verdict,
     }
-    _emit(report, args)
-    return 0 if verdict else 1
+    return report, verdict
 
 
-def cmd_character(args) -> int:
+def cmd_character(args):
     from . import jantzen, verma
     case = "c1" if args.c1 else "discrete"
     _check_mode_flags(args, case)
@@ -303,13 +299,10 @@ def cmd_character(args) -> int:
         dims = verma.irreducible_dims(jantzen.kac_module(case, **_label(args)).params, args.n)
         report["rank_oracle"] = dims
         report["verdict"] = [Fraction(d) for d in dims] == list(series.coeffs)
-        _emit(report, args)
-        return 0 if report["verdict"] else 1
-    _emit(report, args)
-    return 0
+    return report, report.get("verdict", True)
 
 
-def cmd_goldstone(args) -> int:
+def cmd_goldstone(args):
     from . import oscillator
     sector = args.sector
     if args.j is not None and (args.k - args.j).denominator > 1:
@@ -336,13 +329,10 @@ def cmd_goldstone(args) -> int:
             and oscillator.virasoro_apply(2, state, params).is_zero()
         )
         report["singular"] = ok
-        _emit(report, args)
-        return 0 if ok else 1
-    _emit(report, args)
-    return 0
+    return report, report.get("singular", True)
 
 
-def cmd_binomdet(args) -> int:
+def cmd_binomdet(args):
     from . import oscillator
     f = args.f
     compare = args.compare.split(",") if args.compare else []
@@ -365,11 +355,10 @@ def cmd_binomdet(args) -> int:
         "values": {k: render_scalar(v) for k, v in values.items()},
         "agree": agree,
     }
-    _emit(report, args)
-    return 0 if agree else 1
+    return report, agree
 
 
-def cmd_fock_check(args) -> int:
+def cmd_fock_check(args):
     from . import fock_checks
     names = args.suite.split(",") if args.suite and args.suite != "all" else None
     _check_names("suites", names or (), fock_checks.SUITES)
@@ -399,11 +388,10 @@ def cmd_fock_check(args) -> int:
         ],
         "ok": ok,
     }
-    _emit(report, args)
-    return 0 if ok else 1
+    return report, ok
 
 
-def cmd_acceptance(args) -> int:
+def cmd_acceptance(args):
     from . import acceptance
     names = None if args.suite == "all" else args.suite.split(",")
     known = [key for key, _, _ in acceptance.CRITERIA]
@@ -422,8 +410,7 @@ def cmd_acceptance(args) -> int:
     if args.json:
         # stdout carries only the JSON report
         print(text, file=sys.stderr)
-    _emit({"ok": ok, "criteria": rows}, args, text=text)
-    return 0 if ok else 1
+    return {"ok": ok, "criteria": rows}, ok, text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -561,7 +548,9 @@ def main(argv=None) -> int:
     try:
         if limit is not None:
             sys.set_int_max_str_digits(0)
-        return args.fn(args)
+        report, ok, *text = args.fn(args)
+        _emit(report, args, *text)
+        return 0 if ok else 1
     except UsageError as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2

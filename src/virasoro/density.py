@@ -51,23 +51,19 @@ def evaluate_ad(p: PBWVector, lam, mu):
     grading statement that each monomial pushes v_0 straight down.
     """
     d = p.level()
-    total = None
-    for part, coeff in p.terms.items():
+
+    def image(part):
         w = DensityVector({0: Fraction(1)})
         for k in reversed(part):  # rightmost factor of the monomial acts first
             w = density_apply(-k, w, lam, mu)
             if len(w.terms) > 1:
                 raise AssertionError("density action spread a monomial over several v_n")
-        if not w:
-            continue
-        (n, val), = w.terms.items()
-        if n != -d:
-            raise AssertionError(f"monomial landed on v_{n}, expected v_{-d}")
-        term = coeff * val
-        total = term if total is None else total + term
-    if total is None:
-        return Fraction(0)
-    return total
+        for n in w.terms:
+            if n != -d:
+                raise AssertionError(f"monomial landed on v_{n}, expected v_{-d}")
+        return w.coeff(-d)
+
+    return sum((coeff * image(part) for part, coeff in p.terms.items()), Fraction(0))
 
 
 def ad_direct(j, lam, mu):
@@ -82,36 +78,25 @@ def spin_range(j) -> list:
     return [-j + k for k in range(d)]
 
 
-def ff_product(case: str, j, lam_or_p, mu):
-    """Closed product forms of a_d.
+def ff_product(j, p, mu):
+    """The closed product form of a_d(p^2, mu), for rational p >= 0:
+    (-1)^d prod_{k in S} (mu + j^2 - (k + p)^2).  Its cases lambda = 0
+    and lambda = 1 are p = 0 and p = 1."""
+    j, p = as_fraction(j), as_fraction(p)
+    total = Fraction(-1) ** (int(2 * j) + 1)
+    for k in spin_range(j):
+        total = total * (mu + j * j - (k + p) ** 2)
+    return total
 
-    case "a": lambda = 0;  case "b": lambda = 1;  case "c": lambda = p^2
-    with first argument p >= 0;  case "d": returns the square
-    a_d(lambda, mu)^2 valid for every lambda.
-    """
+
+def ff_product_squared(j, lam, mu):
+    """The closed product form of a_d(lambda, mu)^2, for every lambda:
+    prod_{k in S} ((lambda - mu - j^2 + k^2)^2 - 4 k^2 lambda)."""
     j = as_fraction(j)
-    d = int(2 * j) + 1
-    sign = Fraction(-1) ** d
-    ks = spin_range(j)
-    if case in ("a", "b", "c"):
-        if case == "a":
-            p = Fraction(0)
-        elif case == "b":
-            p = Fraction(1)
-        else:
-            p = as_fraction(lam_or_p)
-        total = sign
-        for k in ks:
-            total = total * (mu + j * j - (k + p) ** 2)
-        return total
-    if case == "d":
-        lam = lam_or_p
-        total = Fraction(1)
-        for k in ks:
-            factor = (lam - mu - j * j + k * k) ** 2 - 4 * (k * k) * lam
-            total = total * factor
-        return total
-    raise ValueError(f"unknown product case {case!r}")
+    total = Fraction(1)
+    for k in spin_range(j):
+        total = total * ((lam - mu - j * j + k * k) ** 2 - 4 * (k * k) * lam)
+    return total
 
 
 def appc_determinant(j, p, mu):

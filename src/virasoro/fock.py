@@ -187,8 +187,8 @@ class FockVector(SparseVector):
     __slots__ = ()
 
     @classmethod
-    def basis(cls, st: FermionState, coeff=1) -> "FockVector":
-        return cls({st: coeff})
+    def basis(cls, st: FermionState) -> "FockVector":
+        return cls({st: 1})
 
     def __repr__(self):
         if not self.terms:
@@ -378,7 +378,6 @@ class FockBasis:
                         states.append(FermionState(kk, lam))
             k += 1
         states.sort(key=lambda s: (s.energy, s.sector, s.lam))
-        self.emax = emax
         self.states = states
 
     def __iter__(self):
@@ -408,8 +407,8 @@ class PairVector(SparseVector):
     __slots__ = ()
 
     @classmethod
-    def basis(cls, left, right, coeff=1) -> "PairVector":
-        return cls({PairState(left, right): coeff})
+    def basis(cls, left, right) -> "PairVector":
+        return cls({PairState(left, right): 1})
 
     def __repr__(self):
         bits = [
@@ -553,7 +552,6 @@ class PairBasis:
                     states.append(PairState(s1, s2))
         states.sort(key=lambda s: (s.energy, s.left.sector, s.right.sector,
                                    s.left.lam, s.right.lam))
-        self.emax = emax
         self.states = states
 
     def __iter__(self):

@@ -29,10 +29,11 @@ it), so the weight path (1, x) is used instead; reports flag the switch.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Callable, NamedTuple
 
 from .combinat import QSeries, num_partitions, partitions_of
-from .linalg import bareiss_det, rank, sum_entries
+from .linalg import bareiss_det, rank
 from .scalars import UniPoly, UsageError, as_fraction
 from .singular import c1_chain_levels, discrete_chain_levels
 from .verma import PBWVector, VermaParams, central_charge, gram_matrices, h_pq
@@ -62,10 +63,10 @@ class Filtration(NamedTuple):
         return sum(self.dims[1:])
 
 
-def _as_x_poly(value, var="x") -> UniPoly:
+def _as_x_poly(value) -> UniPoly:
     if isinstance(value, UniPoly):
         return value
-    return UniPoly.const(as_fraction(value), var)
+    return UniPoly.const(as_fraction(value), "x")
 
 
 def gram_family(path, level: int, provenance: str = "") -> MatrixFamily:
@@ -270,7 +271,7 @@ def norm_vanishing_order(vector: PBWVector, family: MatrixFamily) -> int:
     for i, row in enumerate(family.entries):
         if coords[i] == 0:
             continue
-        norm = norm + coords[i] * sum_entries(row, coords)
+        norm = norm + coords[i] * sum(map(mul, row, coords), Fraction(0))
     order = norm.order_at_zero()
     if order is None:
         raise ValueError("the norm vanishes identically along the family")

@@ -215,13 +215,3 @@ def annihilator_kernel(apply, basis_of, level):
     one vector per free column of `nullspace`, on the basis
     `basis_of(level)`."""
     return nullspace(annihilator_rows(apply, basis_of, level), ncols=len(basis_of(level)))
-
-
-def sum_entries(row, vector):
-    total = None
-    for a, b in zip(row, vector):
-        term = a * b
-        total = term if total is None else total + term
-    if total is None:
-        return Fraction(0)
-    return total

@@ -214,23 +214,25 @@ def singular_kernel_osc(params: OscParams, level: int) -> list:
     return [PolyState(dict(zip(level_basis(level), vec))) for vec in kernel]
 
 
-def c_coefficient(n: int) -> PolyState:
-    """c_n in exp(sum_{n>0} x_n z^n / n) = sum c_n z^n; c_n = 0 for n < 0."""
-    if n < 0:
-        return PolyState.zero()
-    top = exp_series(_times_x, 1, 1, [(((), 1),)], n)[n]
-    return PolyState._wrap({exps: Fraction(p, factorial(n)) for exps, p in top})
+def c_coefficients(top: int) -> list:
+    """[c_0, ..., c_top] in exp(sum_{n>0} x_n z^n / n) = sum c_n z^n, from
+    one Newton series."""
+    series = exp_series(_times_x, 1, 1, [(((), 1),)], top)[:top + 1]
+    return [PolyState._wrap({exps: Fraction(p, factorial(n)) for exps, p in terms})
+            for n, terms in enumerate(series)]
 
 
 def jacobi_trudi(f) -> PolyState:
-    """X_f = det(c_{f_i - i + j}) expanded as a polynomial state."""
+    """X_f = det(c_{f_i - i + j}) expanded as a polynomial state, with
+    c_n = 0 for n < 0."""
     f = as_signature(f)
     n = len(f)
     if n == 0:
         return PolyState.one()
-    return det_expansion(
-        [[c_coefficient(f[i] - (i + 1) + (j + 1)) for j in range(n)] for i in range(n)]
-    )
+    c = c_coefficients(f[0] + n - 1)  # the largest index, at i = 0, j = n - 1
+    zero = PolyState.zero()
+    return det_expansion([[c[k] if k >= 0 else zero for k in range(f[i] - i, f[i] - i + n)]
+                          for i in range(n)])
 
 
 def goldstone_signature(k, m: int, sector: str = "minus"):

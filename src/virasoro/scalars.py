@@ -2,10 +2,9 @@
 
 The tower is Q < Q[v] < Q[v, 1/v] for a single tagged formal variable v
 (Laurent polynomials: on the curve c(t) = 13 - 6t - 6/t every denominator
-is a power of t), plus
-bivariate polynomials in two tagged variables (by default the central
-charge ``c`` and the lowest weight ``h``).  There is no floating point
-anywhere; rationals are ``fractions.Fraction``.
+is a power of t), plus Q[c, h], the bivariate polynomials in the central
+charge c and the lowest weight h, which carry no variable tags.  There
+is no floating point anywhere; rationals are ``fractions.Fraction``.
 
 All values are immutable after construction and hashable, so they can be
 shared freely between threads and used as cache keys.
@@ -356,27 +355,26 @@ class Laurent(_Ring):
 
 
 class BiPoly(_Ring):
-    """Sparse polynomial in two tagged variables, by default (c, h)."""
+    """Sparse polynomial in Q[c, h], {(i, j): coefficient of c^i h^j}."""
 
-    __slots__ = ("terms", "vars")
+    __slots__ = ("terms",)
 
-    def __init__(self, terms, vars=("c", "h")):
+    def __init__(self, terms):
         clean = {}
         for (i, j), coeff in dict(terms).items():
             coeff = as_fraction(coeff)
             if coeff != 0:
                 clean[(int(i), int(j))] = coeff
         object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "vars", tuple(vars))
         object.__setattr__(self, "_hash", None)
 
     @classmethod
-    def const(cls, value, vars=("c", "h")) -> "BiPoly":
-        return cls({(0, 0): as_fraction(value)}, vars)
+    def const(cls, value) -> "BiPoly":
+        return cls({(0, 0): as_fraction(value)})
 
     @classmethod
-    def gens(cls, vars=("c", "h")):
-        return cls({(1, 0): 1}, vars), cls({(0, 1): 1}, vars)
+    def gens(cls):
+        return cls({(1, 0): 1}), cls({(0, 1): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -394,15 +392,10 @@ class BiPoly(_Ring):
 
     def _coerce(self, other):
         if isinstance(other, BiPoly):
-            if other.vars != self.vars and not other.is_constant() and not self.is_constant():
-                raise ValueError(f"variable mismatch: {self.vars} vs {other.vars}")
             return other
         if _is_rational(other):
-            return BiPoly.const(other, self.vars)
+            return BiPoly.const(other)
         return None
-
-    def _vars_of(self, other: "BiPoly"):
-        return self.vars if not self.is_constant() or other.is_constant() else other.vars
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -411,12 +404,12 @@ class BiPoly(_Ring):
         out = dict(self.terms)
         for k, v in o.terms.items():
             out[k] = out.get(k, Fraction(0)) + v
-        return BiPoly(out, self._vars_of(o))
+        return BiPoly(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return BiPoly({k: -v for k, v in self.terms.items()}, self.vars)
+        return BiPoly({k: -v for k, v in self.terms.items()})
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -427,14 +420,14 @@ class BiPoly(_Ring):
             for (i2, j2), b in o.terms.items():
                 k = (i1 + i2, j1 + j2)
                 out[k] = out.get(k, Fraction(0)) + a * b
-        return BiPoly(out, self._vars_of(o))
+        return BiPoly(out)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if _is_rational(other):
             inv = 1 / as_fraction(other)
-            return BiPoly({k: v * inv for k, v in self.terms.items()}, self.vars)
+            return BiPoly({k: v * inv for k, v in self.terms.items()})
         return NotImplemented
 
     exact_div = _exact_div
@@ -453,20 +446,19 @@ class BiPoly(_Ring):
     __hash__ = _Ring.__hash__
 
     def _key(self):
-        return self.vars, tuple(sorted(self.terms.items()))
+        return tuple(sorted(self.terms.items()))
 
     def render(self) -> str:
         if not self.terms:
             return "0"
-        cv, hv = self.vars
         parts = []
         for (i, j) in sorted(self.terms, key=lambda k: (k[0] + k[1], k[0], k[1])):
             coeff = self.terms[(i, j)]
             factors = []
             if i:
-                factors.append(cv if i == 1 else f"{cv}^{i}")
+                factors.append("c" if i == 1 else f"c^{i}")
             if j:
-                factors.append(hv if j == 1 else f"{hv}^{j}")
+                factors.append("h" if j == 1 else f"h^{j}")
             body = "*".join(factors)
             if not body:
                 parts.append(render_fraction(coeff))
@@ -498,8 +490,9 @@ def _horner(coeffs, value):
 
 def _ring_of(matrix):
     """(kind, variable tag, depth) of the entries' ring: Fraction, UniPoly
-    or BiPoly, whose arrays have depth 0, 1 or 2.  Any other entry, or
-    UniPoly and BiPoly entries together, raise TypeError."""
+    or BiPoly, whose arrays have depth 0, 1 or 2; only UniPoly has a tag.
+    Any other entry, or UniPoly and BiPoly entries together, raise
+    TypeError."""
     kind, var, constant = Fraction, None, True
     for row in matrix:
         for x in row:
@@ -510,7 +503,7 @@ def _ring_of(matrix):
                                 f"not {type(x).__name__}")
             if kind not in (Fraction, type(x)):
                 raise TypeError("got both UniPoly and BiPoly entries")
-            kind, v = type(x), (x.var if isinstance(x, UniPoly) else x.vars)
+            kind, v = type(x), (x.var if isinstance(x, UniPoly) else None)
             if x.is_constant():
                 var = v if var is None else var
             elif constant:
@@ -556,7 +549,7 @@ def _entry(a, kind, var, scale):
     if kind is UniPoly:
         return UniPoly([Fraction(x, scale) for x in a], var)
     return BiPoly({(i, j): Fraction(x, scale)
-                   for j, row in enumerate(a) for i, x in enumerate(row) if x}, var)
+                   for j, row in enumerate(a) for i, x in enumerate(row) if x})
 
 
 def _trim(a, depth):

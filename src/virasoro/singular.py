@@ -97,8 +97,11 @@ class SpinModule:
         return out
 
 
-def bdiz_singular(j, var: str = "t") -> PBWVector:
-    """Singular element for the curve weight h(t) = (j^2+j)t - j at spin j.
+def bdiz_singular(j) -> PBWVector:
+    """Singular element for the curve weight h(t) = (j^2+j)t - j at spin j,
+    which is h_{2j+1,1}(t): at a point t its module is
+    `curve_params_at(t, (2j+1, 1))`.  The recurrence itself uses no
+    weight formula, so it is checked against `curve_singular(2j+1, 1)`.
 
     Returns the degree-(2j+1) element of the lowering algebra with
     UniPoly(t) coefficients: constant term L_{-1}^{2j+1}, coefficient of
@@ -114,8 +117,8 @@ def bdiz_singular(j, var: str = "t") -> PBWVector:
         raise UsageError("j must be a non-negative half-integer")
     two_j = int(two_j)
     spin = SpinModule(two_j)
-    t = UniPoly.gen(var)
-    one = UniPoly.const(1, var)
+    t = UniPoly.gen("t")
+    one = UniPoly.const(1, "t")
 
     def poly_vec(v: PBWVector) -> PBWVector:
         return v.map_coeffs(lambda c: c * one if isinstance(c, Fraction) else c)
@@ -132,7 +135,7 @@ def bdiz_singular(j, var: str = "t") -> PBWVector:
     return chain[two_j + 1]
 
 
-def curve_singular(r: int, s: int, var: str = "t") -> PBWVector:
+def curve_singular(r: int, s: int) -> PBWVector:
     """The unique singular vector of M(c(t), h_{r,s}(t)) at level r*s.
 
     Solved as an exact kernel computation over Q[t, 1/t], fraction-free
@@ -142,7 +145,7 @@ def curve_singular(r: int, s: int, var: str = "t") -> PBWVector:
     """
     if r < 1 or s < 1:
         raise UsageError("r and s must be positive")
-    params = VermaParams(c_curve(var), h_pq_curve(r, s, var))
+    params = VermaParams(c_curve(), h_pq_curve(r, s))
     found = singular_kernel(params, r * s)
     if len(found) != 1:
         raise RuntimeError(
@@ -163,17 +166,12 @@ def specialize_curve_vector(v: PBWVector, t_value) -> PBWVector:
     return v.map_coeffs(ev)
 
 
-def curve_params_at(t_value, j=None, rs=None) -> VermaParams:
-    """Rational (c, h) on the curve at the point t_value."""
+def curve_params_at(t_value, rs) -> VermaParams:
+    """Rational (c(t), h_{r,s}(t)) on the curve at the point t_value, for
+    rs = (r, s); the weight of `bdiz_singular(j)` is h_{2j+1,1}(t)."""
     t_value = as_fraction(t_value)
-    c = c_curve()(t_value)
-    if j is not None:
-        j = as_fraction(j)
-        h = (j * j + j) * t_value - j
-    else:
-        r, s = rs
-        h = h_pq_curve(r, s)(t_value)
-    return VermaParams(c, h)
+    r, s = rs
+    return VermaParams(c_curve()(t_value), h_pq_curve(r, s)(t_value))
 
 
 def c1_chain_levels(j, count: int) -> list:
@@ -216,10 +214,10 @@ class SpinChainOps:
     with ladder(k) = 0 for k < -1.
     """
 
-    def __init__(self, two_j: int, params: VermaParams, var: str = "t"):
+    def __init__(self, two_j: int, params: VermaParams):
         self.spin = SpinModule(two_j)
         self.params = params
-        self.t = Laurent(UniPoly.gen(var))
+        self.t = Laurent(UniPoly.gen("t"))
         self.casimir = Fraction(two_j * (two_j + 2), 4)
 
     def zero(self):

@@ -82,8 +82,8 @@ class PBWVector(SparseVector):
     __slots__ = ()
 
     @classmethod
-    def monomial(cls, part, coeff=Fraction(1)) -> "PBWVector":
-        return cls({tuple(part): coeff})
+    def monomial(cls, part) -> "PBWVector":
+        return cls({tuple(part): Fraction(1)})
 
     @classmethod
     def vacuum(cls) -> "PBWVector":
@@ -201,7 +201,6 @@ class GramMatrix(NamedTuple):
     level: int
     basis: tuple
     entries: tuple  # tuple of tuples, Shapovalov pairings
-    params: VermaParams
 
     def rows(self):
         return [list(r) for r in self.entries]
@@ -295,13 +294,13 @@ def gram_matrices(max_level: int, params: VermaParams) -> list:
             return x.constant_value()
         return x
 
-    grams = [GramMatrix(0, partitions_of(0), ((Fraction(1),),), params)]
+    grams = [GramMatrix(0, partitions_of(0), ((Fraction(1),),))]
     for n in range(1, len(tables)):
         rows, den = [list(row) for row in tables[n]], scale ** n
         for j in range(len(rows)):
             for i in range(j + 1):
                 rows[i][j] = rows[j][i] = entry(rows[i][j], den)
-        grams.append(GramMatrix(n, partitions_of(n), tuple(map(tuple, rows)), params))
+        grams.append(GramMatrix(n, partitions_of(n), tuple(map(tuple, rows))))
     return grams
 
 
@@ -385,19 +384,19 @@ def central_charge(m: int) -> Fraction:
     return Fraction(1) - Fraction(6, m * (m + 1))
 
 
-def c_curve(var: str = "t") -> Laurent:
+def c_curve() -> Laurent:
     """c(t) = 13 - 6t - 6/t."""
-    return Laurent(UniPoly([-6, 13, -6], var), 1)
+    return Laurent(UniPoly([-6, 13, -6], "t"), 1)
 
 
-def h_pq_curve(p: int, q: int, var: str = "t") -> Laurent:
+def h_pq_curve(p: int, q: int) -> Laurent:
     """The weight h(t) on c(t) = 13 - 6t - 6/t with phi_{p,q}(c(t), h(t)) = 0.
 
     Validated symbolically at construction.
     """
-    num = UniPoly([Fraction(q * q - 1, 4), Fraction(1 - p * q, 2), Fraction(p * p - 1, 4)], var)
+    num = UniPoly([Fraction(q * q - 1, 4), Fraction(1 - p * q, 2), Fraction(p * p - 1, 4)], "t")
     h = Laurent(num, 1)
-    if phi_rs(p, q).specialize(c_curve(var), h):
+    if phi_rs(p, q).specialize(c_curve(), h):
         raise AssertionError(f"curve weight for ({p},{q}) fails its defining equation")
     return h
 

@@ -10,6 +10,7 @@ from virasoro.density import (
     density_apply,
     evaluate_ad,
     ff_product,
+    ff_product_squared,
     singular_element,
     spin_range,
 )
@@ -51,23 +52,15 @@ def test_singular_element_is_normalised():
 
 
 def test_ad_j0():
-    lam, mu = BiPoly.gens(("lam", "mu"))
+    lam, mu = BiPoly.gens()
     assert ad_direct(0, lam, mu) == lam - mu
 
 
 def test_ad_half_cases():
     assert ad_direct(HALF, 0, MU) == MU * MU
     assert ad_direct(HALF, 1, MU) == MU * (MU - 2)
-    assert ff_product("a", HALF, None, MU) == MU * MU
-    assert ff_product("b", HALF, None, MU) == MU * (MU - 2)
-    assert ff_product("c", HALF, 1, MU) == MU * (MU - 2)
-
-
-def test_case_c_interpolates_a_and_b():
-    for two_j in (0, 1, 2, 3):
-        j = Fraction(two_j, 2)
-        assert ff_product("c", j, 0, MU) == ff_product("a", j, None, MU)
-        assert ff_product("c", j, 1, MU) == ff_product("b", j, None, MU)
+    assert ff_product(HALF, 0, MU) == MU * MU
+    assert ff_product(HALF, 1, MU) == MU * (MU - 2)
 
 
 def test_case_d_squares():
@@ -77,14 +70,14 @@ def test_case_d_squares():
         for _ in range(5):
             lam = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
             mu = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
-            assert ad_direct(j, lam, mu) ** 2 == ff_product("d", j, lam, mu)
+            assert ad_direct(j, lam, mu) ** 2 == ff_product_squared(j, lam, mu)
 
 
 def test_mu_top_coefficient():
     for two_j in (0, 1, 2, 3, 4):
         j = Fraction(two_j, 2)
         d = two_j + 1
-        sym = ad_direct(j, *BiPoly.gens(("lam", "mu")))
+        sym = ad_direct(j, *BiPoly.gens())
         assert sym.terms.get((0, d)) == Fraction(-1) ** d
 
 

@@ -11,7 +11,7 @@ from virasoro.oscillator import (
     OscParams,
     PolyState,
     binom_det,
-    c_coefficient,
+    c_coefficients,
     goldstone_params,
     goldstone_signature,
     goldstone_vector,
@@ -74,11 +74,13 @@ def test_level_basis_counts():
 
 
 def test_c_coefficients():
-    assert c_coefficient(0) == PolyState.one()
-    assert c_coefficient(1) == _x(1)
+    c = c_coefficients(2)
+    assert c[0] == PolyState.one()
+    assert c[1] == _x(1)
     x1, x2 = _x(1), _x(2)
-    assert c_coefficient(2) == (x1 * x1).scale(HALF).add_into(x2.scale(HALF))
-    assert c_coefficient(-1).is_zero()
+    assert c[2] == (x1 * x1).scale(HALF).add_into(x2.scale(HALF))
+    assert len(c) == 3
+    assert c_coefficients(-1) == []
 
 
 def _partition_c_coefficient(n):
@@ -95,8 +97,8 @@ def _partition_c_coefficient(n):
 
 
 def test_c_coefficients_match_partition_sum():
-    for n in range(9):
-        assert c_coefficient(n).terms == _partition_c_coefficient(n), n
+    for n, c in enumerate(c_coefficients(8)):
+        assert c.terms == _partition_c_coefficient(n), n
 
 
 def test_goldstone_signatures():
@@ -109,11 +111,11 @@ def test_goldstone_signatures():
 
 
 def test_goldstone_small_vectors():
-    assert goldstone_vector(0, 1) == c_coefficient(1)
+    _, c1, c2, c3 = c_coefficients(3)
+    assert goldstone_vector(0, 1) == c1
     x = goldstone_vector(0, 2)
-    c1, c2, c3 = (c_coefficient(n) for n in (1, 2, 3))
     assert x == (c2 * c2) - (c1 * c3)
-    assert goldstone_vector(HALF, 1) == c_coefficient(2)
+    assert goldstone_vector(HALF, 1) == c2
 
 
 @pytest.mark.parametrize("two_k,m", [(0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (4, 1)])

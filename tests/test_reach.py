@@ -3,7 +3,10 @@ module-level function and class, and each non-dunder method of such a
 class, is named somewhere in the package outside its own body, or in the
 benchmark (perfbench/*.py).  An oracle that only the tests call belongs
 in tests/.  The guard is static, by name: a call trace of the CLI and
-the gate takes far longer than a unit test may.  A second guard keeps
+the gate takes far longer than a unit test may.  In the same way each
+optional parameter of a module-level function or classmethod is set by
+some call in the package or the benchmark: an option that every caller
+leaves at its default is a second formula nobody runs.  A second guard keeps
 the scalar tower layered: scalars imports nothing of the package, linalg
 only scalars.  A third keeps one dispatcher per module family: only
 jantzen.kac_module (and the CLI's --path handling) compares a value with
@@ -80,6 +83,84 @@ def test_every_definition_has_a_caller():
         bench.update(_names(ast.parse(path.read_text(), filename=str(path))))
     assert BENCH, "perfbench/*.py not found"
     assert unreached(modules, bench) == []
+
+
+def _options(tree):
+    """(qualified name, position, name) of each optional parameter of a
+    module-level function and of each classmethod of a module-level
+    class; the position counts the arguments a call passes (not `cls`),
+    and is None for a keyword-only parameter."""
+    functions = [(node.name, node, 0) for node in tree.body if isinstance(node, ast.FunctionDef)]
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            functions += [(f"{cls.name}.{item.name}", item, 1) for item in cls.body
+                          if isinstance(item, ast.FunctionDef) and any(
+                              isinstance(d, ast.Name) and d.id == "classmethod"
+                              for d in item.decorator_list)]
+    for qualified, node, skip in functions:
+        args = node.args
+        positional = [*args.posonlyargs, *args.args][skip:]
+        for i, arg in enumerate(positional[len(positional) - len(args.defaults):],
+                                len(positional) - len(args.defaults)):
+            yield qualified, i, arg.arg
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield qualified, None, arg.arg
+
+
+def _calls(trees) -> dict:
+    """For each name called as a Name or an Attribute in `trees`: the
+    most positional arguments one call passes, and the keywords any call
+    passes (a `*args` passes every position, a `**kwargs` every keyword,
+    marked by None)."""
+    found = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            entry = found.setdefault(name, [0, set()])
+            star = any(isinstance(a, ast.Starred) for a in node.args)
+            entry[0] = max(entry[0], float("inf") if star else len(node.args))
+            entry[1].update(k.arg for k in node.keywords)
+    return found
+
+
+def unset_options(modules, outside=()) -> list:
+    """The optional parameters of `modules` ({module name: tree}) that no
+    call in them or in the trees `outside` sets, matched by the called
+    name, as "module.function.parameter"."""
+    calls = _calls([*modules.values(), *outside])
+    missing = []
+    for module, tree in modules.items():
+        for qualified, position, name in _options(tree):
+            most, keywords = calls.get(qualified.rsplit(".", 1)[-1], (0, set()))
+            if not (position is not None and most > position or name in keywords
+                    or None in keywords):
+                missing.append(f"{module}.{qualified}.{name}")
+    return missing
+
+
+def test_the_guard_sees_an_unset_option():
+    src = (
+        "def f(a, b=1, c=2, *, d=3):\n    return a\n\n"
+        "class K:\n"
+        "    @classmethod\n"
+        "    def make(cls, x, y=0):\n        return cls()\n\n"
+        "    def method(self, z=0):\n        return z\n\n"
+        "f(0, 1)\nf(0, d=4)\nK.make(1)\n"
+    )
+    assert unset_options({"demo": ast.parse(src)}) == ["demo.f.c", "demo.K.make.y"]
+    assert unset_options({"demo": ast.parse(src)}, [ast.parse("f(*args)\nmake(1, 2)")]) == []
+    assert unset_options({"demo": ast.parse(src)}, [ast.parse("g(**kw)\nf(0, **kw)")]) == [
+        "demo.K.make.y"]
+
+
+def test_every_option_is_set_by_a_caller():
+    modules = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in PACKAGE}
+    bench = [ast.parse(path.read_text(), filename=str(path)) for path in BENCH]
+    assert unset_options(modules, bench) == []
 
 
 def _package_imports(tree) -> set:

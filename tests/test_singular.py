@@ -97,7 +97,7 @@ def test_bdiz_is_singular_at_sample_points(two_j):
     j = Fraction(two_j, 2)
     vec = bdiz_singular(j)
     for t_val in (Fraction(1), Fraction(2), Fraction(-1, 3)):
-        params = curve_params_at(t_val, j=j)
+        params = curve_params_at(t_val, (int(2 * j) + 1, 1))
         sp = specialize_curve_vector(vec, t_val)
         ok, cert = check_singular(sp, params)
         assert ok, (j, t_val, cert)
@@ -125,7 +125,7 @@ def test_curve_11_is_lowering_generator():
 def test_curve_22_specialisation_matches_kernel():
     vec = curve_singular(2, 2)
     point = Fraction(4, 3)  # lands on (c, h) = (1/2, 1/16)
-    params = curve_params_at(point, rs=(2, 2))
+    params = curve_params_at(point, (2, 2))
     assert params == VermaParams.rational(Fraction(1, 2), Fraction(1, 16))
     sp = specialize_curve_vector(vec, point)
     found = singular_kernel(params, 4)

@@ -170,7 +170,7 @@ def _apply_monomial(k, part, params, table):
     (c, h): an independent route to apply_L, which evaluates the integer
     triples of _action."""
     if k == 0:
-        return PBWVector.monomial(part, params.h + sum(part))
+        return PBWVector({part: params.h + sum(part)})
     if k < 0 and (not part or -k >= part[0]):
         return PBWVector.monomial((-k,) + part)
     key = (k, part)
