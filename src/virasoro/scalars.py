@@ -9,19 +9,23 @@ is no floating point anywhere; rationals are ``fractions.Fraction``.
 All values are immutable after construction and hashable, so they can be
 shared freely between threads and used as cache keys.
 
-The module also holds the integer coefficient arrays of Z[x], Z[t] and
-Z[c][h] with their ring operations (`_ring_of` ... `_div`), on which the
-one exact division `_exact_div` of UniPoly and BiPoly, the elimination
-of `linalg` and the Gram matrices and Kac product form of `verma` run;
-and what every vector module shares: the sparse-vector base
-`SparseVector`, the in-place accumulator `accumulate`, and `UsageError`
-for arguments outside a computation's domain.
+Every polynomial has one layout, the dense coefficient array: Q[v] from
+v^0 up, and Q[c, h] over h, each row over c (`coeffs[j][i]` for c^i h^j).
+The integer arrays of Z[x], Z[t] and Z[c][h] share it, and the ring
+operations on arrays (`_ring_of` ... `_div`) serve both: they are the
+arithmetic of UniPoly and BiPoly, the one exact division `_exact_div`,
+and what the elimination of `linalg` and the Gram matrices and Kac
+product form of `verma` run on.  The module also holds what every
+vector module shares: the sparse-vector base `SparseVector`, the
+in-place accumulator `accumulate`, and `UsageError` for arguments
+outside a computation's domain.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import neg
 
 
 class UsageError(ValueError):
@@ -32,9 +36,7 @@ class UsageError(ValueError):
 def as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as a rational number")
 
@@ -44,10 +46,7 @@ def _is_rational(x) -> bool:
 
 
 def render_fraction(x: Fraction) -> str:
-    x = as_fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    return str(as_fraction(x))  # "n" or "n/d", in lowest terms
 
 
 class _Ring:
@@ -118,26 +117,116 @@ def _exact_div(a, b):
     return _entry(q, kind, var, Fraction(dx * g, dy))
 
 
-class UniPoly(_Ring):
-    """Dense univariate polynomial over Q with a variable tag.
+class _Poly(_Ring):
+    """What UniPoly and BiPoly share: `coeffs`, their dense coefficient
+    array over Q at depth `_depth` (1 or 2), as tuples with no trailing
+    zero at any depth, so that each value has one; and the one +, -, *
+    and / on it, by `_add`, `_addmul` and `_map`."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs):
+        if isinstance(coeffs, dict):
+            raise TypeError(f"{type(self).__name__} takes a coefficient array, not a dict")
+        depth = self._depth
+        object.__setattr__(self, "coeffs", _canon(_map(as_fraction, coeffs, depth), depth))
+        object.__setattr__(self, "_hash", None)
+
+    def _new(self, array, other):
+        """The result of an operation on self and `other`, of self's class,
+        with the coefficient array `array` made canonical by `_canon`."""
+        new = object.__new__(type(self))
+        object.__setattr__(new, "coeffs", _canon(array, self._depth))
+        object.__setattr__(new, "_hash", None)
+        return new
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def is_constant(self) -> bool:
+        return len(self.coeffs) <= 1 and len(_leaves(self.coeffs, self._depth)) <= 1
+
+    def constant_value(self) -> Fraction:
+        if not self.is_constant():
+            raise ValueError(f"{self} is not constant")
+        return next(iter(_leaves(self.coeffs, self._depth)), Fraction(0))
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self._new(_add(self.coeffs, o.coeffs, self._depth), o)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._new(_map(neg, self.coeffs, self._depth), self)
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self._new(_addmul([], self.coeffs, o.coeffs, self._depth), o)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if _is_rational(other):
+            inv = 1 / as_fraction(other)
+            return self._new(_map(inv.__mul__, self.coeffs, self._depth), self)
+        return NotImplemented
+
+    exact_div = _exact_div
+
+    def _key(self):
+        return self.coeffs
+
+    def render(self) -> str:
+        """The nonzero terms of `_terms`, (coefficient, monomial) pairs,
+        joined by their signs; a size of 1 is left out before a monomial."""
+        out = ""
+        for coeff, body in self._terms():
+            size = render_fraction(abs(coeff))
+            term = f"{size}*{body}" if body and size != "1" else body or size
+            if out:
+                out += f" - {term}" if coeff < 0 else f" + {term}"
+            else:
+                out = f"-{term}" if coeff < 0 else term
+        return out or "0"
+
+
+def _power(var: str, n: int) -> str:
+    return "" if n == 0 else var if n == 1 else f"{var}^{n}"
+
+
+class UniPoly(_Poly):
+    """Univariate polynomial over Q with a variable tag; `coeffs` runs
+    from v^0 up.
 
     Mixing two different variable tags in one expression is a checked
     error; no computation in this package ever needs it.
     """
 
-    __slots__ = ("coeffs", "var")
+    __slots__ = ("var",)
+    _depth = 1
 
     def __init__(self, coeffs, var: str):
-        cs = [as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        super().__init__(coeffs)
         object.__setattr__(self, "var", var)
-        object.__setattr__(self, "_hash", None)
+
+    def _new(self, array, other):
+        new = super()._new(array, other)
+        # a constant takes the tag of a non-constant operand
+        tagged = other if len(self.coeffs) <= 1 < len(other.coeffs) else self
+        object.__setattr__(new, "var", tagged.var)
+        return new
 
     @classmethod
     def const(cls, value, var: str) -> "UniPoly":
-        return cls([as_fraction(value)], var)
+        return cls([value], var)
 
     @classmethod
     def gen(cls, var: str) -> "UniPoly":
@@ -147,20 +236,6 @@ class UniPoly(_Ring):
     def degree(self) -> int:
         return len(self.coeffs) - 1  # -1 for the zero polynomial
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError(f"{self} is not constant")
-        return self.coeffs[0] if self.coeffs else Fraction(0)
-
     def _coerce(self, other):
         if isinstance(other, UniPoly):
             if other.var != self.var and not other.is_constant() and not self.is_constant():
@@ -169,45 +244,6 @@ class UniPoly(_Ring):
         if _is_rational(other):
             return UniPoly.const(other, self.var)
         return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        n = max(len(self.coeffs), len(o.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        for i, c in enumerate(o.coeffs):
-            a[i] += c
-        return UniPoly(a, self.var if not self.is_constant() or o.is_constant() else o.var)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return UniPoly([-c for c in self.coeffs], self.var)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self.is_zero() or o.is_zero():
-            return UniPoly((), self.var)
-        out = [Fraction(0)] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(o.coeffs):
-                    if b:
-                        out[i + j] += a * b
-        return UniPoly(out, self.var if not self.is_constant() or o.is_constant() else o.var)
-
-    __rmul__ = __mul__
-
-    exact_div = _exact_div
-
-    def __truediv__(self, other):
-        if _is_rational(other):
-            inv = 1 / as_fraction(other)
-            return UniPoly([c * inv for c in self.coeffs], self.var)
-        return NotImplemented
 
     def __call__(self, value):
         """Evaluate by Horner's rule; value may live in any ring here."""
@@ -229,31 +265,8 @@ class UniPoly(_Ring):
 
     __hash__ = _Ring.__hash__
 
-    def _key(self):
-        return self.var, self.coeffs
-
-    def render(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(render_fraction(c))
-            else:
-                v = self.var if i == 1 else f"{self.var}^{i}"
-                if c == 1:
-                    term = v
-                elif c == -1:
-                    term = f"-{v}"
-                else:
-                    term = f"{render_fraction(c)}*{v}"
-                parts.append(term)
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+    def _terms(self):
+        return ((c, _power(self.var, i)) for i, c in enumerate(self.coeffs) if c)
 
 
 class Laurent(_Ring):
@@ -351,44 +364,23 @@ class Laurent(_Ring):
     def render(self) -> str:
         if not self.k:
             return self.num.render()
-        return f"({self.num.render()})/({self.var if self.k == 1 else f'{self.var}^{self.k}'})"
+        return f"({self.num.render()})/({_power(self.var, self.k)})"
 
 
-class BiPoly(_Ring):
-    """Sparse polynomial in Q[c, h], {(i, j): coefficient of c^i h^j}."""
+class BiPoly(_Poly):
+    """Polynomial in Q[c, h] without variable tags; `coeffs[j][i]` is the
+    coefficient of c^i h^j."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms):
-        clean = {}
-        for (i, j), coeff in dict(terms).items():
-            coeff = as_fraction(coeff)
-            if coeff != 0:
-                clean[(int(i), int(j))] = coeff
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
+    __slots__ = ()
+    _depth = 2
 
     @classmethod
     def const(cls, value) -> "BiPoly":
-        return cls({(0, 0): as_fraction(value)})
+        return cls([[value]])
 
     @classmethod
     def gens(cls):
-        return cls({(1, 0): 1}), cls({(0, 1): 1})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def is_constant(self) -> bool:
-        return all(k == (0, 0) for k in self.terms)
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError(f"{self} is not constant")
-        return self.terms.get((0, 0), Fraction(0))
+        return cls([[0, 1]]), cls([[], [1]])
 
     def _coerce(self, other):
         if isinstance(other, BiPoly):
@@ -397,81 +389,25 @@ class BiPoly(_Ring):
             return BiPoly.const(other)
         return None
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        out = dict(self.terms)
-        for k, v in o.terms.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return BiPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return BiPoly({k: -v for k, v in self.terms.items()})
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        out = {}
-        for (i1, j1), a in self.terms.items():
-            for (i2, j2), b in o.terms.items():
-                k = (i1 + i2, j1 + j2)
-                out[k] = out.get(k, Fraction(0)) + a * b
-        return BiPoly(out)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if _is_rational(other):
-            inv = 1 / as_fraction(other)
-            return BiPoly({k: v * inv for k, v in self.terms.items()})
-        return NotImplemented
-
-    exact_div = _exact_div
-
     def specialize(self, first, second):
         """Substitute values for the two variables by Horner's rule in
         each; exact in any ring."""
-        return _horner([_horner(row, first) for row in _array(self, 2)], second)
+        return _horner([_horner(row, first) for row in self.coeffs], second)
 
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.terms == o.terms
+        return self.coeffs == o.coeffs
 
     __hash__ = _Ring.__hash__
 
-    def _key(self):
-        return tuple(sorted(self.terms.items()))
-
-    def render(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for (i, j) in sorted(self.terms, key=lambda k: (k[0] + k[1], k[0], k[1])):
-            coeff = self.terms[(i, j)]
-            factors = []
-            if i:
-                factors.append("c" if i == 1 else f"c^{i}")
-            if j:
-                factors.append("h" if j == 1 else f"h^{j}")
-            body = "*".join(factors)
-            if not body:
-                parts.append(render_fraction(coeff))
-            elif coeff == 1:
-                parts.append(body)
-            elif coeff == -1:
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{render_fraction(coeff)}*{body}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+    def _terms(self):
+        """By total degree, then by the degree in c."""
+        terms = sorted((i + j, i, j, x) for j, row in enumerate(self.coeffs)
+                       for i, x in enumerate(row) if x)
+        return ((x, "*".join(filter(None, (_power("c", i), _power("h", j)))))
+                for _, i, j, x in terms)
 
 
 def _horner(coeffs, value):
@@ -482,10 +418,12 @@ def _horner(coeffs, value):
     return result
 
 
-# Integer coefficient arrays.  An element of Z[x] is the list of its
-# coefficients from x^0 up; an element of Z[c][h] is the list over h of
-# its coefficients in Z[c].  Arrays carry no trailing zeros, so zero is []
-# and the leading entry is last; at depth 0 an "array" is a plain int.
+# Coefficient arrays.  An element of Z[x] or Q[x] is the list of its
+# coefficients from x^0 up; an element of Z[c][h] or Q[c][h] is the list
+# over h of its coefficients in Z[c] or Q[c].  Arrays carry no trailing
+# zeros at any depth, so zero is [] and the leading entry is last; at
+# depth 0 an "array" is a plain number.  A UniPoly's or BiPoly's `coeffs`
+# is such an array over Q, in tuples; the integer ones are lists.
 
 
 def _ring_of(matrix):
@@ -498,7 +436,7 @@ def _ring_of(matrix):
         for x in row:
             if isinstance(x, (int, Fraction)):
                 continue
-            if not isinstance(x, (UniPoly, BiPoly)):
+            if not isinstance(x, _Poly):
                 raise TypeError(f"expected rational, UniPoly or BiPoly entries, "
                                 f"not {type(x).__name__}")
             if kind not in (Fraction, type(x)):
@@ -510,21 +448,17 @@ def _ring_of(matrix):
                 var, constant = v, False
             elif v != var:
                 raise ValueError(f"variable mismatch: {var!r} vs {v!r}")
-    return kind, var, (Fraction, UniPoly, BiPoly).index(kind)
+    return kind, var, 0 if kind is Fraction else kind._depth
 
 
 def _array(x, depth):
-    """The coefficient array of an entry over Q; at depth 0, the entry."""
-    if isinstance(x, UniPoly):
-        return list(x.coeffs)
-    if isinstance(x, BiPoly):
-        rows = []
-        for (i, j), v in x.terms.items():
-            rows.extend([] for _ in range(j + 1 - len(rows)))
-            row = rows[j]
-            row.extend([0] * (i + 1 - len(row)))
-            row[i] = v
-        return rows
+    """The coefficient array of an entry over Q: a polynomial's own
+    `coeffs`, not a copy, which every caller scales into new lists
+    (`_scaled`) before `_div` or `_addmul` write; its tuples make a stray
+    write raise instead of corrupting the polynomial.  A rational is
+    wrapped in new lists; at depth 0 it is returned as it is."""
+    if isinstance(x, _Poly):
+        return x.coeffs
     if depth and not x:
         return []
     for _ in range(depth):
@@ -537,19 +471,42 @@ def _leaves(a, depth):
 
 
 def _scaled(a, den, depth):
-    if depth == 0:
-        return a.numerator * (den // a.denominator)
-    return [_scaled(x, den, depth - 1) for x in a]
+    return _map(lambda x: x.numerator * (den // x.denominator), a, depth)
 
 
 def _entry(a, kind, var, scale):
     """The int or array `a` divided by `scale`, as an element of `kind`."""
     if kind is Fraction:
         return Fraction(a, scale)
-    if kind is UniPoly:
-        return UniPoly([Fraction(x, scale) for x in a], var)
-    return BiPoly({(i, j): Fraction(x, scale)
-                   for j, row in enumerate(a) for i, x in enumerate(row) if x})
+    coeffs = _map(lambda x: Fraction(x, scale), a, kind._depth)
+    return UniPoly(coeffs, var) if kind is UniPoly else BiPoly(coeffs)
+
+
+def _map(fn, a, depth):
+    """`fn` applied to every coefficient of the array `a`, as new lists;
+    at depth 0, to `a` itself."""
+    if depth <= 1:
+        return list(map(fn, a)) if depth else fn(a)
+    return [_map(fn, x, depth - 1) for x in a]
+
+
+def _canon(a, depth):
+    """The array `a` of depth 1 or 2 trimmed in place (only its lists may
+    end in a zero), as tuples: a polynomial's `coeffs`."""
+    _trim(a, depth)
+    return tuple(a) if depth == 1 else tuple(map(tuple, a))
+
+
+def _add(a, b, depth):
+    """a + b on arrays, as a list: the shorter added into a copy of the
+    longer, whose rows it does not touch are shared; not trimmed."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, y in enumerate(b):
+        if y:
+            out[i] = y + out[i] if depth == 1 else _add(out[i], y, depth - 1)
+    return out
 
 
 def _trim(a, depth):
@@ -565,17 +522,18 @@ def _trim(a, depth):
 
 def _addmul(acc, a, b, depth, neg=False):
     """acc += a * b (acc -= a * b with `neg`) in place, growing `acc` as
-    needed; the caller trims the result."""
+    needed and skipping zero coefficients; the caller trims the result."""
     grow = len(a) + len(b) - 1 - len(acc)
     if grow > 0:
         acc.extend([0] * grow if depth == 1 else ([] for _ in range(grow)))
     if depth == 1:
+        b = [(j, y) for j, y in enumerate(b) if y]
         for i, x in enumerate(a):
             if x:
                 if neg:
                     x = -x
-                for j, y in enumerate(b):
-                    acc[i + j] += x * y
+                for j, y in b:
+                    acc[i + j] = x * y + acc[i + j]  # Fraction + 0 is faster than 0 + Fraction
     else:
         for i, x in enumerate(a):
             if x:

@@ -78,7 +78,7 @@ def test_mu_top_coefficient():
         j = Fraction(two_j, 2)
         d = two_j + 1
         sym = ad_direct(j, *BiPoly.gens())
-        assert sym.terms.get((0, d)) == Fraction(-1) ** d
+        assert sym.coeffs[d][0] == Fraction(-1) ** d
 
 
 def test_appc_determinant_matches_direct():

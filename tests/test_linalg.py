@@ -280,7 +280,10 @@ def _random_entry(rng, ring):
     if rng.random() < 0.2:
         return _rational(rng)  # a constant of Q[c,h]
     degrees = [(rng.randint(0, 2), rng.randint(0, 2)) for _ in range(rng.randint(0, 4))]
-    return BiPoly({d: _rational(rng, 0) for d in degrees})
+    rows = [[0] * 3 for _ in range(3)]
+    for i, j in degrees:
+        rows[j][i] = _rational(rng, 0)  # the coefficient of c^i h^j
+    return BiPoly(rows)
 
 
 def _same(got, want, ring):

@@ -24,12 +24,13 @@ def rand_unipoly(rng, var="t", max_deg=4):
 
 
 def rand_bipoly(rng, max_deg=3):
-    terms = {}
+    """Up to six random terms c^i h^j, written into the array coeffs[j][i]."""
+    rows = [[0] * (max_deg + 1) for _ in range(max_deg + 1)]
     for _ in range(rng.randint(0, 6)):
-        terms[(rng.randint(0, max_deg), rng.randint(0, max_deg))] = Fraction(
-            rng.randint(-6, 6), rng.randint(1, 4)
-        )
-    return BiPoly(terms)
+        coeff = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+        i, j = rng.randint(0, max_deg), rng.randint(0, max_deg)
+        rows[j][i] = coeff
+    return BiPoly(rows)
 
 
 def test_ring_axioms_unipoly():
@@ -67,6 +68,114 @@ def test_ring_axioms_bipoly():
         assert (a + b) + c == a + (b + c)
         assert a * (b + c) == a * b + a * c
         assert (a * b) * c == a * (b * c)
+
+
+def _sparse(f):
+    """A BiPoly as {(i, j): coefficient of c^i h^j}, without zeros."""
+    return {(i, j): x for j, row in enumerate(f.coeffs) for i, x in enumerate(row) if x}
+
+
+def _sparse_add(a, b):
+    """The sum of two such dicts: the sum of the sparse BiPoly layout."""
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = out.get(k, Fraction(0)) + v
+    return {k: v for k, v in out.items() if v}
+
+
+def _sparse_mul(a, b):
+    """The product of two such dicts: the product of the sparse BiPoly
+    layout, term by term."""
+    out = {}
+    for (i1, j1), x in a.items():
+        for (i2, j2), y in b.items():
+            k = (i1 + i2, j1 + j2)
+            out[k] = out.get(k, Fraction(0)) + x * y
+    return {k: v for k, v in out.items() if v}
+
+
+def _dense_mul(a, b):
+    """The product of two coefficient tuples over Q, on a list of
+    Fraction zeros: the dense UniPoly product."""
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] += x * y
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def test_arithmetic_matches_the_sparse_and_dense_oracles():
+    rng = random.Random(22)
+    for _ in range(80):
+        a, b = rand_bipoly(rng), rand_bipoly(rng)
+        assert _sparse(a + b) == _sparse_add(_sparse(a), _sparse(b))
+        assert _sparse(a * b) == _sparse_mul(_sparse(a), _sparse(b))
+        f, g = rand_unipoly(rng), rand_unipoly(rng)
+        assert (f * g).coeffs == _dense_mul(f.coeffs, g.coeffs)
+
+
+def _term_render(coeff, body):
+    """One term as the per-class renders wrote it, its sign in front."""
+    if not body:
+        return render_scalar(coeff)
+    if coeff in (1, -1):
+        return body if coeff == 1 else f"-{body}"
+    return f"{render_scalar(coeff)}*{body}"
+
+
+def _joined(parts):
+    if not parts:
+        return "0"
+    return parts[0] + "".join(f" - {p[1:]}" if p.startswith("-") else f" + {p}" for p in parts[1:])
+
+
+def test_render_matches_the_per_class_renders():
+    """The shared render against the two renders it replaced: UniPoly by
+    power, BiPoly by total degree, then c-degree, then h-degree."""
+    rng = random.Random(23)
+    for _ in range(80):
+        f = rand_unipoly(rng, max_deg=5)
+        parts = [_term_render(c, "" if i == 0 else "t" if i == 1 else f"t^{i}")
+                 for i, c in enumerate(f.coeffs) if c]
+        assert f.render() == _joined(parts)
+        g = rand_bipoly(rng)
+        terms = _sparse(g)
+        parts = []
+        for i, j in sorted(terms, key=lambda k: (k[0] + k[1], k[0], k[1])):
+            body = "*".join(([f"c^{i}" if i > 1 else "c"] if i else [])
+                            + ([f"h^{j}" if j > 1 else "h"] if j else []))
+            parts.append(_term_render(terms[(i, j)], body))
+        assert g.render() == _joined(parts)
+
+
+def test_polynomials_have_one_canonical_array():
+    """Trailing zeros at either depth are dropped, so a value has one
+    `coeffs`, and equal values hash alike."""
+    c, h = BiPoly.gens()
+    padded = BiPoly([[1, 0, 0], [], [0, 0]])
+    assert padded.coeffs == ((1,),) and padded == BiPoly.const(1) == 1
+    assert hash(padded) == hash(BiPoly.const(1)) == hash(1)
+    p = BiPoly([[0, 2, 0], [0], [3], []])
+    assert p.coeffs == ((0, 2), (), (3,))
+    assert p == 2 * c + 3 * h * h and hash(p) == hash(2 * c + 3 * h * h)
+    assert c * h - h * c == BiPoly([]) and (c * h - h * c).coeffs == ()
+    assert UniPoly([1, 0, 0], "t").coeffs == (1,) and UniPoly([0, 0], "t").coeffs == ()
+    with pytest.raises(TypeError):
+        BiPoly({(0, 1): 1})  # not the array ((0, 1),), which is c
+
+
+def test_one_arithmetic_for_both_polynomial_rings():
+    """UniPoly and BiPoly define no +, -, * or / of their own: their
+    shared base runs all four on the one coefficient array."""
+    for cls in (UniPoly, BiPoly):
+        for name in ("__add__", "__neg__", "__mul__", "__truediv__"):
+            assert name not in vars(cls), (cls.__name__, name)
 
 
 def test_laurent_exact_division():
@@ -165,8 +274,9 @@ def _power_sum(f, first, second):
         return out
 
     total = Fraction(0)
-    for (i, j), coeff in f.terms.items():
-        total = total + coeff * power(first, i) * power(second, j)
+    for j, row in enumerate(f.coeffs):
+        for i, coeff in enumerate(row):
+            total = total + coeff * power(first, i) * power(second, j)
     return total
 
 
@@ -368,7 +478,7 @@ def test_vector_types_never_compare_equal():
 def test_scalars_are_false_exactly_when_zero():
     t = UniPoly.gen("t")
     c, h = BiPoly.gens()
-    for zero in (UniPoly((), "t"), t - t, BiPoly({}), c * h - h * c):
+    for zero in (UniPoly((), "t"), t - t, BiPoly([]), c * h - h * c):
         assert not zero and zero.is_zero()
     for nonzero in (t, UniPoly.const(Fraction(1, 3), "t"), c, BiPoly.const(-1)):
         assert nonzero and not nonzero.is_zero()
