@@ -45,7 +45,7 @@ def bareiss_det(matrix):
     kind, var, depth = _ring_of(matrix)
     arrays = [[_array(x, depth) for x in row] for row in matrix]
     dens = [_row_scale(_leaves(row, depth + 1)) for row in arrays]
-    sym = all(arrays[i][j] == arrays[j][i] for i in range(n) for j in range(i))
+    sym = all(matrix[i][j] == matrix[j][i] for i in range(n) for j in range(i))
     if sym:
         dens = [lcm(*dens)] * n
     m = [_scaled(row, den, depth + 1) for row, den in zip(arrays, dens)]

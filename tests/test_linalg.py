@@ -327,6 +327,20 @@ def test_bareiss_zero_leading_pivot_swaps_rows_with_sign():
     assert bareiss_det(m) == -c * h
 
 
+def test_bareiss_sees_symmetry_across_entry_types(monkeypatch):
+    """A rational entry mirrors the equal constant polynomial: the matrix
+    is symmetric, though their coefficient arrays are a list and a tuple."""
+    seen = []
+    echelon = linalg._echelon
+    monkeypatch.setattr(linalg, "_echelon", lambda m, depth, reduced, sym=False:
+                        seen.append(sym) or echelon(m, depth, reduced, sym))
+    c, h = BiPoly.gens()
+    x = UniPoly.gen("x")
+    assert bareiss_det([[c, Fraction(3)], [BiPoly.const(3), h]]) == c * h - 9
+    assert bareiss_det([[x, UniPoly.const(0, "x")], [0, x]]) == x * x
+    assert seen == [True, True]
+
+
 def test_bareiss_singular_gives_zero_of_the_ring():
     x = UniPoly.gen("x")
     c, h = BiPoly.gens()
