@@ -120,8 +120,9 @@ def _exact_div(a, b):
 class _Poly(_Ring):
     """What UniPoly and BiPoly share: `coeffs`, their dense coefficient
     array over Q at depth `_depth` (1 or 2), as tuples with no trailing
-    zero at any depth, so that each value has one; and the one +, -, *
-    and / on it, by `_add`, `_addmul` and `_map`."""
+    zero at any depth, so that equal values have equal arrays (a zero
+    inside may be the int 0); and the one +, -, * and / on it, by `_add`,
+    `_addmul` and `_map`."""
 
     __slots__ = ("coeffs",)
 
