@@ -229,8 +229,8 @@ def criterion_jantzen_identity(level_cap, **_):
 def criterion_character_sums(**_):
     """Filtration character sums match the closed degeneracy sums to q^6."""
     for name, case, label in JANTZEN_FAMILIES:
-        computed = jantzen.filtration_character_sum(case, 6, **label)
-        if computed != jantzen.character_sum_closed(case, 6, **label):
+        module = jantzen.kac_module(case, **label)
+        if module.filtration_character_sum(6) != module.character_sum_closed(6):
             return False, {"case": name}
     return True, {"cases": len(JANTZEN_FAMILIES)}
 
@@ -243,7 +243,7 @@ def _ranks_match_characters(rows):
         module = jantzen.kac_module(case, **label)
         name = name.format(h=module.params.h)
         dims = verma.irreducible_dims(module.params, n)
-        if [Fraction(x) for x in dims] != list(jantzen.character_formula(case, n, **label).coeffs):
+        if [Fraction(x) for x in dims] != list(module.character(n).coeffs):
             return False, {"case": name, "dims": dims}
         details[name] = dims
     return True, details
@@ -293,8 +293,8 @@ def criterion_goldstone(**_):
             m += 1
         # kernel dimensions across that charge sector
         params = oscillator.OscParams.charge_sector(k)
-        expected = set(singular.c1_chain_levels(k, 9))
         max_level = int(Fraction(9) - k * k) if k * k <= 9 else -1
+        expected = set(jantzen.kac_module("c1", j=k).chain(max_level))
         for level in range(1, max_level + 1):
             found = oscillator.singular_kernel_osc(params, level)
             want = 1 if level in expected else 0

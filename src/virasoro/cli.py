@@ -255,19 +255,10 @@ def cmd_jantzen(args):
     from . import combinat, jantzen
     _check_mode_flags(args, args.case)
     module = jantzen.kac_module(args.case, **_label(args))
-    path, label = module.path
-    if args.path != "auto" and args.case == "discrete":
-        raise UsageError("jantzen --case discrete takes no --path")
-    if args.path == "c" and args.j == 0:
-        raise UsageError("the c-path is degenerate at j = 0; use --path h")
-    lead = module.params.h
-    closed = jantzen.character_sum_closed(args.case, args.n, **_label(args))
-    if args.path == "h" or args.j == 0:
-        path, label = (UniPoly.const(1, "x"), lead + UniPoly.gen("x")), f"c=1, h={lead}+x"
-    if args.path == "h" and args.j != 0:
-        # the weight path crosses each c = 1 vanishing curve where its
-        # quadratic factor is a perfect square, doubling every order
-        closed = closed.scale(2)
+    if args.path not in module.paths:
+        raise UsageError(f"this module takes --path {' or '.join(module.paths)}, not {args.path}")
+    (path, label), multiplicity = module.paths[args.path]
+    closed = module.character_sum_closed(args.n).scale(multiplicity)
     levels = {}
     depth_sums = [0]
     for level, (order, filt) in enumerate(jantzen.level_filtrations(path, label, args.n), 1):
@@ -275,7 +266,7 @@ def cmd_jantzen(args):
         levels[level] = {
             "dims": list(filt.dims), "det_order": order, "identity": order == depth_sums[-1]
         }
-    computed = combinat.QSeries(depth_sums, lead, args.n)
+    computed = combinat.QSeries(depth_sums, module.params.h, args.n)
     verdict = computed == closed and all(v["identity"] for v in levels.values())
     report = {
         "subcommand": "jantzen",
@@ -293,10 +284,11 @@ def cmd_character(args):
     from . import jantzen, verma
     case = "c1" if args.c1 else "discrete"
     _check_mode_flags(args, case)
-    series = jantzen.character_formula(case, args.n, **_label(args))
+    module = jantzen.kac_module(case, **_label(args))
+    series = module.character(args.n)
     report = {"subcommand": "character", **series.to_json()}
     if args.check_oracle:
-        dims = verma.irreducible_dims(jantzen.kac_module(case, **_label(args)).params, args.n)
+        dims = verma.irreducible_dims(module.params, args.n)
         report["rank_oracle"] = dims
         report["verdict"] = [Fraction(d) for d in dims] == list(series.coeffs)
     return report, report.get("verdict", True)

@@ -18,12 +18,12 @@ by one block.  So dim V^(m) = dim K_m - dim K_{m-1} = n - (rank T_m -
 rank T_{m-1}), and the filtration needs only ranks over Q, at most
 ord det + 1 of them.
 
-Two path families are supported: central-charge paths (1 + x, j^2) and
-weight paths (c(m), h_{r,s}(m) + x).  For j = 0 the c-path is degenerate
-at every positive level (the linear Kac factor vanishes identically along
-it), so the weight path (1, x) is used instead; reports flag the switch.
-`kac_module` is the one place that maps a family label to its module:
-(c, h), the path, the singular-chain levels and the closed character.
+Two path families are supported: the c-path (1 + x, j^2) and the weight
+paths (c, h + x).  For j = 0 the c-path is degenerate at every positive
+level (the linear Kac factor vanishes identically along it), so the
+weight path (1, x), labelled "c=1, h=0+x", is used instead.  `kac_module`
+is the one place that maps a family label to its module: (c, h), its
+Jantzen paths, the singular-chain levels and the closed characters.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from typing import Callable, NamedTuple
 from .combinat import QSeries, num_partitions, partitions_of
 from .linalg import bareiss_det, rank
 from .scalars import UniPoly, UsageError, as_fraction
-from .singular import c1_chain_levels, discrete_chain_levels
 from .verma import PBWVector, VermaParams, central_charge, gram_matrices, h_pq
 
 
@@ -69,7 +68,7 @@ def _as_x_poly(value) -> UniPoly:
     return UniPoly.const(as_fraction(value), "x")
 
 
-def gram_family(path, level: int, provenance: str = "") -> MatrixFamily:
+def gram_family(path, level: int, provenance: str) -> MatrixFamily:
     """The level Gram matrix along a polynomial path (c(x), h(x)): the path
     is itself the Verma parameter, whose Gram matrices gram_matrices
     builds on Z[x] arrays; every entry, zeros included, as a UniPoly."""
@@ -78,28 +77,29 @@ def gram_family(path, level: int, provenance: str = "") -> MatrixFamily:
 
 def _gram_families(path, n_max: int, provenance: str, low: int) -> list:
     """The families of levels low..n_max from one gram_matrices build."""
-    c_path, h_path = (_as_x_poly(p) for p in path)
-    label = provenance or f"c(x)={c_path.render()}, h(x)={h_path.render()}"
-    return [MatrixFamily(g.level, tuple(tuple(map(_as_x_poly, row)) for row in g.entries), label)
-            for g in gram_matrices(n_max, VermaParams(c_path, h_path))[low:]]
+    params = VermaParams(*map(_as_x_poly, path))
+    return [MatrixFamily(g.level, tuple(tuple(map(_as_x_poly, row)) for row in g.entries), provenance)
+            for g in gram_matrices(n_max, params)[low:]]
+
+
+def _weight_path(c, h):
+    """The weight path (c, h + x) through M(c, h), with its label."""
+    return (UniPoly.const(c, "x"), h + UniPoly.gen("x")), f"c={c}, h={h}+x"
 
 
 def c1_path(j):
-    """The path through (1, j^2); the weight path (1, x) when j = 0."""
+    """The c-path (1 + x, j^2) through (1, j^2); the weight path (1, x)
+    when j = 0, where the c-path is degenerate."""
     j = as_fraction(j)
-    x = UniPoly.gen("x")
     if j == 0:
-        return (UniPoly.const(1, "x"), x), "c=1, h=x (weight path; c-path degenerate at j=0)"
-    return (1 + x, UniPoly.const(j * j, "x")), f"c=1+x, h={j * j}"
+        return _weight_path(1, j)
+    return (1 + UniPoly.gen("x"), UniPoly.const(j * j, "x")), f"c=1+x, h={j * j}"
 
 
 def discrete_path(m: int, r: int, s: int):
+    """The weight path through the (m; r, s) module."""
     _check_kac_label(m, r, s)
-    x = UniPoly.gen("x")
-    h0 = h_pq(r, s, m)
-    return (UniPoly.const(central_charge(m), "x"), h0 + x), (
-        f"c={central_charge(m)}, h={h0}+x"
-    )
+    return _weight_path(central_charge(m), h_pq(r, s, m))
 
 
 def coefficient_matrices(family: MatrixFamily):
@@ -109,17 +109,15 @@ def coefficient_matrices(family: MatrixFamily):
              for row in family.entries] for i in range(top + 1)]
 
 
-def jantzen_filtration(family: MatrixFamily, det=None) -> Filtration:
+def jantzen_filtration(family: MatrixFamily, det) -> Filtration:
     """The filtration dims as rank differences of the block-Toeplitz
-    matrices T_m; `det` is det A(x) when the caller has already computed it.
+    matrices T_m, given det = det A(x).
 
     T_m has A_{i-j} in block row i and block column j <= i (i, j < m), and
     dim V^(m) = n - (rank T_m - rank T_{m-1}).  As the dims sum to
     ord det, at most ord det + 1 depths are run; a filtration that overran
     them would break the order identity its callers check.
     """
-    if det is None:
-        det = bareiss_det(family.rows())
     if det.is_zero():
         raise DegenerateFamilyError(
             f"det A(x) vanishes identically for {family.provenance} at level {family.level}"
@@ -164,14 +162,19 @@ def det_order_identity(family: MatrixFamily):
 
 class KacModule(NamedTuple):
     """M(c, h) of a family label: its rational parameters, the Jantzen
-    path through them with its label, `chain(n)`, the singular-chain
-    levels within 1..n, and `signs(n)`, the (level, +-1) terms within
-    0..n of the closed character q^h phi(q) sum +-q^level."""
+    paths through them keyed by the --path choice, `chain(n)`, the
+    singular-chain levels within 1..n, and `signs(n)`, the (level, +-1)
+    terms within 0..n of the closed character q^h phi(q) sum +-q^level."""
 
     params: VermaParams
-    path: tuple  # ((c(x), h(x)), label)
+    paths: dict  # --path choice -> (((c(x), h(x)), label), multiplicity of every det order)
     chain: Callable
     signs: Callable
+
+    @property
+    def path(self) -> tuple:
+        """The default Jantzen path, ((c(x), h(x)), label)."""
+        return self.paths["auto"][0]
 
     def phi_times(self, terms, n_max: int) -> QSeries:
         """q^h phi(q) sum sign q^level over the (level, sign) terms, to
@@ -183,61 +186,69 @@ class KacModule(NamedTuple):
                 coeffs[n] += sign * num_partitions(n - lvl)
         return QSeries(coeffs, self.params.h, n_max)
 
+    def character(self, n_max: int) -> QSeries:
+        """The closed irreducible character to relative level n_max."""
+        return self.phi_times(self.signs(n_max), n_max)
+
+    def character_sum_closed(self, n_max: int) -> QSeries:
+        """The closed degeneracy sum q^h phi(q) sum_{chain levels} q^level to
+        relative level n_max, which `filtration_character_sum` must equal."""
+        return self.phi_times([(lvl, 1) for lvl in self.chain(n_max)], n_max)
+
+    def filtration_character_sum(self, n_max: int) -> QSeries:
+        """sum_{i>=1} ch M^(i) along the default path, assembled level by
+        level from filtration dims, coefficients indexed by relative level."""
+        _check_order(n_max)
+        coeffs = [0] + [filt.depth_sum() for _, filt in level_filtrations(*self.path, n_max)]
+        return QSeries(coeffs, self.params.h, n_max)
+
 
 def kac_module(case: str, *, j=None, m=None, r=None, s=None) -> KacModule:
     """The module of a family label, checked once; a UsageError outside
-    the family.  "c1": M(1, j^2), j a non-negative half-integer, with
-    chain levels k(k + 2j), k >= 1, and character q^{j^2} phi(q)
-    (1 - q^{2j+1}).  "discrete": the (m; r, s) module, (r, s) in the Kac
-    table, with chain levels (r + am)(s + a(m+1)), a in Z, and character
+    the family.  "c1": M(1, j^2), j a non-negative half-integer, on the
+    weight path and, for j != 0, the c-path, with chain levels
+    k(k + 2j), k >= 1, and character q^{j^2} phi(q) (1 - q^{2j+1}).
+    "discrete": the (m; r, s) module, (r, s) in the Kac table, on its
+    weight path, with character
 
         q^h phi(q) sum_{k in Z} (q^{l+(k)} - q^{l-(k)}),
         l+(k) = k^2 m(m+1) + k (r(m+1) - s m),
-        l-(k) = r s + k^2 m(m+1) + k (r(m+1) + s m),
+        l-(k) = (r + km)(s + k(m+1)),
 
-    the relative levels of the two chains of submodule generators.
+    the relative levels of the two chains of submodule generators; the
+    l-(k), each >= 1 and distinct, are its chain levels.
     """
     if case == "c1":
         j = _c1_spin(j)
-        return KacModule(VermaParams.rational(1, j * j), c1_path(j),
-                         lambda n: [lvl for lvl in c1_chain_levels(j, n) if lvl <= n],
-                         lambda n: [t for t in ((0, 1), (int(2 * j) + 1, -1)) if t[0] <= n])
+        two_j = int(2 * j)
+        weight = _weight_path(1, j * j)
+        # at j != 0 the weight path crosses each c = 1 vanishing curve where
+        # its quadratic factor is a perfect square, doubling every order; at
+        # j = 0 the c-path is degenerate and c1_path is the weight path
+        paths = ({"auto": (c1_path(j), 1), "c": (c1_path(j), 1), "h": (weight, 2)} if j
+                 else {"auto": (weight, 1), "h": (weight, 1)})
+        return KacModule(VermaParams.rational(1, j * j), paths,
+                         lambda n: [lvl for k in range(1, n + 1) if (lvl := k * (k + two_j)) <= n],
+                         lambda n: [t for t in ((0, 1), (two_j + 1, -1)) if t[0] <= n])
     if case == "discrete":
         path = discrete_path(m, r, s)
-        period, a_minus, a_plus = m * (m + 1), r * (m + 1) - s * m, r * (m + 1) + s * m
-        return KacModule(
-            VermaParams.rational(central_charge(m), h_pq(r, s, m)), path,
-            lambda n: discrete_chain_levels(m, r, s, n),
-            lambda n: [(lvl, sign) for k in range(-n - 1, n + 2)
-                       for lvl, sign in ((k * k * period + k * a_minus, 1),
-                                         (r * s + k * k * period + k * a_plus, -1))
-                       if 0 <= lvl <= n])
+        period, a_minus = m * (m + 1), r * (m + 1) - s * m
+
+        def signs(n):
+            return [(lvl, sign) for k in range(-n - 1, n + 2)
+                    for lvl, sign in ((k * k * period + k * a_minus, 1),
+                                      ((r + k * m) * (s + k * (m + 1)), -1))
+                    if 0 <= lvl <= n]
+
+        return KacModule(VermaParams.rational(central_charge(m), h_pq(r, s, m)),
+                         {"auto": (path, 1)},
+                         lambda n: sorted(lvl for lvl, sign in signs(n) if sign < 0), signs)
     raise UsageError(f"unknown module case {case!r}; valid: c1, discrete")
 
 
 def character_formula(case: str, n_max: int, *, j=None, m=None, r=None, s=None) -> QSeries:
     """Closed-form irreducible character, truncated at relative level n_max."""
-    module = kac_module(case, j=j, m=m, r=r, s=s)
-    return module.phi_times(module.signs(n_max), n_max)
-
-
-def character_sum_closed(case: str, n_max: int, *, j=None, m=None, r=None, s=None) -> QSeries:
-    """The closed degeneracy sum q^h phi(q) sum_{chain levels} q^level to
-    relative level n_max, which `filtration_character_sum` must equal."""
-    module = kac_module(case, j=j, m=m, r=r, s=s)
-    return module.phi_times([(lvl, 1) for lvl in module.chain(n_max)], n_max)
-
-
-def filtration_character_sum(case: str, n_max: int, *, j=None, m=None, r=None, s=None) -> QSeries:
-    """sum_{i>=1} ch M^(i) assembled level by level from filtration dims.
-
-    Returned with leading exponent equal to the lowest weight of the
-    module, coefficients indexed by relative level.
-    """
-    module = kac_module(case, j=j, m=m, r=r, s=s)
-    _check_order(n_max)
-    coeffs = [0] + [filt.depth_sum() for _, filt in level_filtrations(*module.path, n_max)]
-    return QSeries(coeffs, module.params.h, n_max)
+    return kac_module(case, j=j, m=m, r=r, s=s).character(n_max)
 
 
 def _c1_spin(j) -> Fraction:

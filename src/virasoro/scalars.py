@@ -167,6 +167,8 @@ class _Poly(_Ring):
         return self._new(_map(neg, self.coeffs, self._depth), self)
 
     def __mul__(self, other):
+        if _is_rational(other):
+            return self._new(_map(as_fraction(other).__mul__, self.coeffs, self._depth), self)
         o = self._coerce(other)
         if o is None:
             return NotImplemented

@@ -139,19 +139,13 @@ def curve_singular(r: int, s: int) -> PBWVector:
     """The unique singular vector of M(c(t), h_{r,s}(t)) at level r*s.
 
     Solved as an exact kernel computation over Q[t, 1/t], fraction-free
-    over Z[t] with rows cleared of their denominators; the kernel must be
-    one-dimensional, otherwise the uniqueness guarantee is violated and
-    a RuntimeError is raised.
+    over Z[t] with rows cleared of their denominators; `singular_chain`
+    raises a RuntimeError unless the kernel is one-dimensional, as the
+    uniqueness guarantee requires.
     """
     if r < 1 or s < 1:
         raise UsageError("r and s must be positive")
-    params = VermaParams(c_curve(), h_pq_curve(r, s))
-    found = singular_kernel(params, r * s)
-    if len(found) != 1:
-        raise RuntimeError(
-            f"kernel dimension {len(found)} at level {r * s} on the ({r},{s}) curve; expected 1"
-        )
-    return found[0]
+    return singular_chain(VermaParams(c_curve(), h_pq_curve(r, s)), [r * s])[0]
 
 
 def specialize_curve_vector(v: PBWVector, t_value) -> PBWVector:
@@ -172,26 +166,6 @@ def curve_params_at(t_value, rs) -> VermaParams:
     t_value = as_fraction(t_value)
     r, s = rs
     return VermaParams(c_curve()(t_value), h_pq_curve(r, s)(t_value))
-
-
-def c1_chain_levels(j, count: int) -> list:
-    """Levels of the singular chain of M(1, j^2): k(k + 2j), k = 1..count."""
-    j = as_fraction(j)
-    out = []
-    for k in range(1, count + 1):
-        lvl = k * (k + 2 * j)
-        if lvl.denominator != 1:
-            raise UsageError("j must be a half-integer")
-        out.append(int(lvl))
-    return out
-
-
-def discrete_chain_levels(m: int, r: int, s: int, max_level: int) -> list:
-    """Relative levels (r+am)(s+a(m+1)), a in Z, within 1..max_level,
-    sorted and each listed once (inside the Kac table none repeats)."""
-    bound = max_level + 1
-    levels = ((r + a * m) * (s + a * (m + 1)) for a in range(-bound, bound + 1))
-    return sorted({lvl for lvl in levels if 1 <= lvl <= max_level})
 
 
 class SpinChainOps:

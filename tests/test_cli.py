@@ -576,8 +576,10 @@ _SUITE_MODULES = {
 ], ids=lambda e: e or "import virasoro.cli")
 def test_command_imports_only_what_it_runs(example):
     """A fresh process loads no `dataclasses`, and the identity suites
-    only for the subcommands that run them; a bare `import virasoro.cli`
-    loads only the package, the CLI and the scalars it parses into."""
+    only for the subcommands that run them; `jantzen` and `character`,
+    which read everything they know of a module from `kac_module`, load
+    no `virasoro.singular`; a bare `import virasoro.cli` loads only the
+    package, the CLI and the scalars it parses into."""
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE, *shlex.split(example)],
@@ -591,3 +593,5 @@ def test_command_imports_only_what_it_runs(example):
         assert loaded == {"virasoro", "virasoro.cli", "virasoro.scalars"}
     suites = loaded & {"virasoro.acceptance", "virasoro.fock_checks"}
     assert suites == _SUITE_MODULES.get(example.split(" ")[0], set()), sorted(loaded)
+    if example.split(" ")[0] in ("jantzen", "character"):
+        assert "virasoro.singular" not in loaded

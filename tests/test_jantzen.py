@@ -12,11 +12,9 @@ from virasoro.jantzen import (
     _as_x_poly,
     c1_path,
     character_formula,
-    character_sum_closed,
     coefficient_matrices,
     det_order_identity,
     discrete_path,
-    filtration_character_sum,
     gram_family,
     jantzen_filtration,
     kac_module,
@@ -35,9 +33,13 @@ ONE = UniPoly.const(1, "x")
 ZERO = UniPoly.const(0, "x")
 
 
+def _filtration(fam):
+    return jantzen_filtration(fam, bareiss_det(fam.rows()))
+
+
 def test_hand_families():
     fam = MatrixFamily(2, ((ONE, ZERO), (ZERO, X * X)), "diag(1, x^2)")
-    filt = jantzen_filtration(fam)
+    filt = _filtration(fam)
     assert filt.dims == (2, 1, 1, 0)
     assert filt.depth_sum() == 2
     assert det_order_identity(fam) == (2, 2)
@@ -45,7 +47,7 @@ def test_hand_families():
 
     fam = MatrixFamily(2, ((X, X), (X, X + X * X)), "hand")
     assert det_order_identity(fam) == (3, 3)
-    assert jantzen_filtration(fam).dims == _rebuilt_filtration(fam)[0]
+    assert _filtration(fam).dims == _rebuilt_filtration(fam)[0]
 
 
 def _toeplitz_kernel(mats, n: int, depth: int):
@@ -178,7 +180,7 @@ def test_gram_family_is_the_specialised_symbolic_gram():
 def test_degenerate_family_raises():
     fam = MatrixFamily(2, ((X, X), (X, X)), "rank-deficient")
     with pytest.raises(DegenerateFamilyError):
-        jantzen_filtration(fam)
+        _filtration(fam)
 
 
 def test_gram_family_level_one():
@@ -226,25 +228,26 @@ def test_deep_filtration_needs_section_corrections():
     fam = gram_family(path, 6, label)
     order, sdim = det_order_identity(fam)
     assert order == sdim == 6
-    filt = jantzen_filtration(fam)
+    filt = _filtration(fam)
     assert filt.dims == (11, 5, 1, 0)
 
 
 def test_filtration_character_sums_match_closed_forms():
-    for j in (HALF, Fraction(1)):
-        assert filtration_character_sum("c1", 6, j=j) == character_sum_closed("c1", 6, j=j)
+    for label in [{"j": HALF}, {"j": 1}]:
+        module = kac_module("c1", **label)
+        assert module.filtration_character_sum(6) == module.character_sum_closed(6)
     for r, s in ((1, 1), (2, 1), (2, 2)):
-        got = filtration_character_sum("discrete", 6, m=3, r=r, s=s)
-        assert got == character_sum_closed("discrete", 6, m=3, r=r, s=s)
+        module = kac_module("discrete", m=3, r=r, s=s)
+        assert module.filtration_character_sum(6) == module.character_sum_closed(6)
 
 
 def test_character_sum_closed_examples():
     # j = 1: first degeneracy at level 3 with multiplicity P(0) = 1
-    series = character_sum_closed("c1", 6, j=1)
+    series = kac_module("c1", j=1).character_sum_closed(6)
     assert series.coeffs[3] == 1
     assert [int(c) for c in series.coeffs] == [0, 0, 0, 1, 1, 2, 3]
     # j = 1/2 matches a(N) = sum_r P(N - r(r+1))
-    series = character_sum_closed("c1", 6, j=HALF)
+    series = kac_module("c1", j=HALF).character_sum_closed(6)
     assert [int(c) for c in series.coeffs] == [0, 0, 1, 1, 2, 3, 6]
 
 
@@ -351,7 +354,7 @@ def test_c1_characters_need_a_half_integer_spin(j):
     with pytest.raises(UsageError):
         character_formula("c1", 4, j=j)
     with pytest.raises(UsageError):
-        character_sum_closed("c1", 4, j=j)
+        kac_module("c1", j=j).character_sum_closed(4)
 
 
 @pytest.mark.parametrize("r,s", [(0, 1), (3, 1), (1, 0), (1, 4), (-1, 2)])
@@ -375,9 +378,7 @@ def test_every_route_rejects_a_label_outside_its_family(case, label):
     or a missing label is a usage error on every route, not a zero or a
     wrong series: each reads its module from kac_module."""
     for route in (lambda: kac_module(case, **label),
-                  lambda: character_formula(case, 3, **label),
-                  lambda: character_sum_closed(case, 3, **label),
-                  lambda: filtration_character_sum(case, 3, **label)):
+                  lambda: character_formula(case, 3, **label)):
         with pytest.raises(UsageError):
             route()
 
@@ -387,12 +388,55 @@ def test_kac_module_chain_and_signs():
     module = kac_module("c1", j=HALF)
     assert module.params == VermaParams.rational(1, Fraction(1, 4))
     assert module.path == c1_path(HALF)
+    assert module.paths["c"] == (c1_path(HALF), 1)
+    assert module.paths["h"] == (((ONE, Fraction(1, 4) + X), "c=1, h=1/4+x"), 2)
+    assert kac_module("c1", j=0).paths == dict.fromkeys(("auto", "h"), (c1_path(0), 1))
     assert module.chain(12) == [2, 6, 12] and module.chain(1) == []
     assert module.signs(2) == [(0, 1), (2, -1)] and module.signs(1) == [(0, 1)]
     # m = 3 (1, 1): chain (1 + 3a)(1 + 4a) = 1, 6, 20, 35; the character
     # terms l+(k), l-(k) within the window, each once
     module = kac_module("discrete", m=3, r=1, s=1)
     assert module.params == VermaParams.rational(Fraction(1, 2), 0)
-    assert module.path == discrete_path(3, 1, 1)
+    assert module.paths == {"auto": (discrete_path(3, 1, 1), 1)}
     assert module.chain(35) == [1, 6, 20, 35]
     assert sorted(module.signs(13)) == [(0, 1), (1, -1), (6, -1), (11, 1), (13, 1)]
+
+
+def test_chain_levels():
+    assert kac_module("c1", j=0).chain(4) == [1, 4]
+    assert kac_module("c1", j=HALF).chain(6) == [2, 6]
+    assert kac_module("discrete", m=3, r=1, s=1).chain(36) == [1, 6, 20, 35]
+    assert kac_module("discrete", m=3, r=2, s=2).chain(31) == [2, 4, 24, 30]
+
+
+def test_discrete_chain_levels_over_the_kac_table():
+    # the two chains (r + am)(s + a(m+1)) and (r - am)(s - a(m+1)), a >= 0,
+    # walked outward until both leave the window; inside the Kac table no
+    # level repeats, so the sorted union is the whole list
+    def reference(m, r, s, top):
+        out = []
+        for sign in (1, -1):
+            for a in range(0 if sign == 1 else 1, top + 2):
+                lvl = (r + sign * a * m) * (s + sign * a * (m + 1))
+                if 1 <= lvl <= top:
+                    out.append(lvl)
+        return sorted(out)
+
+    for m in (3, 4, 5):
+        for r in range(1, m):
+            for s in range(1, m + 1):
+                chain = kac_module("discrete", m=m, r=r, s=s).chain
+                for top in range(41):
+                    assert chain(top) == reference(m, r, s, top), (m, r, s, top)
+
+
+def test_discrete_chain_levels_are_the_minus_sign_character_levels():
+    # the submodule generators of the closed character's q^{l-(k)} terms
+    # are the singular chain: one l-(k) expression serves both
+    for m in range(3, 9):
+        for r in range(1, m):
+            for s in range(1, m + 1):
+                module = kac_module("discrete", m=m, r=r, s=s)
+                for n in range(61):
+                    minus = sorted(lvl for lvl, sign in module.signs(n) if sign < 0)
+                    assert module.chain(n) == minus, (m, r, s, n)

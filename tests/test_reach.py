@@ -9,8 +9,8 @@ some call in the package or the benchmark: an option that every caller
 leaves at its default is a second formula nobody runs.  A second guard keeps
 the scalar tower layered: scalars imports nothing of the package, linalg
 only scalars.  A third keeps one dispatcher per module family: only
-jantzen.kac_module (and the CLI's --path handling) compares a value with
-the case names "c1" and "discrete"."""
+jantzen.kac_module compares a value with the case names "c1" and
+"discrete"."""
 
 import ast
 from collections import Counter
@@ -228,4 +228,4 @@ def test_one_dispatcher_per_module_family():
     assert case_comparisons({"demo": ast.parse(demo)}) == {
         "demo.kac_module", "demo.second", "demo.third", "demo.fourth"}
     modules = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in PACKAGE}
-    assert case_comparisons(modules) == {"jantzen.kac_module", "cli.cmd_jantzen"}
+    assert case_comparisons(modules) == {"jantzen.kac_module"}

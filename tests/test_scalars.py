@@ -178,6 +178,23 @@ def test_one_arithmetic_for_both_polynomial_rings():
             assert name not in vars(cls), (cls.__name__, name)
 
 
+def test_scaling_by_a_rational_matches_the_product():
+    """p * q for a rational q, on either side, equals p / (1/q) and the
+    product with the constant polynomial q; it keeps p's variable tag,
+    and 0 * p is the zero polynomial."""
+    rng = random.Random(30)
+    for _ in range(20):
+        p = rand_unipoly(rng, var="v")
+        assert p * 3 == 3 * p == p / Fraction(1, 3) == p * UniPoly.const(3, "v")
+        assert (p * 3).var == (3 * p).var == "v"
+        assert (0 * p).coeffs == () and 0 * p == UniPoly([], "v")
+        b = rand_bipoly(rng)
+        q = Fraction(-2, 5)
+        assert b * q == q * b == b / Fraction(-5, 2) == b * BiPoly.const(q)
+        assert (0 * b).coeffs == ()
+    assert (UniPoly.const(2, "t") * Fraction(1, 2)).var == "t"
+
+
 def test_laurent_exact_division():
     rng = random.Random(13)
     t = Laurent(UniPoly.gen("t"))

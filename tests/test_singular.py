@@ -9,11 +9,9 @@ from virasoro.scalars import Laurent, UniPoly
 from virasoro.singular import (
     SpinModule,
     bdiz_singular,
-    c1_chain_levels,
     check_singular,
     curve_params_at,
     curve_singular,
-    discrete_chain_levels,
     singular_chain,
     singular_kernel,
     specialize_curve_vector,
@@ -177,34 +175,6 @@ def test_uniqueness_of_kernels():
     ]
     for params, level in cases:
         assert len(singular_kernel(params, level)) == 1, (params, level)
-
-
-def test_chain_levels():
-    assert c1_chain_levels(0, 2) == [1, 4]
-    assert c1_chain_levels(HALF, 2) == [2, 6]
-    assert discrete_chain_levels(3, 1, 1, 36) == [1, 6, 20, 35]
-    assert discrete_chain_levels(3, 2, 2, 31) == [2, 4, 24, 30]
-
-
-def test_discrete_chain_levels_over_the_kac_table():
-    # the two chains (r + am)(s + a(m+1)) and (r - am)(s - a(m+1)), a >= 0,
-    # walked outward until both leave the window; inside the Kac table no
-    # level repeats, so the sorted union is the whole list
-    def reference(m, r, s, top):
-        out = []
-        for sign in (1, -1):
-            for a in range(0 if sign == 1 else 1, top + 2):
-                lvl = (r + sign * a * m) * (s + sign * a * (m + 1))
-                if 1 <= lvl <= top:
-                    out.append(lvl)
-        return sorted(out)
-
-    for m in (3, 4, 5):
-        for r in range(1, m):
-            for s in range(1, m + 1):
-                for top in range(41):
-                    assert discrete_chain_levels(m, r, s, top) == reference(m, r, s, top), (
-                        m, r, s, top)
 
 
 def test_singular_chain_c1():
