@@ -205,7 +205,7 @@ def cmd_singvec(args):
 
 def cmd_ffpoly(args):
     from . import density
-    mu = UniPoly.gen("mu") if args.mu is None else args.mu
+    mu = UniPoly.gen() if args.mu is None else args.mu
     compare = args.compare.split(",") if args.compare else ["direct"]
     _check_names("routes", compare, ("direct", "product", "determinant"))
     routes = {}
@@ -225,7 +225,7 @@ def cmd_ffpoly(args):
         if p is None:
             raise UsageError("the determinant route needs lambda = p^2")
         routes["determinant"] = density.appc_determinant(args.j, p, mu)
-    values = {k: render_scalar(v) for k, v in routes.items()}
+    values = {k: render_scalar(v, "mu") for k, v in routes.items()}
     keys = [k for k in ("direct", "product", "determinant") if k in routes]
     agree = all(routes[k] == routes[keys[0]] for k in keys)
     if "product^2 (case d)" in routes:
@@ -252,21 +252,15 @@ def _sqrt_fraction(x: Fraction):
 
 
 def cmd_jantzen(args):
-    from . import combinat, jantzen
+    from . import jantzen
     _check_mode_flags(args, args.case)
     module = jantzen.kac_module(args.case, **_label(args))
-    if args.path not in module.paths:
-        raise UsageError(f"this module takes --path {' or '.join(module.paths)}, not {args.path}")
-    (path, label), multiplicity = module.paths[args.path]
-    closed = module.character_sum_closed(args.n).scale(multiplicity)
-    levels = {}
-    depth_sums = [0]
-    for level, (order, filt) in enumerate(jantzen.level_filtrations(path, label, args.n), 1):
-        depth_sums.append(filt.depth_sum())
-        levels[level] = {
-            "dims": list(filt.dims), "det_order": order, "identity": order == depth_sums[-1]
-        }
-    computed = combinat.QSeries(depth_sums, module.params.h, args.n)
+    label, filts, computed = module.filtrations(args.n, args.path)
+    closed = module.character_sum_closed(args.n).scale(module.paths[args.path][1])
+    levels = {
+        level: {"dims": list(filt.dims), "det_order": order, "identity": order == filt.depth_sum()}
+        for level, (order, filt) in enumerate(filts, 1)
+    }
     verdict = computed == closed and all(v["identity"] for v in levels.values())
     report = {
         "subcommand": "jantzen",
@@ -325,14 +319,15 @@ def cmd_goldstone(args):
 
 
 def cmd_binomdet(args):
-    from . import oscillator
+    from . import combinat, oscillator
     f = args.f
     compare = args.compare.split(",") if args.compare else []
     _check_names("routes", compare, ("determinant", "product", "pairing"))
     values = {"determinant": oscillator.binom_det(f, args.mu)}
     if "product" in compare:
-        width, depth = (f[0] if f else 0), len(f)
-        if any(row != width for row in f) or width < depth:
+        shape = combinat.as_signature(f)  # trailing zero rows trimmed
+        width, depth = (shape[0] if shape else 0), len(shape)
+        if any(row != width for row in shape) or width < depth:
             raise UsageError("the product form needs a rectangle with width >= depth")
         values["product"] = oscillator.rect_binom_product(width, depth, args.mu)
     if "pairing" in compare:

@@ -16,8 +16,8 @@ from .scalars import UsageError, as_fraction, render_fraction
 Partition = tuple  # weakly decreasing tuple of positive ints
 Signature = tuple  # weakly decreasing tuple of non-negative ints, trimmed
 
-# Entries kept by each of partitions_of and num_partitions; the acceptance
-# gate fills them to 66 and 14.
+# Entries kept by each of partitions_of and num_partitions; a full run of
+# the acceptance gate in one process fills them to 78 and 12.
 PARTITION_CACHE_SIZE = 1 << 12
 
 

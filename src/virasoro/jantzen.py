@@ -63,9 +63,7 @@ class Filtration(NamedTuple):
 
 
 def _as_x_poly(value) -> UniPoly:
-    if isinstance(value, UniPoly):
-        return value
-    return UniPoly.const(as_fraction(value), "x")
+    return value if isinstance(value, UniPoly) else UniPoly.const(value)
 
 
 def gram_family(path, level: int, provenance: str) -> MatrixFamily:
@@ -84,7 +82,7 @@ def _gram_families(path, n_max: int, provenance: str, low: int) -> list:
 
 def _weight_path(c, h):
     """The weight path (c, h + x) through M(c, h), with its label."""
-    return (UniPoly.const(c, "x"), h + UniPoly.gen("x")), f"c={c}, h={h}+x"
+    return (UniPoly.const(c), h + UniPoly.gen()), f"c={c}, h={h}+x"
 
 
 def c1_path(j):
@@ -93,7 +91,7 @@ def c1_path(j):
     j = as_fraction(j)
     if j == 0:
         return _weight_path(1, j)
-    return (1 + UniPoly.gen("x"), UniPoly.const(j * j, "x")), f"c=1+x, h={j * j}"
+    return (1 + UniPoly.gen(), UniPoly.const(j * j)), f"c=1+x, h={j * j}"
 
 
 def discrete_path(m: int, r: int, s: int):
@@ -147,13 +145,6 @@ def det_order_filtration(family: MatrixFamily):
     return det.order_at_zero(), jantzen_filtration(family, det)
 
 
-def level_filtrations(path, label: str, n_max: int) -> list:
-    """(det order, filtration) of the path's Gram family at each level
-    1..n_max, one Gram build for all levels and one determinant per level
-    (see det_order_filtration)."""
-    return [det_order_filtration(fam) for fam in _gram_families(path, n_max, label, low=1)]
-
-
 def det_order_identity(family: MatrixFamily):
     """(order of x=0 in det A(x), sum of filtration dims)."""
     order, filt = det_order_filtration(family)
@@ -192,15 +183,22 @@ class KacModule(NamedTuple):
 
     def character_sum_closed(self, n_max: int) -> QSeries:
         """The closed degeneracy sum q^h phi(q) sum_{chain levels} q^level to
-        relative level n_max, which `filtration_character_sum` must equal."""
+        relative level n_max, which the series of `filtrations` must equal."""
         return self.phi_times([(lvl, 1) for lvl in self.chain(n_max)], n_max)
 
-    def filtration_character_sum(self, n_max: int) -> QSeries:
-        """sum_{i>=1} ch M^(i) along the default path, assembled level by
-        level from filtration dims, coefficients indexed by relative level."""
+    def filtrations(self, n_max: int, choice: str = "auto"):
+        """(label, levels, series) along the Jantzen path of the --path
+        `choice`: its label; (det order, filtration) at each level 1..n_max,
+        from one Gram build and one determinant per level
+        (`det_order_filtration`); and sum_{i>=1} ch M^(i), their depth
+        sums by relative level.  A choice without a path is a UsageError."""
+        if choice not in self.paths:
+            raise UsageError(f"this module takes --path {' or '.join(self.paths)}, not {choice}")
         _check_order(n_max)
-        coeffs = [0] + [filt.depth_sum() for _, filt in level_filtrations(*self.path, n_max)]
-        return QSeries(coeffs, self.params.h, n_max)
+        (path, label), _ = self.paths[choice]
+        levels = [det_order_filtration(fam) for fam in _gram_families(path, n_max, label, low=1)]
+        coeffs = [0] + [filt.depth_sum() for _, filt in levels]
+        return label, levels, QSeries(coeffs, self.params.h, n_max)
 
 
 def kac_module(case: str, *, j=None, m=None, r=None, s=None) -> KacModule:
@@ -278,7 +276,7 @@ def norm_vanishing_order(vector: PBWVector, family: MatrixFamily) -> int:
     """Order of the zero of (v, v)_x along the family, for a fixed vector."""
     basis = partitions_of(family.level)
     coords = [vector.coeff(p) for p in basis]
-    norm = UniPoly.const(0, "x")
+    norm = UniPoly.const(0)
     for i, row in enumerate(family.entries):
         if coords[i] == 0:
             continue

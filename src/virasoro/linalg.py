@@ -42,7 +42,7 @@ def bareiss_det(matrix):
     n = len(matrix)
     if n == 0:
         return Fraction(1)
-    kind, var, depth = _ring_of(matrix)
+    kind, depth = _ring_of(matrix)
     arrays = [[_array(x, depth) for x in row] for row in matrix]
     dens = [_row_scale(_leaves(row, depth + 1)) for row in arrays]
     sym = all(matrix[i][j] == matrix[j][i] for i in range(n) for j in range(i))
@@ -50,7 +50,7 @@ def bareiss_det(matrix):
         dens = [lcm(*dens)] * n
     m = [_scaled(row, den, depth + 1) for row, den in zip(arrays, dens)]
     pivots, d, sign = _echelon(m, depth, reduced=False, sym=sym)
-    return _entry(d if len(pivots) == n else _array(0, depth), kind, var, sign * prod(dens))
+    return _entry(d if len(pivots) == n else _array(0, depth), kind, sign * prod(dens))
 
 
 def _step(p, x, q, y, prev, depth):
@@ -135,18 +135,19 @@ def _echelon(m, depth, reduced, sym=False):
     return pivots, prev, sign
 
 
-def _cleared(row, var=None):
-    """The row times the lcm of its denominators.  Rationals become ints,
-    divided by their gcd (a positive scale of a row keeps the reduced row
-    echelon form); with `var`, entries in Q[var, 1/var] become Z[var]
-    coefficient arrays, scaled by var^k for the largest pole order k in
-    the row and then by the lcm of the coefficient denominators."""
-    if var is None:
+def _cleared(row, depth=0):
+    """The row times the lcm of its denominators.  At depth 0, rationals
+    become ints, divided by their gcd (a positive scale of a row keeps the
+    reduced row echelon form); at depth 1, entries in Q[t, 1/t] (and
+    rationals) become Z[t] coefficient arrays, scaled by t^k for the
+    largest pole order k in the row and then by the lcm of the
+    coefficient denominators."""
+    if not depth:
         den = _row_scale(row)
         row = [x.numerator * (den // x.denominator) for x in row]
         g = gcd(*row)
         return [x // g for x in row] if g > 1 else row
-    zero = Laurent(UniPoly((), var))
+    zero = Laurent(UniPoly(()))
     row = [zero._coerce(x) for x in row]
     k = max((x.k for x in row), default=0)
     row = [list(x._shifted(k).coeffs) for x in row]
@@ -182,17 +183,17 @@ def nullspace(matrix, ncols=None):
     `ncols` columns.
     """
     cols = len(matrix[0]) if matrix else ncols or 0
-    var = next((x.var for row in matrix for x in row if isinstance(x, Laurent)), None)
-    m = [_cleared(row, var) for row in matrix]
-    pivots, d, _ = _echelon(m, 0 if var is None else 1, reduced=True)
-    one = Fraction(1) if var is None else Laurent(UniPoly(d or [1], var))
+    depth = int(any(isinstance(x, Laurent) for row in matrix for x in row))
+    m = [_cleared(row, depth) for row in matrix]
+    pivots, d, _ = _echelon(m, depth, reduced=True)
+    one = Laurent(UniPoly(d or [1])) if depth else Fraction(1)
     basis = []
     for fc in sorted(set(range(cols)) - set(pivots)):
         vec = [one * 0] * cols
         vec[fc] = one
         for i, pc in enumerate(pivots):
             if a := m[i][fc]:
-                vec[pc] = Fraction(a, -d) if var is None else Laurent(-UniPoly(a, var))
+                vec[pc] = Laurent(-UniPoly(a)) if depth else Fraction(a, -d)
         basis.append(vec)
     return basis
 

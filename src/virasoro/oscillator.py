@@ -267,12 +267,12 @@ def goldstone_params(k, sector: str = "minus") -> OscParams:
     return OscParams.charge_sector(charge)
 
 
-def binomial_poly(a: int, var: str = "mu") -> UniPoly:
+def binomial_poly(a: int) -> UniPoly:
     """binom(mu + a - 1, a) = mu (mu+1) ... (mu+a-1) / a! as a polynomial."""
     if a < 0:
-        return UniPoly.const(0, var)
-    out = UniPoly.const(Fraction(1, factorial(a)), var)
-    mu = UniPoly.gen(var)
+        return UniPoly.const(0)
+    out = UniPoly.const(Fraction(1, factorial(a)))
+    mu = UniPoly.gen()
     for s in range(a):
         out = out * (mu + s)
     return out
@@ -285,15 +285,15 @@ def binom_det(f, mu):
     """
     f = as_signature(f)
     n = len(f)
+    symbolic = isinstance(mu, UniPoly)
     if n == 0:
-        return Fraction(1) if not isinstance(mu, UniPoly) else UniPoly.const(1, mu.var)
-    var = mu.var if isinstance(mu, UniPoly) else "mu"
+        return UniPoly.const(1) if symbolic else Fraction(1)
     mat = []
     for i in range(n):
         row = []
         for j in range(n):
-            poly = binomial_poly(f[i] - (i + 1) + (j + 1), var)
-            row.append(poly(mu) if not isinstance(mu, UniPoly) else poly)
+            poly = binomial_poly(f[i] - (i + 1) + (j + 1))
+            row.append(poly if symbolic else poly(mu))
         mat.append(row)
     return det_expansion(mat)
 
@@ -303,7 +303,7 @@ def rect_binom_product(width: int, depth: int, lam):
     the closed form of binom_det on a depth x width rectangle (width >= depth)."""
     if width < depth:
         raise ValueError("the closed form needs width >= depth")
-    num = Fraction(1) if not isinstance(lam, UniPoly) else UniPoly.const(1, lam.var)
+    num = UniPoly.const(1) if isinstance(lam, UniPoly) else Fraction(1)
     den = Fraction(1)
     for j in range(1, width + 1):
         for i in range(1, depth + 1):

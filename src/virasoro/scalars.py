@@ -1,10 +1,12 @@
 """Exact coefficient arithmetic shared by every module.
 
-The tower is Q < Q[v] < Q[v, 1/v] for a single tagged formal variable v
-(Laurent polynomials: on the curve c(t) = 13 - 6t - 6/t every denominator
-is a power of t), plus Q[c, h], the bivariate polynomials in the central
-charge c and the lowest weight h, which carry no variable tags.  There
-is no floating point anywhere; rationals are ``fractions.Fraction``.
+The tower is Q < Q[v] < Q[v, 1/v] for one formal variable v (Laurent
+polynomials: on the curve c(t) = 13 - 6t - 6/t every denominator is a
+power of t), plus Q[c, h], the bivariate polynomials in the central
+charge c and the lowest weight h.  No value stores a variable name: v is
+the curve parameter t, a Jantzen path's x or the density parameter mu,
+and only a printer (`render_scalar`) names it.  There is no floating
+point anywhere; rationals are ``fractions.Fraction``.
 
 All values are immutable after construction and hashable, so they can be
 shared freely between threads and used as cache keys.
@@ -89,7 +91,7 @@ class _Ring:
         return self._hash
 
     def __repr__(self):
-        return f"{type(self).__name__}({self.render()!r})"
+        return f"{type(self).__name__}({render_scalar(self)!r})"
 
 
 def _exact_div(a, b):
@@ -105,7 +107,7 @@ def _exact_div(a, b):
         raise ZeroDivisionError("division by zero polynomial")
     if o.is_constant():
         return a / o.constant_value()
-    kind, var, depth = _ring_of([(a, o)])
+    kind, depth = _ring_of([(a, o)])
     x, y = _array(a, depth), _array(o, depth)
     dx, dy = _row_scale(_leaves(x, depth)), _row_scale(_leaves(y, depth))
     y = _scaled(y, dy, depth)
@@ -114,15 +116,15 @@ def _exact_div(a, b):
         q = _div(_scaled(x, dx, depth), _div(y, _array(g, depth), depth), depth)
     except ArithmeticError:
         raise ValueError("inexact polynomial division") from None
-    return _entry(q, kind, var, Fraction(dx * g, dy))
+    return _entry(q, kind, Fraction(dx * g, dy))
 
 
 class _Poly(_Ring):
     """What UniPoly and BiPoly share: `coeffs`, their dense coefficient
     array over Q at depth `_depth` (1 or 2), as tuples with no trailing
     zero at any depth, so that equal values have equal arrays (a zero
-    inside may be the int 0); and the one +, -, * and / on it, by `_add`,
-    `_addmul` and `_map`."""
+    inside may be the int 0); and the one +, -, *, / and == on it, by
+    `_add`, `_addmul` and `_map`, with rationals as constants."""
 
     __slots__ = ("coeffs",)
 
@@ -133,9 +135,13 @@ class _Poly(_Ring):
         object.__setattr__(self, "coeffs", _canon(_map(as_fraction, coeffs, depth), depth))
         object.__setattr__(self, "_hash", None)
 
-    def _new(self, array, other):
-        """The result of an operation on self and `other`, of self's class,
-        with the coefficient array `array` made canonical by `_canon`."""
+    @classmethod
+    def const(cls, value):
+        return cls(_array(value, cls._depth))
+
+    def _new(self, array):
+        """A polynomial of self's class with the coefficient array `array`
+        made canonical by `_canon`."""
         new = object.__new__(type(self))
         object.__setattr__(new, "coeffs", _canon(array, self._depth))
         object.__setattr__(new, "_hash", None)
@@ -159,39 +165,56 @@ class _Poly(_Ring):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._new(_add(self.coeffs, o.coeffs, self._depth), o)
+        return self._new(_add(self.coeffs, o.coeffs, self._depth))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._new(_map(neg, self.coeffs, self._depth), self)
+        return self._new(_map(neg, self.coeffs, self._depth))
 
     def __mul__(self, other):
         if _is_rational(other):
-            return self._new(_map(as_fraction(other).__mul__, self.coeffs, self._depth), self)
+            return self._new(_map(as_fraction(other).__mul__, self.coeffs, self._depth))
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._new(_addmul([], self.coeffs, o.coeffs, self._depth), o)
+        return self._new(_addmul([], self.coeffs, o.coeffs, self._depth))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if _is_rational(other):
             inv = 1 / as_fraction(other)
-            return self._new(_map(inv.__mul__, self.coeffs, self._depth), self)
+            return self._new(_map(inv.__mul__, self.coeffs, self._depth))
         return NotImplemented
 
     exact_div = _exact_div
 
+    def _coerce(self, other):
+        if isinstance(other, type(self)):
+            return other
+        if _is_rational(other):
+            return self.const(other)
+        return None
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self.coeffs == o.coeffs
+
+    __hash__ = _Ring.__hash__
+
     def _key(self):
         return self.coeffs
 
-    def render(self) -> str:
-        """The nonzero terms of `_terms`, (coefficient, monomial) pairs,
-        joined by their signs; a size of 1 is left out before a monomial."""
+    def render(self, *var) -> str:
+        """The nonzero terms of `_terms(*var)`, (coefficient, monomial)
+        pairs, joined by their signs; a size of 1 is left out before a
+        monomial.  A UniPoly takes the name of its variable; a BiPoly's
+        are c and h, and it needs none."""
         out = ""
-        for coeff, body in self._terms():
+        for coeff, body in self._terms(*var):
             size = render_fraction(abs(coeff))
             term = f"{size}*{body}" if body and size != "1" else body or size
             if out:
@@ -206,47 +229,19 @@ def _power(var: str, n: int) -> str:
 
 
 class UniPoly(_Poly):
-    """Univariate polynomial over Q with a variable tag; `coeffs` runs
-    from v^0 up.
+    """Polynomial in Q[v], one variable that it does not name; `coeffs`
+    runs from v^0 up."""
 
-    Mixing two different variable tags in one expression is a checked
-    error; no computation in this package ever needs it.
-    """
-
-    __slots__ = ("var",)
+    __slots__ = ()
     _depth = 1
 
-    def __init__(self, coeffs, var: str):
-        super().__init__(coeffs)
-        object.__setattr__(self, "var", var)
-
-    def _new(self, array, other):
-        new = super()._new(array, other)
-        # a constant takes the tag of a non-constant operand
-        tagged = other if len(self.coeffs) <= 1 < len(other.coeffs) else self
-        object.__setattr__(new, "var", tagged.var)
-        return new
-
     @classmethod
-    def const(cls, value, var: str) -> "UniPoly":
-        return cls([value], var)
-
-    @classmethod
-    def gen(cls, var: str) -> "UniPoly":
-        return cls([0, 1], var)
+    def gen(cls) -> "UniPoly":
+        return cls([0, 1])
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1  # -1 for the zero polynomial
-
-    def _coerce(self, other):
-        if isinstance(other, UniPoly):
-            if other.var != self.var and not other.is_constant() and not self.is_constant():
-                raise ValueError(f"variable mismatch: {self.var!r} vs {other.var!r}")
-            return other
-        if _is_rational(other):
-            return UniPoly.const(other, self.var)
-        return None
 
     def __call__(self, value):
         """Evaluate by Horner's rule; value may live in any ring here."""
@@ -257,40 +252,26 @@ class UniPoly(_Poly):
         polynomial, where it is undefined."""
         return next((i for i, c in enumerate(self.coeffs) if c), None)
 
-    def __eq__(self, other):
-        if _is_rational(other):
-            return self.is_constant() and self.constant_value() == other
-        if isinstance(other, UniPoly):
-            if self.coeffs != other.coeffs:
-                return False
-            return self.is_constant() or other.is_constant() or self.var == other.var
-        return NotImplemented
-
-    __hash__ = _Ring.__hash__
-
-    def _terms(self):
-        return ((c, _power(self.var, i)) for i, c in enumerate(self.coeffs) if c)
+    def _terms(self, var):
+        return ((c, _power(var, i)) for i, c in enumerate(self.coeffs) if c)
 
 
 class Laurent(_Ring):
-    """num / t^k in Q[t, 1/t]: a UniPoly numerator and a pole order k >= 0
-    at t = 0, normalised so that num(0) != 0 when k > 0 (zero has k = 0),
-    which makes the pair unique.  Division is exact and checked: a
-    quotient outside Q[t, 1/t] raises ValueError."""
+    """num / v^k in Q[v, 1/v] (v is t on the curve, named only by the
+    printer): a UniPoly numerator and a pole order k >= 0 at v = 0,
+    normalised so that num(0) != 0 when k > 0 (zero has k = 0), which
+    makes the pair unique.  Division is exact and checked: a quotient
+    outside Q[v, 1/v] raises ValueError."""
 
     __slots__ = ("num", "k")
 
     def __init__(self, num: UniPoly, k: int = 0):
         low = min(k, num.order_at_zero() if num else k)
         if low:
-            num, k = UniPoly(num.coeffs[low:], num.var), k - low
+            num, k = UniPoly(num.coeffs[low:]), k - low
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "_hash", None)
-
-    @property
-    def var(self) -> str:
-        return self.num.var
 
     def __bool__(self) -> bool:
         return bool(self.num.coeffs)
@@ -311,10 +292,10 @@ class Laurent(_Ring):
         return None
 
     def _shifted(self, k: int) -> UniPoly:
-        """The numerator over t^k, for k >= self.k."""
+        """The numerator over v^k, for k >= self.k."""
         if k == self.k:
             return self.num
-        return UniPoly((0,) * (k - self.k) + self.num.coeffs, self.var)
+        return UniPoly((0,) * (k - self.k) + self.num.coeffs)
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -344,7 +325,7 @@ class Laurent(_Ring):
             raise ZeroDivisionError("division by zero Laurent polynomial")
         low = o.num.order_at_zero()  # 0 unless o.k == 0
         k = self.k + low - o.k
-        num = self.num.exact_div(UniPoly(o.num.coeffs[low:], o.var))
+        num = self.num.exact_div(UniPoly(o.num.coeffs[low:]))
         if k < 0:
             num, k = Laurent(num)._shifted(-k), 0
         return Laurent(num, k)
@@ -362,51 +343,31 @@ class Laurent(_Ring):
 
     def _key(self):
         # a polynomial (k = 0) hashes as the UniPoly it equals
-        return (self.var, self.num.coeffs, self.k) if self.k else self.num._key()
+        return (self.num.coeffs, self.k) if self.k else self.num._key()
 
-    def render(self) -> str:
+    def render(self, var: str) -> str:
         if not self.k:
-            return self.num.render()
-        return f"({self.num.render()})/({_power(self.var, self.k)})"
+            return self.num.render(var)
+        return f"({self.num.render(var)})/({_power(var, self.k)})"
 
 
 class BiPoly(_Poly):
-    """Polynomial in Q[c, h] without variable tags; `coeffs[j][i]` is the
-    coefficient of c^i h^j."""
+    """Polynomial in Q[c, h]; `coeffs[j][i]` is the coefficient of c^i h^j."""
 
     __slots__ = ()
     _depth = 2
 
     @classmethod
-    def const(cls, value) -> "BiPoly":
-        return cls([[value]])
-
-    @classmethod
     def gens(cls):
         return cls([[0, 1]]), cls([[], [1]])
-
-    def _coerce(self, other):
-        if isinstance(other, BiPoly):
-            return other
-        if _is_rational(other):
-            return BiPoly.const(other)
-        return None
 
     def specialize(self, first, second):
         """Substitute values for the two variables by Horner's rule in
         each; exact in any ring."""
         return _horner([_horner(row, first) for row in self.coeffs], second)
 
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.coeffs == o.coeffs
-
-    __hash__ = _Ring.__hash__
-
-    def _terms(self):
-        """By total degree, then by the degree in c."""
+    def _terms(self, *_):
+        """By total degree, then by the degree in c; no name is read."""
         terms = sorted((i + j, i, j, x) for j, row in enumerate(self.coeffs)
                        for i, x in enumerate(row) if x)
         return ((x, "*".join(filter(None, (_power("c", i), _power("h", j)))))
@@ -430,28 +391,21 @@ def _horner(coeffs, value):
 
 
 def _ring_of(matrix):
-    """(kind, variable tag, depth) of the entries' ring: Fraction, UniPoly
-    or BiPoly, whose arrays have depth 0, 1 or 2; only UniPoly has a tag.
-    Any other entry, or UniPoly and BiPoly entries together, raise
-    TypeError."""
-    kind, var, constant = Fraction, None, True
+    """(kind, depth) of the entries' ring: Fraction, UniPoly or BiPoly,
+    whose arrays have depth 0, 1 or 2.  Any other entry, or UniPoly and
+    BiPoly entries together, raise TypeError."""
+    kind = Fraction
     for row in matrix:
         for x in row:
-            if isinstance(x, (int, Fraction)):
+            if _is_rational(x):
                 continue
             if not isinstance(x, _Poly):
                 raise TypeError(f"expected rational, UniPoly or BiPoly entries, "
                                 f"not {type(x).__name__}")
             if kind not in (Fraction, type(x)):
                 raise TypeError("got both UniPoly and BiPoly entries")
-            kind, v = type(x), (x.var if isinstance(x, UniPoly) else None)
-            if x.is_constant():
-                var = v if var is None else var
-            elif constant:
-                var, constant = v, False
-            elif v != var:
-                raise ValueError(f"variable mismatch: {var!r} vs {v!r}")
-    return kind, var, 0 if kind is Fraction else kind._depth
+            kind = type(x)
+    return kind, 0 if kind is Fraction else kind._depth
 
 
 def _array(x, depth):
@@ -477,12 +431,12 @@ def _scaled(a, den, depth):
     return _map(lambda x: x.numerator * (den // x.denominator), a, depth)
 
 
-def _entry(a, kind, var, scale):
-    """The int or array `a` divided by `scale`, as an element of `kind`."""
+def _entry(a, kind, scale):
+    """The int or array `a` divided by `scale`, as an element of `kind`
+    (Fraction, UniPoly or BiPoly)."""
     if kind is Fraction:
         return Fraction(a, scale)
-    coeffs = _map(lambda x: Fraction(x, scale), a, kind._depth)
-    return UniPoly(coeffs, var) if kind is UniPoly else BiPoly(coeffs)
+    return kind(_map(lambda x: Fraction(x, scale), a, kind._depth))
 
 
 def _map(fn, a, depth):
@@ -673,8 +627,10 @@ class SparseVector:
         return self.terms == other.terms
 
 
-def render_scalar(x) -> str:
-    """Canonical string form used verbatim in JSON output."""
+def render_scalar(x, var="t") -> str:
+    """Canonical string form used verbatim in JSON output.  `var` names
+    the variable of a value in Q[v] or Q[v, 1/v]: the curve parameter t
+    unless the caller prints another (a BiPoly's are always c and h)."""
     if _is_rational(x):
         return render_fraction(as_fraction(x))
-    return x.render()
+    return x.render(var)

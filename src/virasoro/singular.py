@@ -117,8 +117,8 @@ def bdiz_singular(j) -> PBWVector:
         raise UsageError("j must be a non-negative half-integer")
     two_j = int(two_j)
     spin = SpinModule(two_j)
-    t = UniPoly.gen("t")
-    one = UniPoly.const(1, "t")
+    t = UniPoly.gen()
+    one = UniPoly.const(1)
 
     def poly_vec(v: PBWVector) -> PBWVector:
         return v.map_coeffs(lambda c: c * one if isinstance(c, Fraction) else c)
@@ -191,7 +191,7 @@ class SpinChainOps:
     def __init__(self, two_j: int, params: VermaParams):
         self.spin = SpinModule(two_j)
         self.params = params
-        self.t = Laurent(UniPoly.gen("t"))
+        self.t = Laurent(UniPoly.gen())
         self.casimir = Fraction(two_j * (two_j + 2), 4)
 
     def zero(self):

@@ -47,6 +47,7 @@ from .scalars import (
     _addmul,
     _array,
     _entry,
+    _is_rational,
     _leaves,
     _ring_of,
     _row_scale,
@@ -73,7 +74,7 @@ class VermaParams(NamedTuple):
         return cls(*BiPoly.gens())
 
     def is_rational(self) -> bool:
-        return isinstance(self.c, (int, Fraction)) and isinstance(self.h, (int, Fraction))
+        return _is_rational(self.c) and _is_rational(self.h)
 
 
 class PBWVector(SparseVector):
@@ -214,7 +215,7 @@ class GramMatrix(NamedTuple):
 
 
 def _gram_recursion(max_level: int, params: VermaParams):
-    """(ring, S, tables): the ring (kind, variable tag) of (c, h), the
+    """(kind, S, tables): the ring of (c, h) (`scalars._ring_of`), the
     least positive integer S with S h and S c/2 integral at every
     coefficient, and the entry tables of S^n G_n, n = 0..max_level, as
     ints (rational (c, h)), Z[x] arrays or Z[c][h] arrays.  A Laurent
@@ -229,7 +230,7 @@ def _gram_recursion(max_level: int, params: VermaParams):
     shares its entries."""
     if max_level < 0:
         raise UsageError("negative level")
-    kind, var, depth = _ring_of([params])
+    kind, depth = _ring_of([params])
     lifted = [_array(params.h, depth), _array(params.c * Fraction(1, 2), depth)]
     scale = _row_scale(_leaves(lifted, depth + 1))
     sh, sc = _scaled(lifted, scale, depth + 1)
@@ -276,7 +277,7 @@ def _gram_recursion(max_level: int, params: VermaParams):
                 entries[i][j] = entries[j][i] = total
         tables.append(tuple(map(tuple, entries)))
         index.append({part: i for i, part in enumerate(basis)})
-    return (kind, var), scale, tables
+    return kind, scale, tables
 
 
 def gram_matrices(max_level: int, params: VermaParams) -> list:
@@ -285,11 +286,11 @@ def gram_matrices(max_level: int, params: VermaParams) -> list:
     the pairing <L_{-lambda} xi, L_{-mu} xi> in the ring of (c, h): the
     level-0 entry and every zero entry are Fractions, and so is every
     constant entry when h is rational; all others lie in the ring."""
-    (kind, var), scale, tables = _gram_recursion(max_level, params)
-    rational_h = isinstance(params.h, (int, Fraction))
+    kind, scale, tables = _gram_recursion(max_level, params)
+    rational_h = _is_rational(params.h)
 
     def entry(a, den):
-        x = _entry(a, kind, var, den)
+        x = _entry(a, kind, den)
         if kind is not Fraction and (not x or rational_h and x.is_constant()):
             return x.constant_value()
         return x
@@ -348,7 +349,7 @@ def kac_det_product(level: int, params: VermaParams):
     product is divided once by the product of the d_{r,s}^p."""
     if level < 1:
         raise UsageError("product form defined for level >= 1")
-    kind, var, depth = _ring_of([params])
+    kind, depth = _ring_of([params])
     result, scale = _array(1, depth), 1
     for r in range(1, level + 1):
         for s in range(1, min(r, level // r) + 1):
@@ -362,7 +363,7 @@ def kac_det_product(level: int, params: VermaParams):
             else:
                 result *= factor ** power
             scale *= den ** power
-    return _entry(result, kind, var, scale)
+    return _entry(result, kind, scale)
 
 
 def kac_det_ratio(level: int):
@@ -386,7 +387,7 @@ def central_charge(m: int) -> Fraction:
 
 def c_curve() -> Laurent:
     """c(t) = 13 - 6t - 6/t."""
-    return Laurent(UniPoly([-6, 13, -6], "t"), 1)
+    return Laurent(UniPoly([-6, 13, -6]), 1)
 
 
 def h_pq_curve(p: int, q: int) -> Laurent:
@@ -394,7 +395,7 @@ def h_pq_curve(p: int, q: int) -> Laurent:
 
     Validated symbolically at construction.
     """
-    num = UniPoly([Fraction(q * q - 1, 4), Fraction(1 - p * q, 2), Fraction(p * p - 1, 4)], "t")
+    num = UniPoly([Fraction(q * q - 1, 4), Fraction(1 - p * q, 2), Fraction(p * p - 1, 4)])
     h = Laurent(num, 1)
     if phi_rs(p, q).specialize(c_curve(), h):
         raise AssertionError(f"curve weight for ({p},{q}) fails its defining equation")

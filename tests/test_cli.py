@@ -171,6 +171,19 @@ def test_binomdet_compare(capsys):
     assert code == 2  # not a rectangle
 
 
+@pytest.mark.parametrize("f, value", [("3,0", "84"), ("0", "1")])
+def test_binomdet_rectangle_ignores_trailing_zero_rows(f, value, capsys):
+    """A zero row is no row: 3,0 is the rectangle 3 and 0 the empty one,
+    and the report keeps f as typed."""
+    code, out = run_cli(
+        ["binomdet", "--f", f, "--mu", "7", "--compare", "product,pairing", "--json"], capsys
+    )
+    report = json.loads(out)
+    assert code == 0 and report["agree"] is True
+    assert report["values"] == dict.fromkeys(("determinant", "product", "pairing"), value)
+    assert report["f"] == [int(row) for row in f.split(",")]
+
+
 def test_jantzen_verdict(capsys):
     code, out = run_cli(
         ["jantzen", "--case", "c1", "--j", "1", "--N", "4", "--json"], capsys

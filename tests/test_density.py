@@ -18,7 +18,7 @@ from virasoro.scalars import BiPoly, UniPoly, accumulate
 from virasoro.verma import PBWVector
 
 HALF = Fraction(1, 2)
-MU = UniPoly.gen("mu")
+MU = UniPoly.gen()
 
 
 def test_density_action_examples():
@@ -107,9 +107,9 @@ def test_primary_obstruction():
     def primary_obstruction(j, lam, h):
         return ad_direct(j, 1 - lam, h - j * j)
 
-    h = UniPoly.gen("h")
+    h = UniPoly.gen()
     got = primary_obstruction(HALF, 0, h)
-    expect = UniPoly.const(1, "h")
+    expect = UniPoly.const(1)
     for t in spin_range(HALF):
         expect = expect * ((t - 1) ** 2 - h)
     assert got == expect

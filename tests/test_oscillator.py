@@ -161,7 +161,7 @@ def test_kernel_matches_goldstone_vector():
 
 
 def test_binom_det_examples():
-    mu = UniPoly.gen("mu")
+    mu = UniPoly.gen()
     assert binom_det((1,), mu) == mu
     # a single row of width n gives binom(mu - 1 + n, n)
     got = binom_det((4,), mu)
@@ -171,7 +171,7 @@ def test_binom_det_examples():
 
 
 def test_rect_product_examples():
-    lam = UniPoly.gen("lam")
+    lam = UniPoly.gen()
     assert rect_binom_product(3, 1, lam) == binom_det((3,), lam)
     assert rect_binom_product(2, 2, 3) == 6
     with pytest.raises(ValueError):
@@ -179,7 +179,7 @@ def test_rect_product_examples():
 
 
 def test_rect_identity_as_polynomials():
-    lam = UniPoly.gen("lam")
+    lam = UniPoly.gen()
     for width in range(1, 6):
         for depth in range(1, width + 1):
             assert binom_det((width,) * depth, lam) == rect_binom_product(width, depth, lam)

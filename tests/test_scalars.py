@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from virasoro.fock import FermionState, FockVector, PairState, PairVector
-from virasoro.oscillator import PolyState
+from virasoro.jantzen import c1_path
+from virasoro.oscillator import PolyState, binomial_poly
 from virasoro.scalars import (
     BiPoly,
     Laurent,
@@ -13,13 +14,12 @@ from virasoro.scalars import (
     accumulate,
     render_scalar,
 )
-from virasoro.verma import PBWVector
+from virasoro.verma import PBWVector, c_curve
 
 
-def rand_unipoly(rng, var="t", max_deg=4):
+def rand_unipoly(rng, max_deg=4):
     return UniPoly(
-        [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(rng.randint(0, max_deg + 1))],
-        var,
+        [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(rng.randint(0, max_deg + 1))]
     )
 
 
@@ -44,8 +44,8 @@ def test_ring_axioms_unipoly():
         assert a * b == b * a
 
 
-def rand_laurent(rng, var="t", max_deg=3):
-    return Laurent(rand_unipoly(rng, var, max_deg), rng.randint(0, 3))
+def rand_laurent(rng, max_deg=3):
+    return Laurent(rand_unipoly(rng, max_deg), rng.randint(0, 3))
 
 
 def test_ring_axioms_laurent():
@@ -143,7 +143,7 @@ def test_render_matches_the_per_class_renders():
         f = rand_unipoly(rng, max_deg=5)
         parts = [_term_render(c, "" if i == 0 else "t" if i == 1 else f"t^{i}")
                  for i, c in enumerate(f.coeffs) if c]
-        assert f.render() == _joined(parts)
+        assert f.render("t") == _joined(parts)
         g = rand_bipoly(rng)
         terms = _sparse(g)
         parts = []
@@ -165,39 +165,39 @@ def test_polynomials_have_one_canonical_array():
     assert p.coeffs == ((0, 2), (), (3,))
     assert p == 2 * c + 3 * h * h and hash(p) == hash(2 * c + 3 * h * h)
     assert c * h - h * c == BiPoly([]) and (c * h - h * c).coeffs == ()
-    assert UniPoly([1, 0, 0], "t").coeffs == (1,) and UniPoly([0, 0], "t").coeffs == ()
+    assert UniPoly([1, 0, 0]).coeffs == (1,) and UniPoly([0, 0]).coeffs == ()
     with pytest.raises(TypeError):
         BiPoly({(0, 1): 1})  # not the array ((0, 1),), which is c
 
 
 def test_one_arithmetic_for_both_polynomial_rings():
-    """UniPoly and BiPoly define no +, -, * or / of their own: their
-    shared base runs all four on the one coefficient array."""
+    """UniPoly and BiPoly define no +, -, *, / or == of their own, nor
+    how a rational becomes a constant: their shared base runs them all
+    on the one coefficient array."""
     for cls in (UniPoly, BiPoly):
-        for name in ("__add__", "__neg__", "__mul__", "__truediv__"):
+        for name in ("__add__", "__neg__", "__mul__", "__truediv__", "__eq__", "_coerce", "const"):
             assert name not in vars(cls), (cls.__name__, name)
 
 
 def test_scaling_by_a_rational_matches_the_product():
     """p * q for a rational q, on either side, equals p / (1/q) and the
-    product with the constant polynomial q; it keeps p's variable tag,
-    and 0 * p is the zero polynomial."""
+    product with the constant polynomial q, and 0 * p is the zero
+    polynomial."""
     rng = random.Random(30)
     for _ in range(20):
-        p = rand_unipoly(rng, var="v")
-        assert p * 3 == 3 * p == p / Fraction(1, 3) == p * UniPoly.const(3, "v")
-        assert (p * 3).var == (3 * p).var == "v"
-        assert (0 * p).coeffs == () and 0 * p == UniPoly([], "v")
+        p = rand_unipoly(rng)
+        assert p * 3 == 3 * p == p / Fraction(1, 3) == p * UniPoly.const(3)
+        assert (0 * p).coeffs == () and 0 * p == UniPoly([])
         b = rand_bipoly(rng)
         q = Fraction(-2, 5)
         assert b * q == q * b == b / Fraction(-5, 2) == b * BiPoly.const(q)
         assert (0 * b).coeffs == ()
-    assert (UniPoly.const(2, "t") * Fraction(1, 2)).var == "t"
+    assert UniPoly.const(2) * Fraction(1, 2) == UniPoly.const(1) == 1
 
 
 def test_laurent_exact_division():
     rng = random.Random(13)
-    t = Laurent(UniPoly.gen("t"))
+    t = Laurent(UniPoly.gen())
     count = 0
     while count < 25:
         a, b = rand_laurent(rng), rand_laurent(rng)
@@ -206,18 +206,18 @@ def test_laurent_exact_division():
         assert (a * b) / b == a
         assert (a * b * t**3) / (b * t) == a * t**2 and (a * b) / (b * t**2) == a / t**2
         count += 1
-    one = Laurent(UniPoly.const(1, "t"))
-    assert one / t**2 == Laurent(UniPoly.const(1, "t"), 2)
-    assert one / Laurent(UniPoly.const(2, "t"), 3) == t**3 / 2 == t**3 * Fraction(1, 2)
+    one = Laurent(UniPoly.const(1))
+    assert one / t**2 == Laurent(UniPoly.const(1), 2)
+    assert one / Laurent(UniPoly.const(2), 3) == t**3 / 2 == t**3 * Fraction(1, 2)
 
 
 def test_laurent_division_outside_the_ring_raises():
-    t = UniPoly.gen("t")
+    t = UniPoly.gen()
     with pytest.raises(ValueError):
-        _ = Laurent(UniPoly.const(1, "t")) / Laurent(1 + t)
+        _ = Laurent(UniPoly.const(1)) / Laurent(1 + t)
     with pytest.raises(ValueError):
         _ = Laurent(t * t + 1, 1) / Laurent(t - 2, 3)
-    for zero in (0, Laurent(t - t, 2), UniPoly((), "t")):
+    for zero in (0, Laurent(t - t, 2), UniPoly(())):
         with pytest.raises(ZeroDivisionError):
             _ = Laurent(t, 1) / zero
     with pytest.raises(ZeroDivisionError):
@@ -226,33 +226,33 @@ def test_laurent_division_outside_the_ring_raises():
 
 def test_laurent_canonical_form():
     """num / t^k with num(0) != 0 when k > 0, and zero with k = 0."""
-    t = UniPoly.gen("t")
+    t = UniPoly.gen()
     f = Laurent(3 * t**2 + 3 * t**3, 3)
     assert (f.num, f.k) == (3 + 3 * t, 1)
-    assert f == Laurent(UniPoly([3, 3], "t"), 1)
+    assert f == Laurent(UniPoly([3, 3]), 1)
     g = Laurent(6 * t**4, 2)
     assert (g.num, g.k) == (6 * t**2, 0) and g == 6 * t**2
-    zero = Laurent(UniPoly((), "t"), 4)
+    zero = Laurent(UniPoly(()), 4)
     assert zero.k == 0 and zero == 0
     assert f(Fraction(2)) == Fraction(9, 2)
 
 
 def test_order_at_zero_examples():
-    t = UniPoly.gen("t")
+    t = UniPoly.gen()
     assert (t**2 + t**3).order_at_zero() == 2
-    assert UniPoly.const(5, "t").order_at_zero() == 0
-    assert UniPoly.const(0, "t").order_at_zero() is None
+    assert UniPoly.const(5).order_at_zero() == 0
+    assert UniPoly.const(0).order_at_zero() is None
 
 
 def test_order_at_zero_level2_gram_family():
     # 2x2 determinant of the symbolic Gram family along (1+x, 1/4),
     # expanded by hand from the level-2 entries:
     # [[4h + c/2, 6h], [6h, 4h(2h+1)]] at h = 1/4, c = 1 + x.
-    x = UniPoly.gen("x")
+    x = UniPoly.gen()
     h = Fraction(1, 4)
     a = 4 * h + (1 + x) * Fraction(1, 2)
-    b = UniPoly.const(6 * h, "x")
-    d = UniPoly.const(4 * h * (2 * h + 1), "x")
+    b = UniPoly.const(6 * h)
+    d = UniPoly.const(4 * h * (2 * h + 1))
     det = a * d - b * b
     assert det.order_at_zero() == 1
 
@@ -273,7 +273,7 @@ def test_specialize_examples():
     phi11 = h
     assert phi11.specialize(Fraction(1), Fraction(1, 4)) == Fraction(1, 4)
     phi22 = h + (c - 1) * Fraction(3, 24)
-    x = UniPoly.gen("x")
+    x = UniPoly.gen()
     got = phi22.specialize(1 + x, Fraction(0))
     assert got == x * Fraction(1, 8)
     # identity substitution
@@ -304,10 +304,10 @@ def test_specialize_matches_power_sums():
         return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
 
     def unipoly():
-        return rand_unipoly(rng, "x", max_deg=2)
+        return rand_unipoly(rng, max_deg=2)
 
     def laurent():
-        return rand_laurent(rng, "x", max_deg=2)
+        return rand_laurent(rng, max_deg=2)
 
     kinds = (rational, unipoly, laurent)
     for _ in range(40):
@@ -318,30 +318,19 @@ def test_specialize_matches_power_sums():
                 assert f.specialize(a, b) == _power_sum(f, a, b), (f, a, b)
 
 
-def test_variable_mixing_is_an_error():
-    t = UniPoly.gen("t")
-    x = UniPoly.gen("x")
-    with pytest.raises(ValueError):
-        _ = t + x
-    with pytest.raises(ValueError):
-        _ = t * x
-    # constants are compatible with everything
-    assert UniPoly.const(2, "t") + UniPoly.const(3, "x") == 5
-
-
 def test_exact_div_unipoly_and_bipoly():
-    t = UniPoly.gen("t")
+    t = UniPoly.gen()
     p = (t + 1) * (t**2 - 3)
     assert p.exact_div(t + 1) == t**2 - 3
     # rational coefficients and a divisor of integer content 6
     third = Fraction(1, 3)
     assert (p * third).exact_div(6 * t + 6) == (t**2 - 3) / 18
-    assert UniPoly((), "t").exact_div(t + 1) == 0
+    assert UniPoly(()).exact_div(t + 1) == 0
     for a, b in ((t + 1, t), (t**2 + third, 3 * t + 1)):
         with pytest.raises(ValueError) as err:
             a.exact_div(b)
         assert type(err.value) is ValueError
-    for zero in (UniPoly((), "t"), 0):
+    for zero in (UniPoly(()), 0):
         with pytest.raises(ZeroDivisionError):
             p.exact_div(zero)
     c, h = BiPoly.gens()
@@ -380,45 +369,60 @@ def test_exact_div_unipoly_and_bipoly():
 
 
 def test_rendering():
-    t = UniPoly.gen("t")
+    t = UniPoly.gen()
     assert render_scalar(Fraction(5, 2)) == "5/2"
     assert render_scalar(Fraction(-3)) == "-3"
-    assert (1 - t).render() == "1 - t"
-    assert (-t).render() == "-t"
-    assert (t * t * Fraction(2) + Fraction(1, 2)).render() == "1/2 + 2*t^2"
-    assert Laurent(-3 * (1 - t) ** 2, 1).render() == "(-3 + 6*t - 3*t^2)/(t)"
-    assert Laurent(-3 * (1 - t) ** 2 * t, 1).render() == "-3 + 6*t - 3*t^2"
+    assert (1 - t).render("t") == "1 - t"
+    assert (-t).render("t") == "-t"
+    assert (t * t * Fraction(2) + Fraction(1, 2)).render("t") == "1/2 + 2*t^2"
+    assert Laurent(-3 * (1 - t) ** 2, 1).render("t") == "(-3 + 6*t - 3*t^2)/(t)"
+    assert Laurent(-3 * (1 - t) ** 2 * t, 1).render("t") == "-3 + 6*t - 3*t^2"
     assert render_scalar(Laurent(t + 1, 4)) == "(1 + t)/(t^4)"
     c, h = BiPoly.gens()
     assert (h + (c - 1) * Fraction(1, 8)).render() == "-1/8 + h + 1/8*c"
 
 
 def test_hash_and_equality_across_constants():
-    t = UniPoly.gen("t")
-    five = UniPoly.const(5, "t")
+    t = UniPoly.gen()
+    five = UniPoly.const(5)
     assert five == 5
-    assert hash(five) == hash(UniPoly.const(5, "x"))
+    assert hash(five) == hash(UniPoly.const(5))
     assert Laurent(t) == t and t == Laurent(t) and Laurent(t**3, 2) == t
-    assert len({Laurent(t), t, UniPoly.const(5, "x"), 5, Laurent(UniPoly.const(5, "t"))}) == 2
-    assert hash(Laurent(UniPoly.const(5, "t"))) == hash(Fraction(5))
+    assert len({Laurent(t), t, UniPoly.const(5), 5, Laurent(UniPoly.const(5))}) == 2
+    assert hash(Laurent(UniPoly.const(5))) == hash(Fraction(5))
     assert hash(Laurent(t + 1)) == hash(t + 1) and Laurent(t + 1, 1) != t + 1
+
+
+def test_one_variable_whatever_its_name():
+    """A polynomial in x from a Jantzen path, in t from the curve c(t) and
+    in mu from the binomial polynomials: equal coefficient arrays are
+    equal values that hash alike, and mix freely; only the printer names
+    the variable."""
+    x = c1_path(1)[0][0] - 1  # c = 1 + x
+    mu = binomial_poly(1)
+    by_t = c_curve().num  # c(t) = (-6 + 13t - 6t^2) / t
+    by_x, by_mu = -6 + 13 * x - 6 * x * x, -6 + 13 * mu - 6 * mu * mu
+    assert by_t == by_x == by_mu and hash(by_t) == hash(by_x) == hash(by_mu)
+    assert x * mu - by_t == 6 + 7 * x * x - 13 * mu
+    for p in (by_x, c_curve(), binomial_poly(3)):
+        assert render_scalar(p, "mu") == render_scalar(p).replace("t", "mu")
+    assert render_scalar(c_curve(), "mu") == "(-6 + 13*mu - 6*mu^2)/(mu)"
 
 
 def _hash_law_pool(rng, rounds=20):
     """Small random values of every ring, each also written in the other
-    rings it equals: a constant as a Fraction, an int, a UniPoly in two
-    variables, a Laurent value and a BiPoly; a polynomial p as a UniPoly,
+    rings it equals: a constant as a Fraction, an int, a UniPoly, a
+    Laurent value and a BiPoly; a polynomial p as a UniPoly,
     as the Laurent p/t^0 and (p t^2)/t^2; and a Laurent p/t and a BiPoly
     of their own."""
     pool = []
     for _ in range(rounds):
         value = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
-        pool += [value, UniPoly.const(value, "t"), UniPoly.const(value, "x"),
-                 Laurent(UniPoly.const(value, "t")), BiPoly.const(value)]
+        pool += [value, UniPoly.const(value), Laurent(UniPoly.const(value)), BiPoly.const(value)]
         if value.denominator == 1:
             pool.append(int(value))
         p = rand_unipoly(rng, max_deg=2)
-        pool += [p, Laurent(p), Laurent(p * UniPoly([0, 0, 1], "t"), 2), Laurent(p, 1),
+        pool += [p, Laurent(p), Laurent(p * UniPoly([0, 0, 1]), 2), Laurent(p, 1),
                  rand_bipoly(rng, max_deg=1)]
     return pool
 
@@ -493,14 +497,14 @@ def test_vector_types_never_compare_equal():
 
 
 def test_scalars_are_false_exactly_when_zero():
-    t = UniPoly.gen("t")
+    t = UniPoly.gen()
     c, h = BiPoly.gens()
-    for zero in (UniPoly((), "t"), t - t, BiPoly([]), c * h - h * c):
+    for zero in (UniPoly(()), t - t, BiPoly([]), c * h - h * c):
         assert not zero and zero.is_zero()
-    for nonzero in (t, UniPoly.const(Fraction(1, 3), "t"), c, BiPoly.const(-1)):
+    for nonzero in (t, UniPoly.const(Fraction(1, 3)), c, BiPoly.const(-1)):
         assert nonzero and not nonzero.is_zero()
     assert not Laurent(t - t, 2) and not Laurent(t + 1, 1) * 0
-    assert Laurent(t) and Laurent(UniPoly.const(2, "t"), 1)
+    assert Laurent(t) and Laurent(UniPoly.const(2), 1)
 
 
 @vector_cases

@@ -73,7 +73,7 @@ def test_spin_module_relations():
 
 
 def test_bdiz_small_spins():
-    t = UniPoly.gen("t")
+    t = UniPoly.gen()
     assert bdiz_singular(0) == PBWVector.monomial((1,))
     b_half = bdiz_singular(HALF)
     assert b_half.coeff((1, 1)) == 1
@@ -144,7 +144,7 @@ def test_curve_42_is_fast_and_singular():
 def test_curve_coefficients_clear_to_polynomials():
     # denominators along the curve are powers of t only: each coefficient
     # is num / t^k, and t^k times it is the polynomial num
-    t = UniPoly.gen("t")
+    t = UniPoly.gen()
     for rs, top in (((2, 2), 2), ((2, 3), 4), ((3, 2), 3)):
         coeffs = curve_singular(*rs).terms.values()
         assert all(type(c) is Laurent and c * t**c.k == c.num for c in coeffs)
@@ -155,7 +155,7 @@ def test_curve_kernel_quotient_outside_laurent_raises(monkeypatch):
     """The normalisation by the L_{-1}^d entry is the one division of the
     curve route, and it is checked: a kernel vector whose quotient has a
     pole off t = 0 raises instead of passing."""
-    t = Laurent(UniPoly.gen("t"))
+    t = Laurent(UniPoly.gen())
     params = VermaParams(c_curve(), h_pq_curve(2, 1))
     assert singular_kernel(params, 2) == [PBWVector({(1, 1): 1, (2,): -t})]
     monkeypatch.setattr(linalg, "nullspace", lambda rows, ncols: [[t - 2, t + 3]])

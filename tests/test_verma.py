@@ -151,7 +151,7 @@ def test_apply_L_answers_in_the_ring_of_its_params():
     # stay in the ring of its own parameters
     v = PBWVector.monomial((2, 1))
     rational = VermaParams.rational(Fraction(7, 3), Fraction(5, 2))
-    lifted = VermaParams(*(Laurent(UniPoly.const(x, "t")) for x in rational))
+    lifted = VermaParams(*(Laurent(UniPoly.const(x)) for x in rational))
     assert rational == lifted and hash(rational) == hash(lifted)
     for params, ring in ((rational, Fraction), (lifted, Laurent), (rational, Fraction)):
         # L_1 L_{-2} L_{-1} xi = 2h L_{-2} xi + 3 L_{-1}^2 xi
